@@ -2,21 +2,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 ITER_BUDGET = 10_000
-
-
-@dataclass
-class FitResult:
-    x: np.ndarray
-    nll: float
-    converged: bool
-    cov: np.ndarray | None
-    flags: list[str]
 
 
 def minimize_nll(nll, x0, bounds=None, polish: bool = True):

@@ -105,9 +105,10 @@ def _parse_margins(spec: str, names) -> list:
         out = ["empirical"] * len(names)
         for item in spec.split(","):
             name, kind = item.split("=", 1)
-            if name.strip() not in names:
-                raise SystemExit(2)
-            out[names.index(name.strip())] = kind.strip()
+            name = name.strip()
+            if name not in names:
+                raise ValueError(f"unknown column {name!r} in --margins")
+            out[names.index(name)] = kind.strip()
         return out
     kinds = [s.strip() for s in spec.split(",")]
     if len(kinds) == 1:
@@ -138,29 +139,28 @@ def _columns(spec: str | None, names) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _response_and_covariates(ds: Dataset, response: str):
+    """The response column, the other columns as a covariate matrix, and
+    their names."""
+    names = list(ds.names)
+    y = ds.column(response)
+    resp = names.index(response)
+    cov_cols = [i for i in range(ds.dim) if i != resp]
+    return y, ds.values[:, cov_cols], [names[i] for i in cov_cols]
+
+
 def _dependence_model(family: str, args) -> mgpd.MgpdModel:
-    if family == "logistic":
-        return mgpd.Logistic(args.beta)
-    if family == "neglogistic":
-        return mgpd.NegLogistic(args.theta)
-    if family == "hr":
-        d = args.dim
-        g = args.gamma * (np.ones((d, d)) - np.eye(d))
-        return mgpd.HuslerReiss(g)
-    raise ValueError(f"unknown family {family!r}")
+    named = mgpd.FAMILIES.get(family)
+    if named is None:
+        raise ValueError(f"unknown family {family!r}")
+    return named.model(getattr(args, named.parameter), args.dim)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_fit_gpd(args) -> dict:
-    ds = _load(args)
-    names = list(ds.names)
-    y = ds.column(args.response)
-    resp = names.index(args.response)
-    cov_cols = [i for i in range(ds.dim) if i != resp]
-    X = ds.values[:, cov_cols]
-    cov_names = [names[i] for i in cov_cols]
+    y, X, cov_names = _response_and_covariates(_load(args), args.response)
     u = np.full(y.size, np.quantile(y, args.threshold_quantile))
     spec = univariate.RegressionSpec(
         _columns(args.sigma_covariates, cov_names),
@@ -180,14 +180,9 @@ def cmd_fit_gpd(args) -> dict:
 
 
 def cmd_fit_threshold(args) -> dict:
-    ds = _load(args)
-    names = list(ds.names)
-    y = ds.column(args.response)
-    resp = names.index(args.response)
-    cov_cols = [i for i in range(ds.dim) if i != resp]
-    cov_names = [names[i] for i in cov_cols]
-    keep = _columns(args.covariates, cov_names) if args.covariates else tuple(range(len(cov_cols)))
-    X = ds.values[:, [cov_cols[i] for i in keep]]
+    y, X, cov_names = _response_and_covariates(_load(args), args.response)
+    keep = _columns(args.covariates, cov_names) if args.covariates else tuple(range(len(cov_names)))
+    X = X[:, list(keep)]
     fit = univariate.fit_ald(X, y, args.tau)
     return {
         "tau": fit.tau,
@@ -241,13 +236,7 @@ def _parse_model_specs(spec: str, names) -> list[univariate.RegressionSpec]:
 
 
 def cmd_cv_score(args) -> dict:
-    ds = _load(args)
-    names = list(ds.names)
-    y = ds.column(args.response)
-    resp = names.index(args.response)
-    cov_cols = [i for i in range(ds.dim) if i != resp]
-    cov_names = [names[i] for i in cov_cols]
-    X = ds.values[:, cov_cols]
+    y, X, cov_names = _response_and_covariates(_load(args), args.response)
     u = np.full(y.size, np.quantile(y, args.threshold_quantile))
     specs = _parse_model_specs(args.models, cov_names)
     out = univariate.cv_interval_score(X, y, u, specs, alpha=args.alpha,
@@ -365,15 +354,9 @@ def cmd_mgpd_fit(args) -> dict:
     fre = ds.to_margin(MarginSpec("frechet"))
     u = np.quantile(fre, args.threshold_quantile, axis=0)
     censor = np.quantile(fre, args.censor_quantile, axis=0)
-    if args.family == "logistic":
-        fit = mgpd.fit_logistic_censored(fre, u, censor)
-        chi = mgpd.model_chi(mgpd.Logistic(fit.estimate), ds.dim)
-    elif args.family == "hr":
-        fit = mgpd.fit_hr_exchangeable(fre, u, censor)
-        g = fit.estimate * (np.ones((ds.dim, ds.dim)) - np.eye(ds.dim))
-        chi = mgpd.model_chi(mgpd.HuslerReiss(g), ds.dim)
-    else:
-        raise ValueError("family must be logistic or hr")
+    family = mgpd.fitted_family(args.family)
+    fit = family.fit(fre, u, censor)
+    chi = mgpd.model_chi(family.model(fit.estimate, ds.dim), ds.dim)
     return {"family": args.family, "estimate": fit.estimate, "se": fit.se,
             "model_chi": chi, "loglik": fit.loglik, "n_rows": fit.n_rows,
             "n_dropped": fit.n_dropped, "flags": fit.flags}
@@ -388,12 +371,9 @@ def cmd_mgpd_prob(args) -> dict:
     else:
         s = np.full(ds.dim, args.level)
     s = np.maximum(s, u)
-    if args.family == "logistic":
-        fit = mgpd.fit_logistic_censored(fre, u, u)
-        model = mgpd.Logistic(fit.estimate)
-    else:
-        fit = mgpd.fit_hr_exchangeable(fre, u, u)
-        model = mgpd.HuslerReiss(fit.estimate * (np.ones((ds.dim, ds.dim)) - np.eye(ds.dim)))
+    family = mgpd.fitted_family(args.family)
+    fit = family.fit(fre, u, u)
+    model = family.model(fit.estimate, ds.dim)
     prob = mgpd.joint_exceedance_prob(model, fre, u, s, seed=args.seed)
     return {"family": args.family, "estimate": fit.estimate,
             "levels": s, "thresholds": u,
@@ -492,8 +472,7 @@ def cmd_task2(args) -> dict:
     n = y.size
     zeta = float(np.mean(y > u))
     rng = derive_rng(args.seed)
-    draws = univariate.sample_params_gaussian(fit_wrap(fit), args.n_draws,
-                                              seed=args.seed)
+    draws = univariate.sample_params_gaussian(fit, args.n_draws, seed=args.seed)
     if args.threshold_mode == "fixed":
         # threshold held fixed, exceedance probability treated as unknown
         u_draws = np.full(args.n_draws, u)
@@ -525,14 +504,6 @@ def cmd_task2(args) -> dict:
             "mle_return_level": univariate.return_level_closed(mle_model, args.T, args.ny),
             "posterior_mean": float(qs.mean()), "n_draws_used": int(qs.size),
             "threshold": u, "zeta_u": zeta}
-
-
-class fit_wrap:
-    """Adapter exposing (sigma, xi) draws through the Gaussian sampler."""
-
-    def __init__(self, fit):
-        self.coefficients = np.array([fit.params.sigma, fit.params.xi])
-        self.cov = fit.cov
 
 
 def cmd_task3(args) -> dict:
@@ -619,13 +590,7 @@ def cmd_task4(args) -> dict:
 
 
 def cmd_task1(args) -> dict:
-    ds = _load(args)
-    names = list(ds.names)
-    y = ds.column(args.response)
-    resp = names.index(args.response)
-    cov_cols = [i for i in range(ds.dim) if i != resp]
-    cov_names = [names[i] for i in cov_cols]
-    X = ds.values[:, cov_cols]
+    y, X, cov_names = _response_and_covariates(_load(args), args.response)
     ald = univariate.fit_ald(X, y, args.tau)
     u = ald.predict(X)
     spec = univariate.RegressionSpec(
@@ -670,9 +635,6 @@ def _add_common(p, seed=True, out=True, margins=True):
     if margins:
         p.add_argument("--margins", help="margin kinds: one for all columns, "
                        "a comma list, or name=kind pairs (default empirical)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("EXTREMIS_THREADS", "0")),
-                   help="bound internal parallelism (0 = hardware count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -763,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fit", "prob"):
         p = msub.add_parser(name)
         p.add_argument("--input", required=True)
-        p.add_argument("--family", choices=("logistic", "hr"), required=True)
+        p.add_argument("--family", required=True,
+                       choices=[n for n, f in mgpd.FAMILIES.items() if f.fit])
         p.add_argument("--threshold-quantile", type=float, default=0.95)
         if name == "fit":
             p.add_argument("--censor-quantile", type=float, default=0.5)
@@ -785,8 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mvn_tail)
 
     p = sub.add_parser("simulate", help="composition sampling")
-    p.add_argument("--family", choices=("logistic", "neglogistic", "hr"),
-                   required=True)
+    p.add_argument("--family", choices=list(mgpd.FAMILIES), required=True)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)

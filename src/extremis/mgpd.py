@@ -6,6 +6,10 @@ exponent measure V(u) (intensity of {max_j Y_j/u_j > 1}), model-implied
 tail correlation, censored likelihood fitting for the logistic family and a
 pairwise composite fit for the exchangeable Huesler-Reiss family.
 
+Every family is a :class:`MgpdModel`: it supplies its own pivot weights
+(the per-pivot terms of Xi and V), any closed forms for Xi and V, and the
+pivot-block sampler used by composition sampling (``simulate``).
+
 Conventions, fixed by Monte Carlo validation against generator draws:
 
 * Logistic(beta > 1): iid Frechet generators, shape beta, scale
@@ -22,19 +26,122 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import stdtr
+from scipy.special import gamma as _gammafun
+from scipy.special import ndtr, ndtri, stdtr
 
 from ._optim import covariance_from_hessian, numeric_hessian
 from .mvnt import mvn_cdf, mvt_cdf
 
 LOGISTIC_DIM_CAP = 20
+GIBBS_SWEEPS = 50
+
+
+class MgpdModel:
+    """Base of the dependence families.
+
+    A family gives the pivot weights of Xi(u) (``min``) and V(u) (``max``),
+    the j-th weight being the measure's term with pivot j, with their
+    quasi-Monte Carlo standard errors (zero when exact).  Xi and V default
+    to the sum of the weights with a root-sum-square error.  ``pivot_block``
+    draws composition-sampling angles for the risk functionals in
+    ``sample_kinds``; any other functional raises ``sample_error``.  ``dim``
+    is the fixed dimension, None for families defined in every dimension.
+    The methods take ``u`` as checked by the module-level functions.
+    """
+
+    dim: int | None = None
+    sample_kinds: tuple[str, ...] = ("min", "max", "sum")
+    sample_error = ""
+
+    def pivot_weights(self, u: np.ndarray, direction: str, n_points: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def xi(self, u: np.ndarray, n_points: int, seed: int) -> tuple[float, float]:
+        return self._weight_sum(u, "min", n_points, seed)
+
+    def v(self, u: np.ndarray, n_points: int, seed: int) -> tuple[float, float]:
+        return self._weight_sum(u, "max", n_points, seed)
+
+    def _weight_sum(self, u, direction, n_points, seed) -> tuple[float, float]:
+        w, ses = self.pivot_weights(u, direction, n_points, seed)
+        return float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
+
+    def pivot_block(self, j: int, k: np.ndarray, n: int, rng, kind: str,
+                    flags: list[str]) -> np.ndarray:
+        """(n, D) angles omega = Z/Z_j given that pivot j is the scaled
+        extreme for the functional ``kind``; ``k`` is u / u_j."""
+        raise NotImplementedError
+
+
+class _IidFamily(MgpdModel):
+    """Families with iid generators, sampled by exact truncated inverse CDF;
+    ``_generator(rng)`` gives one coordinate's (size-biased draw, cdf, ppf)."""
+
+    def pivot_block(self, j, k, n, rng, kind, flags):
+        """Pivot draws come from the size-biased marginal, accepted against
+        the product of companion tail (or lower-tail) probabilities on the
+        event that the pivot is the scaled extreme; companions then follow
+        exact truncated inverse-CDF draws."""
+        size_biased, cdf, ppf = self._generator(rng)
+        d = k.size
+        others = np.arange(d) != j
+        zs = np.empty(n)
+        filled = 0
+        while filled < n:
+            m = max(2 * (n - filled), 256)
+            z = size_biased(m)
+            if kind == "sum":
+                acc = np.ones(m, dtype=bool)
+            else:
+                logp = np.zeros(m)
+                for i in np.flatnonzero(others):
+                    f = cdf(k[i] * z)
+                    logp += np.log1p(-f) if kind == "min" else np.log(np.maximum(f, 1e-300))
+                acc = rng.random(m) < np.exp(logp)
+            take = min(int(acc.sum()), n - filled)
+            zs[filled:filled + take] = z[acc][:take]
+            filled += take
+
+        omega = np.empty((n, d))
+        omega[:, j] = 1.0
+        for i in np.flatnonzero(others):
+            if kind == "sum":
+                zi = ppf(rng.random(n))
+            else:
+                fa = cdf(k[i] * zs)
+                if kind == "min":
+                    zi = ppf(fa + rng.random(n) * (1.0 - fa))
+                else:
+                    zi = ppf(rng.random(n) * fa)
+            omega[:, i] = zi / zs
+        return omega
+
+
+class _QmcFamily(MgpdModel):
+    """Families whose pivot terms are Gaussian or Student orthant
+    probabilities, estimated by quasi-Monte Carlo above two dimensions;
+    ``_pivot_probability`` gives pivot j's (p, standard error), and its
+    weight is p / u_j."""
+
+    def pivot_weights(self, u, direction, n_points, seed):
+        d = u.size
+        w = np.empty(d)
+        ses = np.empty(d)
+        for j in range(d):
+            idx = [i for i in range(d) if i != j]
+            p, se = self._pivot_probability(u, j, idx, direction, n_points, seed)
+            w[j] = p / u[j]
+            ses[j] = se / u[j]
+        return w, ses
 
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(_IidFamily):
     """Logistic family; dependence strengthens as beta grows."""
 
     beta: float
@@ -43,9 +150,38 @@ class Logistic:
         if not self.beta > 1.0:
             raise ValueError("logistic beta must exceed 1")
 
+    def pivot_weights(self, u, direction, n_points, seed):
+        beta = self.beta
+        d = u.size
+        if direction == "max":
+            s = np.sum(u ** (-beta))
+            return u ** (-beta) * s ** (1.0 / beta - 1.0), np.zeros(d)
+        if d > LOGISTIC_DIM_CAP:
+            raise ValueError(
+                f"logistic power-set sum capped at D={LOGISTIC_DIM_CAP}; use the "
+                "Monte Carlo fallback via composition sampling for larger D")
+        psis = np.empty(d)
+        for j in range(d):
+            a = (u / u[j]) ** (-beta)
+            mask = np.arange(d) != j
+            sums, sizes = _subset_sums(a[mask])
+            vals = (1.0 + sums) ** (1.0 / beta - 1.0)
+            psis[j] = _alternating_fsum(vals, sizes) / u[j]
+        return psis, np.zeros(d)
+
+    def v(self, u, n_points, seed):
+        return float(np.sum(u ** (-self.beta)) ** (1.0 / self.beta)), 0.0
+
+    def _generator(self, rng):
+        beta = self.beta
+        c = 1.0 / _gammafun(1.0 - 1.0 / beta)
+        return (lambda m: c * rng.gamma(1.0 - 1.0 / beta, size=m) ** (-1.0 / beta),
+                lambda x: np.exp(-((x / c) ** (-beta))),
+                lambda p: c * (-np.log(p)) ** (-1.0 / beta))
+
 
 @dataclass(frozen=True)
-class NegLogistic:
+class NegLogistic(_IidFamily):
     """Negative logistic (Galambos) family with shape theta > 0."""
 
     theta: float
@@ -54,12 +190,49 @@ class NegLogistic:
         if not self.theta > 0.0:
             raise ValueError("negative logistic theta must be positive")
 
+    def pivot_weights(self, u, direction, n_points, seed):
+        theta = self.theta
+        d = u.size
+        if direction == "min":
+            s = np.sum(u ** theta)
+            return u ** theta * s ** (-1.0 / theta - 1.0), np.zeros(d)
+        ut = u ** theta
+        phis = np.empty(d)
+        for j in range(d):
+            mask = np.arange(d) != j
+            sums, sizes = _subset_sums(ut[mask])
+            vals = (ut[j] + sums) ** (-1.0 / theta - 1.0)
+            phis[j] = ut[j] * _alternating_fsum(vals, sizes)
+        return phis, np.zeros(d)
+
+    def xi(self, u, n_points, seed):
+        return float(np.sum(u ** self.theta) ** (-1.0 / self.theta)), 0.0
+
+    def v(self, u, n_points, seed):
+        # inclusion-exclusion over nonempty subsets
+        sums, sizes = _subset_sums(u ** self.theta)
+        vals = np.zeros_like(sums)
+        vals[1:] = sums[1:] ** (-1.0 / self.theta)
+        signed_sizes = sizes[1:] - 1  # (-1)^(|s|+1) = (-1)^(|s|-1)
+        return float(_alternating_fsum(vals[1:], signed_sizes)), 0.0
+
+    def _generator(self, rng):
+        theta = self.theta
+        c = 1.0 / _gammafun(1.0 + 1.0 / theta)
+        return (lambda m: c * rng.gamma(1.0 + 1.0 / theta, size=m) ** (1.0 / theta),
+                lambda x: -np.expm1(-((x / c) ** theta)),
+                lambda p: c * (-np.log1p(-p)) ** (1.0 / theta))
+
 
 @dataclass(frozen=True)
-class HuslerReiss:
+class HuslerReiss(_QmcFamily):
     """Huesler-Reiss family parametrized by a semivariogram matrix."""
 
     gamma: np.ndarray
+
+    sample_kinds = ("sum", "max")
+    sample_error = ("Huesler-Reiss min-functional sampling is not "
+                    "supported (sum and max only)")
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma, dtype=float)
@@ -77,17 +250,56 @@ class HuslerReiss:
                 raise ValueError("gamma is not conditionally negative definite")
         object.__setattr__(self, "gamma", g)
 
+    @classmethod
+    def exchangeable(cls, d: int, gamma: float) -> HuslerReiss:
+        """The same semivariogram entry gamma for every pair of d variables."""
+        return cls(gamma * (np.ones((d, d)) - np.eye(d)))
+
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
 
+    def _pivot_probability(self, u, j, idx, direction, n_points, seed):
+        g = self.gamma
+        gj = g[idx, j]
+        cov = _hr_sigma_minus_j(g, j)
+        if direction == "min":
+            x = np.log(u[j]) - np.log(u[idx]) - gj
+        else:
+            x = np.log(u[idx]) - np.log(u[j]) + gj
+        if u.size == 2:
+            return float(ndtr(x[0] / np.sqrt(max(cov[0, 0], 1e-300)))), 0.0
+        return mvn_cdf(x, np.zeros(u.size - 1), cov, n_points, seed)
+
+    def pivot_block(self, j, k, n, rng, kind, flags):
+        """Log-Gaussian angles: exact for sum, Gibbs-truncated for max."""
+        g = self.gamma
+        d = g.shape[0]
+        idx = [i for i in range(d) if i != j]
+        mean = -g[idx, j]
+        cov = _hr_sigma_minus_j(g, j) + 1e-12 * np.eye(d - 1)
+        chol = np.linalg.cholesky(cov)
+        omega = np.empty((n, d))
+        omega[:, j] = 1.0
+        if kind == "sum":
+            w = mean + rng.standard_normal((n, d - 1)) @ chol.T
+        else:
+            w = _gibbs_truncated_normal(mean, cov, np.log(k[idx]), n, rng)
+            if "hr-gibbs-approximate" not in flags:
+                flags.append("hr-gibbs-approximate")
+        omega[:, idx] = np.exp(w)
+        return omega
+
 
 @dataclass(frozen=True)
-class ExtremalStudent:
+class ExtremalStudent(_QmcFamily):
     """Extremal Student family: correlation matrix and degrees of freedom."""
 
     sigma: np.ndarray
     nu: float
+
+    sample_kinds = ()
+    sample_error = "extremal Student sampling is not supported"
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma, dtype=float)
@@ -107,8 +319,18 @@ class ExtremalStudent:
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-
-MgpdModel = Logistic | NegLogistic | HuslerReiss | ExtremalStudent
+    def _pivot_probability(self, u, j, idx, direction, n_points, seed):
+        sg, nu = self.sigma, self.nu
+        sj = sg[idx, j]
+        shape = (sg[np.ix_(idx, idx)] - np.outer(sj, sj)) / (nu + 1.0)
+        ratio = (u[idx] / u[j]) ** (1.0 / nu)
+        if direction == "min":
+            x, loc = -ratio, -sj
+        else:
+            x, loc = ratio, sj
+        if u.size == 2:
+            return float(stdtr(nu + 1.0, (x[0] - loc[0]) / np.sqrt(max(shape[0, 0], 1e-300)))), 0.0
+        return mvt_cdf(x, loc, shape, nu + 1.0, n_points, seed)
 
 
 def _hr_sigma_minus_j(gamma: np.ndarray, j: int) -> np.ndarray:
@@ -117,10 +339,38 @@ def _hr_sigma_minus_j(gamma: np.ndarray, j: int) -> np.ndarray:
     return gj[:, None] + gj[None, :] - gamma[np.ix_(idx, idx)]
 
 
-def _check_u(u) -> np.ndarray:
+def _gibbs_truncated_normal(mean, cov, upper, n, rng):
+    """Coordinatewise Gibbs for N(mean, cov) truncated to w <= upper."""
+    d = mean.size
+    prec = np.linalg.inv(cov)
+    cond_sd = 1.0 / np.sqrt(np.diag(prec))
+    w = np.minimum(mean, upper - 0.1 * np.abs(upper) - 0.1)
+    w = np.tile(w, (n, 1))
+    for _ in range(GIBBS_SWEEPS):
+        for i in range(d):
+            # conditional mean given the other coordinates
+            resid = (w - mean) @ prec[:, i] - (w[:, i] - mean[i]) * prec[i, i]
+            mu_i = mean[i] - resid / prec[i, i]
+            cap = ndtr((upper[i] - mu_i) / cond_sd[i])
+            u = rng.random(n) * np.maximum(cap, 1e-300)
+            w[:, i] = mu_i + cond_sd[i] * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    return w
+
+
+def check_model(model) -> MgpdModel:
+    """``model`` itself if it is a dependence family; TypeError otherwise."""
+    if not isinstance(model, MgpdModel):
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    return model
+
+
+def _check_u(u, dim: int | None = None) -> np.ndarray:
+    """Positive finite thresholds, ``dim`` of them when it is given."""
     u = np.asarray(u, dtype=float).ravel()
     if u.size < 1 or np.any(u <= 0.0) or not np.all(np.isfinite(u)):
         raise ValueError("u must be componentwise positive and finite")
+    if dim is not None and dim != u.size:
+        raise ValueError(f"model dimension {dim} does not match u ({u.size})")
     return u
 
 
@@ -148,22 +398,6 @@ def _alternating_fsum(values: np.ndarray, sizes: np.ndarray) -> float:
     return direct
 
 
-def _logistic_min_weights(u: np.ndarray, beta: float) -> np.ndarray:
-    d = u.size
-    if d > LOGISTIC_DIM_CAP:
-        raise ValueError(
-            f"logistic power-set sum capped at D={LOGISTIC_DIM_CAP}; use the "
-            "Monte Carlo fallback via composition sampling for larger D")
-    psis = np.empty(d)
-    for j in range(d):
-        a = (u / u[j]) ** (-beta)
-        mask = np.arange(d) != j
-        sums, sizes = _subset_sums(a[mask])
-        vals = (1.0 + sums) ** (1.0 / beta - 1.0)
-        psis[j] = _alternating_fsum(vals, sizes) / u[j]
-    return psis
-
-
 def _logistic_xi_equal(d: int, beta: float, u: float) -> float:
     """Equal-threshold shortcut: (D/u) sum_k C(D-1,k)(-1)^k (1+k)^(1/beta-1)."""
     ks = np.arange(d)
@@ -172,101 +406,13 @@ def _logistic_xi_equal(d: int, beta: float, u: float) -> float:
     return d / u * _alternating_fsum(terms, ks)
 
 
-def _logistic_max_weights(u: np.ndarray, beta: float) -> np.ndarray:
-    s = np.sum(u ** (-beta))
-    return u ** (-beta) * s ** (1.0 / beta - 1.0)
-
-
-def _neglog_min_weights(u: np.ndarray, theta: float) -> np.ndarray:
-    s = np.sum(u ** theta)
-    return u ** theta * s ** (-1.0 / theta - 1.0)
-
-
-def _neglog_max_weights(u: np.ndarray, theta: float) -> np.ndarray:
-    d = u.size
-    ut = u ** theta
-    phis = np.empty(d)
-    for j in range(d):
-        mask = np.arange(d) != j
-        sums, sizes = _subset_sums(ut[mask])
-        vals = (ut[j] + sums) ** (-1.0 / theta - 1.0)
-        phis[j] = ut[j] * _alternating_fsum(vals, sizes)
-    return phis
-
-
-def _hr_weights(model: HuslerReiss, u: np.ndarray, direction: str,
-                n_points: int, seed: int):
-    g = model.gamma
-    d = u.size
-    w = np.empty(d)
-    ses = np.empty(d)
-    for j in range(d):
-        idx = [i for i in range(d) if i != j]
-        gj = g[idx, j]
-        cov = _hr_sigma_minus_j(g, j)
-        if direction == "min":
-            x = np.log(u[j]) - np.log(u[idx]) - gj
-        else:
-            x = np.log(u[idx]) - np.log(u[j]) + gj
-        if d == 2:
-            from scipy.special import ndtr
-            p, se = float(ndtr(x[0] / np.sqrt(max(cov[0, 0], 1e-300)))), 0.0
-        else:
-            p, se = mvn_cdf(x, np.zeros(d - 1), cov, n_points, seed)
-        w[j] = p / u[j]
-        ses[j] = se / u[j]
-    return w, ses
-
-
-def _es_weights(model: ExtremalStudent, u: np.ndarray, direction: str,
-                n_points: int, seed: int):
-    sg, nu = model.sigma, model.nu
-    d = u.size
-    w = np.empty(d)
-    ses = np.empty(d)
-    for j in range(d):
-        idx = [i for i in range(d) if i != j]
-        sj = sg[idx, j]
-        shape = (sg[np.ix_(idx, idx)] - np.outer(sj, sj)) / (nu + 1.0)
-        ratio = (u[idx] / u[j]) ** (1.0 / nu)
-        if direction == "min":
-            x, loc = -ratio, -sj
-        else:
-            x, loc = ratio, sj
-        if d == 2:
-            p = float(stdtr(nu + 1.0, (x[0] - loc[0]) / np.sqrt(max(shape[0, 0], 1e-300))))
-            se = 0.0
-        else:
-            p, se = mvt_cdf(x, loc, shape, nu + 1.0, n_points, seed)
-        w[j] = p / u[j]
-        ses[j] = se / u[j]
-    return w, ses
-
-
 def pivot_weights(model: MgpdModel, u, direction: str,
                   n_points: int = 100_000, seed: int = 0) -> np.ndarray:
     """Unnormalized pivot weights: the j-th term of Xi(u) (``min``) or V(u) (``max``)."""
-    u = _check_u(u)
+    u = _check_u(u, check_model(model).dim)
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    if isinstance(model, Logistic):
-        return (_logistic_min_weights(u, model.beta) if direction == "min"
-                else _logistic_max_weights(u, model.beta))
-    if isinstance(model, NegLogistic):
-        return (_neglog_min_weights(u, model.theta) if direction == "min"
-                else _neglog_max_weights(u, model.theta))
-    if isinstance(model, HuslerReiss):
-        _require_dim(model.dim, u.size)
-        return _hr_weights(model, u, direction, n_points, seed)[0]
-    if isinstance(model, ExtremalStudent):
-        _require_dim(model.dim, u.size)
-        return _es_weights(model, u, direction, n_points, seed)[0]
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _require_dim(model_dim: int, d: int) -> None:
-    if model_dim != d:
-        raise ValueError(f"model dimension {model_dim} does not match u ({d})")
+    return model.pivot_weights(u, direction, n_points, seed)[0]
 
 
 def xi_measure(model: MgpdModel, u, n_points: int = 100_000, seed: int = 0,
@@ -277,48 +423,16 @@ def xi_measure(model: MgpdModel, u, n_points: int = 100_000, seed: int = 0,
     given budget; ``return_se`` also reports the aggregated standard error
     (zero for the closed-form families).
     """
-    u = _check_u(u)
-    if isinstance(model, Logistic):
-        val, se = float(np.sum(_logistic_min_weights(u, model.beta))), 0.0
-    elif isinstance(model, NegLogistic):
-        val, se = float(np.sum(u ** model.theta) ** (-1.0 / model.theta)), 0.0
-    elif isinstance(model, HuslerReiss):
-        _require_dim(model.dim, u.size)
-        w, ses = _hr_weights(model, u, "min", n_points, seed)
-        val, se = float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
-    elif isinstance(model, ExtremalStudent):
-        _require_dim(model.dim, u.size)
-        w, ses = _es_weights(model, u, "min", n_points, seed)
-        val, se = float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
+    u = _check_u(u, check_model(model).dim)
+    val, se = model.xi(u, n_points, seed)
     return (val, se) if return_se else val
 
 
 def exponent_measure_v(model: MgpdModel, u, n_points: int = 100_000,
                        seed: int = 0, return_se: bool = False):
     """Exponent measure V(u): intensity of {max_j Y_j/u_j > 1}."""
-    u = _check_u(u)
-    if isinstance(model, Logistic):
-        val, se = float(np.sum(u ** (-model.beta)) ** (1.0 / model.beta)), 0.0
-    elif isinstance(model, NegLogistic):
-        # inclusion-exclusion over nonempty subsets
-        sums, sizes = _subset_sums(u ** model.theta)
-        vals = np.zeros_like(sums)
-        vals[1:] = sums[1:] ** (-1.0 / model.theta)
-        signed_sizes = sizes[1:] - 1  # (-1)^(|s|+1) = (-1)^(|s|-1)
-        val = float(_alternating_fsum(vals[1:], signed_sizes))
-        se = 0.0
-    elif isinstance(model, HuslerReiss):
-        _require_dim(model.dim, u.size)
-        w, ses = _hr_weights(model, u, "max", n_points, seed)
-        val, se = float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
-    elif isinstance(model, ExtremalStudent):
-        _require_dim(model.dim, u.size)
-        w, ses = _es_weights(model, u, "max", n_points, seed)
-        val, se = float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
+    u = _check_u(u, check_model(model).dim)
+    val, se = model.v(u, n_points, seed)
     return (val, se) if return_se else val
 
 
@@ -502,3 +616,36 @@ def joint_exceedance_prob(model: MgpdModel, Y, u, s,
     xi = xi_measure(model, s, n_points=n_points, seed=seed)
     v = exponent_measure_v(model, u, n_points=n_points, seed=seed)
     return xi / v * frac
+
+
+@dataclass(frozen=True)
+class NamedFamily:
+    """A one-parameter family as chosen by name.
+
+    ``model(value, d)`` is the d-variate model at the scalar parameter
+    called ``parameter``; ``fit(Y, u, censor)`` is the family's censored
+    fitter, None when it has none.
+    """
+
+    parameter: str
+    model: Callable[[float, int], MgpdModel]
+    fit: Callable[..., CensoredFit] | None = None
+
+
+# The fitters are looked up when called, so that rebinding the module
+# attributes (as the benchmark's tracer does) takes effect here too.
+FAMILIES = {
+    "logistic": NamedFamily("beta", lambda beta, d: Logistic(beta),
+                            lambda Y, u, censor: fit_logistic_censored(Y, u, censor)),
+    "neglogistic": NamedFamily("theta", lambda theta, d: NegLogistic(theta)),
+    "hr": NamedFamily("gamma", lambda gamma, d: HuslerReiss.exchangeable(d, gamma),
+                      lambda Y, u, censor: fit_hr_exchangeable(Y, u, censor)),
+}
+
+
+def fitted_family(name: str) -> NamedFamily:
+    """The named family; it must have a censored fitter."""
+    family = FAMILIES.get(name)
+    if family is None or family.fit is None:
+        raise ValueError(f"unknown fitter {name!r}")
+    return family

@@ -4,7 +4,8 @@ A sample is built in three stages: draw a pivot index from the
 functional-specific weights (known up to proportionality), draw the
 generator vector conditionally on the pivot being the extreme coordinate,
 then scale the pivot-normalized angle by an independent unit Pareto radius.
-Logistic and negative logistic generators are independent, so the
+Each family in ``mgpd`` supplies its own pivot-block sampler.  Logistic
+and negative logistic generators are independent, so the
 conditional truncation is exact inverse-CDF sampling; the Huesler-Reiss
 family uses coordinatewise Gibbs for the truncated log-Gaussian angle
 (approximate, flagged) and is limited to the sum and max functionals.
@@ -14,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gammafun
 
 from .core import Dataset, derive_rng
-from .mgpd import (ExtremalStudent, HuslerReiss, Logistic, MgpdModel,
-                   NegLogistic, _hr_sigma_minus_j, exponent_measure_v,
-                   pivot_weights)
-
-GIBBS_SWEEPS = 50
+from .mgpd import MgpdModel, check_model, exponent_measure_v, pivot_weights
 
 
 @dataclass(frozen=True)
@@ -50,116 +46,6 @@ class CompositionSample:
     flags: list[str] = field(default_factory=list)
 
 
-def _frechet_ppf(p, beta, c):
-    return c * (-np.log(p)) ** (-1.0 / beta)
-
-
-def _frechet_cdf(x, beta, c):
-    return np.exp(-((x / c) ** (-beta)))
-
-
-def _weibull_ppf(p, theta, c):
-    return c * (-np.log1p(-p)) ** (1.0 / theta)
-
-
-def _weibull_cdf(x, theta, c):
-    return -np.expm1(-((x / c) ** theta))
-
-
-def _independent_pivot_block(model, j, k, n, rng, direction):
-    """Pivot values and truncated companions for iid generator families.
-
-    Pivot draws come from the size-biased marginal, accepted against the
-    product of companion tail (or lower-tail) probabilities on the event
-    that the pivot is the scaled extreme; companions then follow exact
-    truncated inverse-CDF draws.  Returns an (n, D) block of omega = Z/Z_j.
-    """
-    d = k.size
-    if isinstance(model, Logistic):
-        beta = model.beta
-        c = 1.0 / _gammafun(1.0 - 1.0 / beta)
-        size_biased = lambda m: c * rng.gamma(1.0 - 1.0 / beta, size=m) ** (-1.0 / beta)
-        cdf = lambda x: _frechet_cdf(x, beta, c)
-        ppf = lambda p: _frechet_ppf(p, beta, c)
-    else:
-        theta = model.theta
-        c = 1.0 / _gammafun(1.0 + 1.0 / theta)
-        size_biased = lambda m: c * rng.gamma(1.0 + 1.0 / theta, size=m) ** (1.0 / theta)
-        cdf = lambda x: _weibull_cdf(x, theta, c)
-        ppf = lambda p: _weibull_ppf(p, theta, c)
-
-    others = np.arange(d) != j
-    zs = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 256)
-        z = size_biased(m)
-        if direction == "sum":
-            acc = np.ones(m, dtype=bool)
-        else:
-            logp = np.zeros(m)
-            for i in np.flatnonzero(others):
-                f = cdf(k[i] * z)
-                logp += np.log1p(-f) if direction == "min" else np.log(np.maximum(f, 1e-300))
-            acc = rng.random(m) < np.exp(logp)
-        take = min(int(acc.sum()), n - filled)
-        zs[filled:filled + take] = z[acc][:take]
-        filled += take
-
-    omega = np.empty((n, d))
-    omega[:, j] = 1.0
-    for i in np.flatnonzero(others):
-        if direction == "sum":
-            zi = ppf(rng.random(n))
-        else:
-            fa = cdf(k[i] * zs)
-            if direction == "min":
-                zi = ppf(fa + rng.random(n) * (1.0 - fa))
-            else:
-                zi = ppf(rng.random(n) * fa)
-        omega[:, i] = zi / zs
-    return omega
-
-
-def _hr_pivot_block(model: HuslerReiss, j, k, n, rng, direction, flags):
-    """Huesler-Reiss angle block: exact for sum, Gibbs-truncated for max."""
-    g = model.gamma
-    d = g.shape[0]
-    idx = [i for i in range(d) if i != j]
-    mean = -g[idx, j]
-    cov = _hr_sigma_minus_j(g, j) + 1e-12 * np.eye(d - 1)
-    chol = np.linalg.cholesky(cov)
-    omega = np.empty((n, d))
-    omega[:, j] = 1.0
-    if direction == "sum":
-        w = mean + rng.standard_normal((n, d - 1)) @ chol.T
-    else:
-        w = _gibbs_truncated_normal(mean, cov, np.log(k[idx]), n, rng)
-        if "hr-gibbs-approximate" not in flags:
-            flags.append("hr-gibbs-approximate")
-    omega[:, idx] = np.exp(w)
-    return omega
-
-
-def _gibbs_truncated_normal(mean, cov, upper, n, rng):
-    """Coordinatewise Gibbs for N(mean, cov) truncated to w <= upper."""
-    from scipy.special import ndtr, ndtri
-    d = mean.size
-    prec = np.linalg.inv(cov)
-    cond_sd = 1.0 / np.sqrt(np.diag(prec))
-    w = np.minimum(mean, upper - 0.1 * np.abs(upper) - 0.1)
-    w = np.tile(w, (n, 1))
-    for _ in range(GIBBS_SWEEPS):
-        for i in range(d):
-            # conditional mean given the other coordinates
-            resid = (w - mean) @ prec[:, i] - (w[:, i] - mean[i]) * prec[i, i]
-            mu_i = mean[i] - resid / prec[i, i]
-            cap = ndtr((upper[i] - mu_i) / cond_sd[i])
-            u = rng.random(n) * np.maximum(cap, 1e-300)
-            w[:, i] = mu_i + cond_sd[i] * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-    return w
-
-
 def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
                        seed: int, weights=None) -> CompositionSample:
     """Composition sampling of standard R-Pareto vectors.
@@ -171,11 +57,8 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
     overrides the pivot weights (any positive scaling leaves the law
     unchanged).
     """
-    if isinstance(model, ExtremalStudent):
-        raise ValueError("extremal Student sampling is not supported")
-    if isinstance(model, HuslerReiss) and functional.kind == "min":
-        raise ValueError("Huesler-Reiss min-functional sampling is not "
-                         "supported (sum and max only)")
+    if functional.kind not in check_model(model).sample_kinds:
+        raise ValueError(model.sample_error)
     u = functional.u
     d = u.size
     rng = derive_rng(seed)
@@ -195,13 +78,8 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
         nj = int(rows.sum())
         if nj == 0:
             continue
-        k = u / u[j]
-        if isinstance(model, (Logistic, NegLogistic)):
-            omega[rows] = _independent_pivot_block(model, j, k, nj, rng,
-                                                   functional.kind)
-        else:
-            omega[rows] = _hr_pivot_block(model, j, k, nj, rng,
-                                          functional.kind, flags)
+        omega[rows] = model.pivot_block(j, u / u[j], nj, rng,
+                                        functional.kind, flags)
     radius = 1.0 / (1.0 - rng.random(n))
     return CompositionSample(radius[:, None] * omega, pivot, radius, flags)
 
@@ -220,15 +98,16 @@ def simulate_mgpd_dataset(model: MgpdModel, margin, n: int,
     """
     if not 0.0 <= exceed_fraction < 1.0:
         raise ValueError("exceed_fraction must be in [0, 1)")
+    dim = check_model(model).dim
     if isinstance(margin, (list, tuple)):
         margins = list(margin)
-    elif isinstance(model, (HuslerReiss, ExtremalStudent)):
-        margins = [margin] * model.dim
+    elif dim is not None:
+        margins = [margin] * dim
     else:
         raise ValueError("pass one margin per column (a list) for "
                          "logistic/negative logistic models")
     d = len(margins)
-    if isinstance(model, (HuslerReiss, ExtremalStudent)) and d != model.dim:
+    if dim is not None and d != dim:
         raise ValueError("margin count must match the model dimension")
     rng = derive_rng(seed, 1)
     n_exc = int(round(n * exceed_fraction))

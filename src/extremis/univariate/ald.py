@@ -41,6 +41,10 @@ class AldParams:
     def nu(self) -> float:
         return float(np.exp(self.log_nu))
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.asarray(self.beta_eta, float)
+
     def predict(self, X: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
         """Fitted threshold eta(x) per covariate row."""
         b = self.beta_eta if coef is None else coef

@@ -96,6 +96,10 @@ class GpdFit:
     converged: bool
     flags: list[str] = field(default_factory=list)
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.array([self.params.sigma, self.params.xi])
+
 
 def _moment_start(x: np.ndarray) -> tuple[float, float]:
     m, v = x.mean(), x.var()

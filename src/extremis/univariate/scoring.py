@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import derive_rng
-from .ald import AldParams
-from .gpd import GpdRegression, RegressionSpec, fit_gpd_regression, gpd_cdf, gpd_quantile
+from .gpd import RegressionSpec, fit_gpd_regression, gpd_cdf, gpd_quantile
 
 
 @dataclass(frozen=True)
@@ -48,17 +47,12 @@ def interval_score(f: IntervalForecast, y: float) -> float:
 def sample_params_gaussian(fit, n_draws: int, seed: int) -> np.ndarray:
     """Draw coefficient vectors from Normal(estimate, covariance).
 
-    Accepts a fitted :class:`GpdRegression` or :class:`AldParams` (or any
-    object with ``coefficients``/``beta_eta`` and ``cov``).  The covariance
-    is symmetrized and factored spectrally with eigenvalues clipped at
-    zero; materially negative eigenvalues are an error.
+    Accepts any fit with ``coefficients`` and ``cov``, such as
+    :class:`GpdRegression`, :class:`GpdFit` or :class:`AldParams`.  The
+    covariance is symmetrized and factored spectrally with eigenvalues
+    clipped at zero; materially negative eigenvalues are an error.
     """
-    if isinstance(fit, AldParams):
-        mean, cov = np.asarray(fit.beta_eta, float), fit.cov
-    elif isinstance(fit, GpdRegression):
-        mean, cov = fit.coefficients, fit.cov
-    else:
-        mean, cov = np.asarray(fit.coefficients, float), fit.cov
+    mean, cov = np.asarray(fit.coefficients, float), fit.cov
     if cov is None:
         raise ValueError("fit carries no covariance")
     cov = 0.5 * (np.asarray(cov, float) + np.asarray(cov, float).T)

@@ -17,8 +17,7 @@ from scipy.stats import chi2, kendalltau
 
 from .condex import HtParams, fit_ht_exchangeable_gaussian, ht_model_chi
 from .core import MarginSpec, derive_rng, rank_transform
-from .mgpd import (HuslerReiss, Logistic, MgpdModel, exponent_measure_v,
-                   fit_hr_exchangeable, fit_logistic_censored, model_chi,
+from .mgpd import (MgpdModel, exponent_measure_v, fitted_family, model_chi,
                    xi_measure)
 from .taildep import chi_estimate
 
@@ -310,22 +309,16 @@ class SubsetChiScore:
 def _fit_model_chi(Ysub, fitter: str, k: int, level: float,
                    fit_quantile: float, mc_n: int, seed: int) -> float:
     """Fit a family to the given columns and return its k-variate chi."""
-    n = Ysub.shape[0]
     u01 = rank_transform(Ysub)
-    if fitter in ("logistic", "hr"):
-        fre = np.asarray(MarginSpec("frechet").quantile(u01))
-        u = np.full(Ysub.shape[1], float(MarginSpec("frechet").quantile(fit_quantile)))
-        if fitter == "logistic":
-            fit = fit_logistic_censored(fre, u, censor=u)
-            return model_chi(Logistic(fit.estimate), k)
-        fit = fit_hr_exchangeable(fre, u, censor=u)
-        g = fit.estimate * (np.ones((k, k)) - np.eye(k))
-        return model_chi(HuslerReiss(g), k, seed=seed)
     if fitter == "ht":
         lap = np.asarray(MarginSpec("laplace").quantile(u01))
         params = fit_ht_exchangeable_gaussian(lap, threshold_quantile=fit_quantile)
         return ht_model_chi(params, k, level, N=mc_n, seed=seed)
-    raise ValueError(f"unknown fitter {fitter!r}")
+    family = fitted_family(fitter)
+    fre = np.asarray(MarginSpec("frechet").quantile(u01))
+    u = np.full(Ysub.shape[1], float(MarginSpec("frechet").quantile(fit_quantile)))
+    fit = family.fit(fre, u, censor=u)
+    return model_chi(family.model(fit.estimate, k), k, seed=seed)
 
 
 def subset_chi_cv(Y, k: int, u: float, fitter: str,
@@ -461,12 +454,7 @@ def threshold_stability_scan(Y, levels, fitter: str = "logistic",
         cq = q if censor_quantile is None else censor_quantile
         censor = np.quantile(Y, cq, axis=0)
         try:
-            if fitter == "logistic":
-                fit = fit_logistic_censored(Y, u, censor)
-            elif fitter == "hr":
-                fit = fit_hr_exchangeable(Y, u, censor)
-            else:
-                raise ValueError(f"unknown fitter {fitter!r}")
+            fit = fitted_family(fitter).fit(Y, u, censor)
         except (ValueError, RuntimeError):
             out.append(StabilityRow(float(q), np.nan, None, np.nan, np.nan,
                                     0, failed=True))

@@ -131,6 +131,15 @@ def test_cli_usage_and_computation_errors(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def test_unknown_margins_column_is_a_computation_error(gumbel3_csv, capsys):
+    code = run(["taildep", "--input", gumbel3_csv, "--margins", "zz=gumbel"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert ("extremis taildep: error: unknown column 'zz' in --margins"
+            in captured.err)
+
+
 def test_taildep_csv_output(gumbel3_csv, capsys, tmp_path):
     out = tmp_path / "td.csv"
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "gumbel",

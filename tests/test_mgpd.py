@@ -8,6 +8,7 @@ from extremis.mgpd import (ExtremalStudent, HuslerReiss, Logistic,
                            NegLogistic, _logistic_xi_equal, exponent_measure_v,
                            joint_exceedance_prob, model_chi, pivot_weights,
                            xi_measure)
+from extremis.simulate import RiskFunctional, composition_sample
 
 
 def hr2(gamma):
@@ -115,9 +116,19 @@ def test_v_against_generator_monte_carlo(model, u):
     assert abs(v - est) < 3.0 * se + 1e-6
 
 
+U_D3 = np.array([1.0, 2.0, 4.0])
+MODELS_D3 = {
+    "logistic": Logistic(2.0),
+    "neglogistic": NegLogistic(1.3),
+    "hr": HuslerReiss(np.array([[0.0, 0.5, 0.8], [0.5, 0.0, 0.6], [0.8, 0.6, 0.0]])),
+    "es": ExtremalStudent(np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.4],
+                                    [0.3, 0.4, 1.0]]), 2.5),
+}
+
+
 def test_pivot_weights_sum_to_measures():
-    u = np.array([1.0, 2.0, 4.0])
-    for model in (Logistic(2.0), NegLogistic(1.3)):
+    u = U_D3
+    for model in MODELS_D3.values():
         assert pivot_weights(model, u, "min").sum() == pytest.approx(
             xi_measure(model, u), rel=1e-10)
         assert pivot_weights(model, u, "max").sum() == pytest.approx(
@@ -172,3 +183,73 @@ def test_joint_exceedance_prob_composition():
     # halving s doubles the probability
     got2 = joint_exceedance_prob(model, y, u, s / 2.0)
     assert got2 == pytest.approx(2.0 * got, rel=1e-10)
+
+
+# Pinned values of the tail measures and of seeded composition sampling at
+# d = 3.  Refactors of the family code must reproduce them exactly; a
+# change here is a numeric change that needs explaining.
+PINNED_MEASURES = {
+    "logistic": {
+        "xi": (0.1878165342097027, 0.0),
+        "v": (1.14564392373896, 0.0),
+        "min": [0.008301869798721828, 0.0473974969860555, 0.13211716742492538],
+        "max": [0.8728715609439696, 0.2182178902359924, 0.0545544725589981]},
+    "neglogistic": {
+        "xi": (0.17661252335029468, 0.0),
+        "v": (1.1272860476659865, 0.0),
+        "min": [0.018541695293241612, 0.04565500914843628, 0.11241581890861675],
+        "max": [0.8759602354857895, 0.21652364897228532, 0.03480216320791184]},
+    "hr": {
+        "xi": (0.18082587097205605, 1.4715596727668423e-05),
+        "v": (1.1215987242733874, 3.144544689996458e-05),
+        "min": [0.020702932394410595, 0.04453943996070723, 0.11558349861693824],
+        "max": [0.862307647802384, 0.196795980167508, 0.06249509630349545]},
+    "es": {
+        "xi": (0.06125898061514107, 9.087465536507818e-05),
+        "v": (1.3719090089455563, 0.00026431153960160053),
+        "min": [0.010799842658552933, 0.016170946428372253, 0.03428819152821588],
+        "max": [0.902091104605392, 0.32732376670460206, 0.14249413763556226]},
+}
+PINNED_SAMPLES = {
+    ("logistic", "min"): (
+        [[1.6851505822828066, 1.02144254328589, 2.196596102447051],
+         [1.9135578234314736, 1.251611307102599, 1.3168438490077523],
+         [0.9584252147715084, 2.346421259827789, 1.56871975690846],
+         [4.429869322124357, 14.065995864837186, 17.7761809488189]],
+        [1, 2, 2, 0], []),
+    ("neglogistic", "max"): (
+        [[1.298759744087214, 0.1373784248136884, 0.8031511844340818],
+         [2.5639134978481093, 1.2781317656351239, 0.9343481251587613],
+         [1.285688718890768, 0.09456037848373475, 0.046230771430060144],
+         [2.4738740736563174, 0.2888888906818658, 1.8650324492993575]],
+        [0, 0, 0, 0], []),
+    ("hr", "sum"): (
+        [[2.965976856971457, 1.3354080890267572, 0.6206388413741465],
+         [1.7663146969537247, 1.3798981162580044, 0.1353079357429771],
+         [3.370333649558563, 1.1600498409911697, 0.9201947173616987],
+         [4.7178622708326206, 5.058561457050257, 2.9775377089989017]],
+        [0, 1, 1, 0], []),
+    ("hr", "max"): (
+        [[2.3553722265991777, 1.661996076055978, 1.388510983848753],
+         [1.933290782993951, 0.5067612441110033, 0.7879773519736915],
+         [3.4360690096273423, 4.860026474127741, 1.914526009961372],
+         [15.647773623900248, 14.241170881547363, 5.894972730994302]],
+        [0, 0, 0, 0], ["hr-gibbs-approximate"]),
+}
+
+
+def test_pinned_values_are_bit_identical():
+    kw = {"n_points": 2000, "seed": 3}
+    for name, model in MODELS_D3.items():
+        want = PINNED_MEASURES[name]
+        assert xi_measure(model, U_D3, return_se=True, **kw) == want["xi"]
+        assert exponent_measure_v(model, U_D3, return_se=True, **kw) == want["v"]
+        for direction in ("min", "max"):
+            got = pivot_weights(model, U_D3, direction, **kw)
+            assert got.tolist() == want[direction]
+    for (name, kind), (samples, pivot, flags) in PINNED_SAMPLES.items():
+        out = composition_sample(MODELS_D3[name], RiskFunctional(kind, U_D3),
+                                 4, seed=11)
+        assert out.samples.tolist() == samples
+        assert out.pivot.tolist() == pivot
+        assert out.flags == flags
