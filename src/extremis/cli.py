@@ -552,10 +552,11 @@ def cmd_task4(args) -> dict:
     ds = _load(args)
     lap = MarginSpec("laplace")
     L = ds.to_margin(lap)
-    tau = validate.kendall_tau_matrix(ds.values)
+    jackknife = validate.tau_jackknife(ds.values)
+    tau = validate.tau_b_matrix(ds.values, jackknife[0])
     clusters = validate.ward_cluster(tau, args.k)
     exch = validate.exch_test(ds.values, clusters, n_mc=args.n_mc,
-                              seed=args.seed)
+                              seed=args.seed, jackknife=jackknife)
     phi1, phi2 = args.phi1, args.phi2
     s1 = float(lap.quantile(1.0 - phi1))
     s2 = float(lap.quantile(1.0 - phi2))

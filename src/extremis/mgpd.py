@@ -101,7 +101,9 @@ class _IidFamily(MgpdModel):
                 logp = np.zeros(m)
                 for i in np.flatnonzero(others):
                     f = cdf(k[i] * z)
-                    logp += np.log1p(-f) if kind == "min" else np.log(np.maximum(f, 1e-300))
+                    # f == 1 gives log1p(-1) = -inf: that candidate is rejected
+                    with np.errstate(divide="ignore"):
+                        logp += np.log1p(-f) if kind == "min" else np.log(np.maximum(f, 1e-300))
                 acc = rng.random(m) < np.exp(logp)
             take = min(int(acc.sum()), n - filled)
             zs[filled:filled + take] = z[acc][:take]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, derive_rng
-from .mgpd import MgpdModel, check_model, exponent_measure_v, pivot_weights
+from .mgpd import (MgpdModel, _check_u, check_model, exponent_measure_v,
+                   pivot_weights)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
     """
     if functional.kind not in check_model(model).sample_kinds:
         raise ValueError(model.sample_error)
-    u = functional.u
+    u = _check_u(functional.u, model.dim)
     d = u.size
     rng = derive_rng(seed)
     flags: list[str] = []

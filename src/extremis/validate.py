@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import chi2, kendalltau
+from scipy.stats import chi2
 
 from .condex import HtParams, fit_ht_exchangeable_gaussian, ht_model_chi
 from .core import MarginSpec, derive_rng, rank_transform
@@ -23,48 +23,104 @@ from .taildep import chi_estimate
 
 
 def kendall_tau_matrix(Y) -> np.ndarray:
-    """Pairwise Kendall's tau with unit diagonal.
+    """Pairwise Kendall's tau-b with unit diagonal.
 
-    Constant columns make tau undefined and raise.  Each pair costs
-    O(n log n) via the merge-based estimator.
+    Constant columns make tau undefined and raise.  Built from the exact
+    concordance counts of :func:`_concordance_counts` (O(n^2 p / 64) word
+    operations for the p = d(d-1)/2 pairs) and per-column tie totals.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = Y.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 observations")
+    return tau_b_matrix(Y, _concordance_counts(Y).sum(axis=0) / (n * (n - 1.0)))
+
+
+def tau_b_matrix(Y, tau) -> np.ndarray:
+    """Kendall's tau-b matrix of ``Y`` from its stacked tau-a vector ``tau``.
+
+    ``tau`` is in :func:`stack_pairs` order, as :func:`tau_jackknife`
+    returns it; each entry is divided by the geometric mean of its two
+    columns' shares of untied pairs, so untied columns keep tau-a exactly.
+    Constant columns make tau undefined and raise.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
-    if n < 2:
-        raise ValueError("need at least 2 observations")
+    untied = np.empty(d)
     for j in range(d):
-        if np.ptp(Y[:, j]) == 0.0:
+        t = np.unique(Y[:, j], return_counts=True)[1].astype(float)
+        untied[j] = 1.0 - np.sum(t * (t - 1.0)) / (n * (n - 1.0))
+        if untied[j] <= 0.0:
             raise ValueError(f"column {j} is constant; tau undefined")
+    a, b = np.triu_indices(d, 1)
     out = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[i, j] = out[j, i] = kendalltau(Y[:, i], Y[:, j]).statistic
+    out[a, b] = out[b, a] = np.clip(tau / np.sqrt(untied[a] * untied[b]), -1.0, 1.0)
     return out
 
 
-def _concordance_counts_all(Y: np.ndarray, pairs, chunk: int = 1024) -> np.ndarray:
-    """Per-observation net concordance for every pair.
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of packed ``uint64`` words (sum over the last axis)."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
-    c[i, pair] = sum_j sgn(x_i - x_j) sgn(y_i - y_j).  Chunked quadratic
-    evaluation reusing each column's comparison block across pairs; exact
-    under ties (ties contribute zero).
+
+def _concordance_counts(Y: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    """Per-observation net concordance for every pair, as exact integers.
+
+    c[i, pair] = sum_j sgn(x_i - x_j) sgn(y_i - y_j) in :func:`stack_pairs`
+    order; ties contribute zero.  For a chunk of rows, each column's set
+    {j : x_j < x_i} is packed into uint64 words (a prefix OR along the
+    column's sort order), and so is {j : x_j > x_i} for columns with ties.
+    Writing LG = #{x_j < x_i, y_j > y_i} and so on, c = LL - LG - GL + GG;
+    the ranks r = #{x_j < x_i} give the cross terms of an untied column
+    (LG = r_x - LL when y is untied), so an untied pair needs one popcount,
+    c = 4 LL + (n - 1) - 2 r_x - 2 r_y.  Costs O(n^2 p / 64) word
+    operations and O(chunk n d / 8) bytes of masks.
     """
     n, d = Y.shape
-    c = np.empty((n, len(pairs)))
-    tied = any(np.unique(Y[:, j]).size < n for j in range(d))
+    n_words = -(-n // 64)
+    order = np.argsort(Y, axis=0, kind="stable")
+    srt = np.take_along_axis(Y, order, axis=0)
+    n_lt = np.column_stack([np.searchsorted(srt[:, k], Y[:, k], "left")
+                            for k in range(d)])
+    n_gt = n - np.column_stack([np.searchsorted(srt[:, k], Y[:, k], "right")
+                                for k in range(d)])
+    tied = (n - n_gt - n_lt > 1).any(axis=0)
+    slot = np.cumsum(tied) - 1  # row of a tied column in ``gt``
+    bit = np.left_shift(np.uint64(1), (np.arange(n) % 64).astype(np.uint64))
+    c = np.empty((n, d * (d - 1) // 2), dtype=np.int64)
     for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        if tied:
-            sgn = [np.sign(Y[a:b, j, None] - Y[None, :, j].reshape(1, n))
-                   for j in range(d)]
-            for pi, (i, j) in enumerate(pairs):
-                c[a:b, pi] = np.einsum("ij,ij->i", sgn[i], sgn[j])
-        else:
-            less = [Y[a:b, j, None] > Y[None, :, j].reshape(1, n)
-                    for j in range(d)]
-            for pi, (i, j) in enumerate(pairs):
-                eq = np.count_nonzero(less[i] == less[j], axis=1) - 1
-                c[a:b, pi] = 2.0 * eq - (n - 1)
+        rows = slice(a, min(a + chunk, n))
+        lt = np.empty((d, rows.stop - a, n_words), dtype=np.uint64)
+        gt = np.empty((tied.sum(), rows.stop - a, n_words), dtype=np.uint64)
+        for k in range(d):
+            # below[r] holds the bits of the r smallest observations
+            below = np.zeros((n + 1, n_words), dtype=np.uint64)
+            below[np.arange(1, n + 1), order[:, k] // 64] = bit[order[:, k]]
+            np.bitwise_or.accumulate(below, axis=0, out=below)
+            lt[k] = below[n_lt[rows, k]]
+            if tied[k]:
+                gt[slot[k]] = below[n] ^ below[n - n_gt[rows, k]]
+        col = 0
+        for k in range(d - 1):
+            later = slice(k + 1, d)
+            r_k, g_k = n_lt[rows, k], n_gt[rows, k]
+            r_l, g_l = n_lt[rows, later].T, n_gt[rows, later].T
+            ll = _popcount(lt[k] & lt[later])
+            lg = r_k - ll
+            gl = r_l - ll
+            gg = (n - 1) - r_k - r_l + ll
+            t = np.flatnonzero(tied[later])
+            if t.size:
+                gt_t = gt[slot[k + 1 + t]]
+                lg[t] = _popcount(lt[k] & gt_t)
+                gg[t] = g_l[t] - lg[t]
+            if tied[k]:
+                gl = _popcount(gt[slot[k]] & lt[later])
+                gg = g_k - gl
+                if t.size:
+                    gg[t] = _popcount(gt[slot[k]] & gt_t)
+            c[rows, col:col + d - k - 1] = (ll - lg - gl + gg).T
+            col += d - k - 1
     return c
 
 
@@ -72,16 +128,17 @@ def tau_jackknife(Y):
     """Leave-one-out pseudo-values of the stacked upper-triangle tau vector.
 
     Returns (tau_hat, pseudo) with pseudo of shape (n, p), pair order
-    (0,1), (0,2), ..., matching :func:`stack_pairs`.
+    (0,1), (0,2), ..., matching :func:`stack_pairs`; tau_hat is tau-a.
+    One pass of :func:`_concordance_counts` gives both, at O(n^2 p / 64)
+    word operations.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
     if n < 50:
         raise ValueError("jackknife infeasible for n < 50")
-    pairs = stack_pairs(d)
     denom_full = n * (n - 1) / 2.0
     denom_loo = (n - 1) * (n - 2) / 2.0
-    c = _concordance_counts_all(Y, pairs)
+    c = _concordance_counts(Y)
     s_total = c.sum(axis=0) / 2.0
     tau = s_total / denom_full
     pseudo = (s_total[None, :] - c) / denom_loo
@@ -182,70 +239,49 @@ def _structure_matrix(clusters: ClusterSpec, pairs,
     block-pair its own class instead.  Empty classes are dropped.
     """
     lab = clusters.labels()
-    n_blocks = len(clusters.blocks)
-    cols = []
-    for g in range(n_blocks):
-        col = np.array([1.0 if lab[i] == g and lab[j] == g else 0.0
-                        for (i, j) in pairs])
-        if col.any():
-            cols.append(col)
+    li, lj = lab[np.asarray(pairs)].T
+    blocks = np.arange(len(clusters.blocks))
+    cols = [(li == lj)[:, None] & (li[:, None] == blocks)]
     if between == "pooled":
-        col = np.array([1.0 if lab[i] != lab[j] else 0.0 for (i, j) in pairs])
-        if col.any():
-            cols.append(col)
+        cols.append((li != lj)[:, None])
     elif between == "pairwise":
-        for g in range(n_blocks):
-            for h in range(g + 1, n_blocks):
-                col = np.array([1.0 if {lab[i], lab[j]} == {g, h} else 0.0
-                                for (i, j) in pairs])
-                if col.any():
-                    cols.append(col)
+        g, h = np.triu_indices(blocks.size, 1)
+        cols.append((np.minimum(li, lj)[:, None] == g)
+                    & (np.maximum(li, lj)[:, None] == h))
     else:
         raise ValueError("between must be 'pooled' or 'pairwise'")
-    return np.column_stack(cols)
+    B = np.hstack(cols)
+    return B[:, B.any(axis=0)].astype(float)
 
 
-def _orbit_keys(clusters: ClusterSpec, pairs) -> dict:
-    """Group entries of the tau covariance by block-permutation orbits."""
+def _orbit_average(S: np.ndarray, clusters: ClusterSpec, pairs) -> np.ndarray:
+    """Average the tau covariance over block-permutation orbits.
+
+    Cell (a, b) of pairs a = (i, j), b = (k, l) is keyed by the label
+    classes of a and b and by the label of an index they share; a == b
+    (two shared indices) gets a key of its own.  Returns the symmetrized
+    matrix of orbit means.
+    """
     lab = clusters.labels()
-    keys = {}
-    p = len(pairs)
-    for a in range(p):
-        i, j = pairs[a]
-        for b in range(p):
-            k, l = pairs[b]
-            shared = {i, j} & {k, l}
-            key = (
-                tuple(sorted((lab[i], lab[j]))),
-                tuple(sorted((lab[k], lab[l]))),
-                tuple(sorted(lab[s] for s in shared)),
-                a == b,
-            )
-            keys.setdefault(key, []).append((a, b))
-    return keys
-
-
-def _structured_average(S: np.ndarray, clusters: ClusterSpec, pairs) -> np.ndarray:
-    out = np.empty_like(S)
-    for _, cells in _orbit_keys(clusters, pairs).items():
-        idx = tuple(np.array(t) for t in zip(*cells))
-        out[idx] = S[idx].mean()
+    g = len(clusters.blocks)
+    i, j = np.asarray(pairs).T
+    cls = np.minimum(lab[i], lab[j]) * g + np.maximum(lab[i], lab[j])
+    I, J = i[:, None], j[:, None]
+    shared = np.where((I == i) | (I == j), lab[I] + 1,
+                      np.where((J == i) | (J == j), lab[J] + 1, 0))
+    np.fill_diagonal(shared, g + 1)
+    key = (cls[:, None] * g * g + cls) * (g + 2) + shared
+    _, orbit = np.unique(key.ravel(), return_inverse=True)
+    orbit = orbit.ravel()
+    mean = np.bincount(orbit, weights=S.ravel()) / np.bincount(orbit)
+    out = mean[orbit].reshape(S.shape)
     return 0.5 * (out + out.T)
 
 
-def _eig_apply(S: np.ndarray, power: float, flags: list[str]) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-    floor = 1e-12 * max(vals.max(), 1e-300)
-    bad = vals <= floor
-    if bad.any():
-        if "sigma-singular" not in flags:
-            flags.append("sigma-singular")
-    adj = np.where(bad, 0.0, np.abs(vals) ** power)
-    return (vecs * adj) @ vecs.T
-
-
 def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
-              structure: str = "orbit", between: str = "pooled") -> ExchTestResult:
+              structure: str = "orbit", between: str = "pooled",
+              jackknife: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> ExchTestResult:
     """Test partial exchangeability of the dependence structure.
 
     Projects the stacked Kendall's tau vector onto the orthocomplement of
@@ -253,7 +289,9 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     covariance (entry-averaged over block-permutation orbits by default;
     ``structure="raw"`` skips the averaging).  Monte Carlo p-values draw
     from the implied Gaussian null; the chi-square p-value uses the
-    p - L degrees of freedom of the quadratic statistic.
+    p - L degrees of freedom of the quadratic statistic.  ``jackknife``
+    takes a ``(tau, pseudo)`` pair already computed by
+    :func:`tau_jackknife` on ``Y``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
@@ -264,13 +302,15 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000")
     pairs = stack_pairs(d)
-    tau, pseudo = tau_jackknife(Y)
+    tau, pseudo = tau_jackknife(Y) if jackknife is None else jackknife
+    if np.shape(tau) != (len(pairs),) or np.shape(pseudo) != (n, len(pairs)):
+        raise ValueError("jackknife does not match Y")
     center = pseudo.mean(axis=0)
     resid = pseudo - center
     S = (n - 1) / n * (resid.T @ resid)
     flags: list[str] = []
     if structure == "orbit":
-        S = _structured_average(S, clusters, pairs)
+        S = _orbit_average(S, clusters, pairs)
     elif structure != "raw":
         raise ValueError("structure must be 'orbit' or 'raw'")
 
@@ -278,14 +318,22 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     L = B.shape[1]
     P = np.eye(len(pairs)) - B @ np.linalg.pinv(B)
     Pt = P @ tau
-    inv_sqrt = _eig_apply(S, -0.5, flags)
-    inv_full = _eig_apply(S, -1.0, flags)
+    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    bad = vals <= 1e-12 * max(vals.max(), 1e-300)
+    if bad.any():
+        flags.append("sigma-singular")
+    magnitude = np.where(bad, 1.0, np.abs(vals))
+
+    def power(q: float) -> np.ndarray:
+        return (vecs * np.where(bad, 0.0, magnitude ** q)) @ vecs.T
+
+    inv_sqrt = power(-0.5)
+    inv_full = power(-1.0)
     e_n = float(np.linalg.norm(inv_sqrt @ Pt, 2))
     m_n = float(np.linalg.norm(inv_full @ Pt, np.inf))
 
     rng = derive_rng(seed)
-    root = _eig_apply(S, 0.5, flags)
-    z = rng.standard_normal((n_mc, len(pairs))) @ root.T
+    z = rng.standard_normal((n_mc, len(pairs))) @ power(0.5).T
     pz = z @ P.T
     e_null = np.linalg.norm(pz @ inv_sqrt.T, 2, axis=1)
     m_null = np.max(np.abs(pz @ inv_full.T), axis=1)

@@ -140,6 +140,16 @@ def test_unknown_margins_column_is_a_computation_error(gumbel3_csv, capsys):
             in captured.err)
 
 
+def test_simulate_sum_checks_u_against_model_dimension(capsys):
+    code = run(["simulate", "--family", "hr", "--dim", "3", "--u", "1,1",
+                "--functional", "sum", "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert ("extremis simulate: error: model dimension 3 does not match u (2)"
+            in captured.err)
+
+
 def test_taildep_csv_output(gumbel3_csv, capsys, tmp_path):
     out = tmp_path / "td.csv"
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "gumbel",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -30,6 +32,16 @@ def test_min_functional_homogeneity_law():
         pc = np.mean(mn > c)
         se = np.sqrt(pc * (1.0 - pc) / mn.size)
         assert pc == pytest.approx(1.0 / c, abs=3.0 * se)
+
+
+def test_min_functional_rejects_saturated_candidates_quietly():
+    # at this seed some companion cdf reaches 1, so log1p(-f) is -inf and
+    # the candidate is rejected; that must not warn
+    fn = RiskFunctional("min", np.array([1.0, 2.0, 1.5, 3.0, 1.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = composition_sample(Logistic(2.0), fn, 200_000, seed=1973162640)
+    assert np.all(np.isfinite(out.samples))
 
 
 def test_min_functional_neglogistic_law():

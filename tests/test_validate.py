@@ -1,13 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 from extremis.core import derive_rng
 from extremis.mgpd import Logistic
 from extremis.simulate import sample_logistic_max_stable
-from extremis.validate import (ClusterSpec, exch_test, kendall_tau_matrix,
-                               omega2_empirical, omega2_ht, omega2_model,
-                               subset_chi_cv, threshold_stability_scan,
-                               ward_cluster)
+from extremis.validate import (ClusterSpec, _concordance_counts,
+                               _orbit_average, _structure_matrix, exch_test,
+                               kendall_tau_matrix, omega2_empirical, omega2_ht,
+                               omega2_model, stack_pairs, subset_chi_cv,
+                               tau_b_matrix, tau_jackknife,
+                               threshold_stability_scan, ward_cluster)
 
 
 def block_gauss(n, blocks, rho_in, rho_out, rng, tweak=None):
@@ -237,3 +244,122 @@ def test_threshold_stability_correct_model_is_stable():
             ok = max(los) <= min(his)
         good += ok
     assert good >= 0.9 * reps
+
+
+# ------------------------------------------------ fast kernels vs references
+
+def mixed_sample(n, levels, seed):
+    """n x len(levels) sample: column j holds integers in [0, levels[j])
+    (heavily tied) or, where levels[j] is 0, continuous normals."""
+    rng = derive_rng(seed)
+    cols = [rng.integers(0, m, n).astype(float) if m else rng.normal(size=n)
+            for m in levels]
+    return np.column_stack(cols)
+
+
+sizes = st.integers(2, 150) | st.sampled_from([64, 128, 192])
+column_kinds = st.lists(st.sampled_from([0, 0, 2, 3, 8]), min_size=2, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, levels=column_kinds, seed=st.integers(0, 2**31),
+       chunk=st.sampled_from([7, 64, 1024]))
+def test_concordance_counts_match_brute_force(n, levels, seed, chunk):
+    Y = mixed_sample(n, levels, seed)
+    sgn = np.sign(Y[:, None, :] - Y[None, :, :])
+    brute = np.column_stack([np.sum(sgn[:, :, i] * sgn[:, :, j], axis=1)
+                             for i, j in stack_pairs(Y.shape[1])])
+    np.testing.assert_array_equal(_concordance_counts(Y, chunk), brute)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, levels=column_kinds, seed=st.integers(0, 2**31))
+def test_kendall_tau_matrix_is_scipy_tau_b(n, levels, seed):
+    Y = mixed_sample(n, levels, seed)
+    assume(all(np.ptp(Y[:, j]) > 0 for j in range(Y.shape[1])))
+    tau = kendall_tau_matrix(Y)
+    for i, j in stack_pairs(Y.shape[1]):
+        ref = kendalltau(Y[:, i], Y[:, j], variant="b").statistic
+        assert abs(tau[i, j] - ref) <= 1e-12
+        assert tau[j, i] == tau[i, j]
+
+
+def test_tau_b_from_jackknife_matches_kendall_tau_matrix():
+    Y = mixed_sample(300, [0, 3, 0, 8], 5)
+    tau, pseudo = tau_jackknife(Y)
+    assert pseudo.shape == (300, 6)
+    np.testing.assert_allclose(tau_b_matrix(Y, tau), kendall_tau_matrix(Y),
+                               rtol=0, atol=1e-15)
+    # untied columns keep tau-a exactly
+    assert tau_b_matrix(Y, tau)[0, 2] == tau[1]
+
+
+def test_exch_test_reuses_a_given_jackknife():
+    rng = derive_rng(21)
+    blocks = ((0, 1, 2), (3, 4))
+    Y = block_gauss(400, blocks, 0.4, 0.1, rng)
+    own = exch_test(Y, ClusterSpec(blocks), n_mc=1000, seed=5)
+    jack = tau_jackknife(Y)
+    assert exch_test(Y, ClusterSpec(blocks), n_mc=1000, seed=5,
+                     jackknife=jack) == own
+    with pytest.raises(ValueError, match="jackknife"):
+        exch_test(Y[:300], ClusterSpec(blocks), n_mc=1000, jackknife=jack)
+
+
+def orbit_keys_reference(clusters, pairs):
+    """Loop form of the block-permutation orbits of the tau covariance."""
+    lab = clusters.labels()
+    keys = {}
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            shared = {i, j} & {k, l}
+            key = (tuple(sorted((lab[i], lab[j]))),
+                   tuple(sorted((lab[k], lab[l]))),
+                   tuple(sorted(lab[s] for s in shared)),
+                   a == b)
+            keys.setdefault(key, []).append((a, b))
+    return keys
+
+
+def orbit_average_reference(S, clusters, pairs):
+    out = np.empty_like(S)
+    for cells in orbit_keys_reference(clusters, pairs).values():
+        idx = tuple(np.array(t) for t in zip(*cells))
+        out[idx] = S[idx].mean()
+    return 0.5 * (out + out.T)
+
+
+def structure_matrix_reference(clusters, pairs, between):
+    lab = clusters.labels()
+    g = len(clusters.blocks)
+    classes = [lambda a, b, h=h: a == b == h for h in range(g)]
+    if between == "pooled":
+        classes.append(lambda a, b: a != b)
+    else:
+        classes += [lambda a, b, h=h, k=k: {a, b} == {h, k}
+                    for h, k in combinations(range(g), 2)]
+    cols = [np.array([float(c(lab[i], lab[j])) for i, j in pairs])
+            for c in classes]
+    return np.column_stack([c for c in cols if c.any()])
+
+
+@st.composite
+def cluster_specs(draw):
+    d = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    blocks = [tuple(i for i in range(d) if labels[i] == g) for g in sorted(set(labels))]
+    return ClusterSpec(tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clusters=cluster_specs(), seed=st.integers(0, 2**31))
+def test_orbit_average_matches_loop_reference(clusters, seed):
+    pairs = stack_pairs(clusters.dim)
+    A = derive_rng(seed).normal(size=(len(pairs), len(pairs)))
+    S = A @ A.T
+    fast = _orbit_average(S, clusters, pairs)
+    ref = orbit_average_reference(S, clusters, pairs)
+    np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12 * np.abs(S).max())
+    for between in ("pooled", "pairwise"):
+        np.testing.assert_array_equal(_structure_matrix(clusters, pairs, between),
+                                      structure_matrix_reference(clusters, pairs, between))
