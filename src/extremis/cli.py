@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, condex, mgpd, simulate, taildep, univariate, validate
 from .core import (ClampCounter, Dataset, MarginSpec, derive_rng,
-                   load_dataset, transform_margin)
+                   load_dataset, make_dataset, read_csv, transform_margin)
 from .mvnt import OrthantQuery, mvn_rect, mvt_rect
 
 
@@ -72,18 +72,23 @@ def _emit(args, result: dict, inputs=()) -> None:
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None)
     if out:
-        directory = os.path.dirname(os.path.abspath(out)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(out, payload)
     else:
         sys.stdout.write(payload)
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write via a temp file renamed over ``path``; removed on failure."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _to_csv(table: dict) -> str:
@@ -119,10 +124,9 @@ def _parse_margins(spec: str, names) -> list:
 
 
 def _load(args) -> Dataset:
-    from .core import read_csv
-    names, _ = read_csv(args.input)
+    names, values = read_csv(args.input)
     margins = _parse_margins(getattr(args, "margins", None), list(names))
-    return load_dataset(args.input, margins)
+    return make_dataset(names, values, margins)
 
 
 def _columns(spec: str | None, names) -> tuple[int, ...]:
@@ -159,14 +163,25 @@ def _dependence_model(family: str, args) -> mgpd.MgpdModel:
 # ---------------------------------------------------------------- commands
 
 
+def _regression_spec(args, cov_names) -> univariate.RegressionSpec:
+    return univariate.RegressionSpec(_columns(args.sigma_covariates, cov_names),
+                                     _columns(args.xi_covariates, cov_names),
+                                     tuple(cov_names))
+
+
+def _threshold_fit(args):
+    """Response, excesses over the quantile threshold, GPD fit, BinGpdModel."""
+    y = _load(args).column(args.response)
+    u = float(np.quantile(y, args.threshold_quantile))
+    exc = y[y > u] - u
+    fit = univariate.fit_gpd_mle(exc)
+    return y, exc, fit, univariate.BinGpdModel(u, float(np.mean(y > u)), fit.params)
+
+
 def cmd_fit_gpd(args) -> dict:
     y, X, cov_names = _response_and_covariates(_load(args), args.response)
     u = np.full(y.size, np.quantile(y, args.threshold_quantile))
-    spec = univariate.RegressionSpec(
-        _columns(args.sigma_covariates, cov_names),
-        _columns(args.xi_covariates, cov_names),
-        tuple(cov_names))
-    fit = univariate.fit_gpd_regression(X, y, u, spec)
+    fit = univariate.fit_gpd_regression(X, y, u, _regression_spec(args, cov_names))
     return {
         "threshold": float(u[0]),
         "zeta_u": univariate.exceedance_fraction(y, u),
@@ -196,18 +211,12 @@ def cmd_fit_threshold(args) -> dict:
 
 
 def cmd_return_level(args) -> dict:
-    ds = _load(args)
-    y = ds.column(args.response)
-    u = float(np.quantile(y, args.threshold_quantile))
-    exc = y[y > u] - u
-    fit = univariate.fit_gpd_mle(exc)
-    zeta = float(np.mean(y > u))
-    model = univariate.BinGpdModel(u, zeta, fit.params)
+    _, exc, fit, model = _threshold_fit(args)
     level = univariate.return_level_closed(model, args.T, args.ny)
-    ci = univariate.profile_return_level_ci(exc, zeta, args.T, args.ny,
-                                            level=args.profile_level, u=u)
+    ci = univariate.profile_return_level_ci(exc, model.zeta_u, args.T, args.ny,
+                                            level=args.profile_level, u=model.u)
     return {
-        "threshold": u, "zeta_u": zeta,
+        "threshold": model.u, "zeta_u": model.zeta_u,
         "sigma": fit.params.sigma, "xi": fit.params.xi,
         "return_level": level,
         "profile_interval": {"lower": ci.lower, "upper": ci.upper,
@@ -252,7 +261,6 @@ def cmd_cv_score(args) -> dict:
 
 
 def cmd_loss_min(args) -> dict:
-    from .core import read_csv
     names, values = read_csv(args.input)
     col = names.index(args.column) if args.column else 0
     q = values[:, col]
@@ -401,11 +409,7 @@ def cmd_simulate(args) -> dict:
         header = ",".join(f"y{j+1}" for j in range(u.size))
         body = "\n".join(",".join(repr(float(v)) for v in row)
                          for row in out.samples)
-        directory = os.path.dirname(os.path.abspath(args.out_samples)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n" + body + "\n")
-        os.replace(tmp, args.out_samples)
+        _atomic_write(args.out_samples, header + "\n" + body + "\n")
     freq = np.bincount(out.pivot, minlength=u.size) / args.n
     return {"n": args.n, "functional": args.functional,
             "pivot_frequencies": freq, "flags": out.flags,
@@ -464,13 +468,8 @@ def cmd_model_select(args) -> dict:
 
 
 def cmd_task2(args) -> dict:
-    ds = _load(args)
-    y = ds.column(args.response)
-    u = float(np.quantile(y, args.threshold_quantile))
-    exc = y[y > u] - u
-    fit = univariate.fit_gpd_mle(exc)
-    n = y.size
-    zeta = float(np.mean(y > u))
+    y, _, fit, model = _threshold_fit(args)
+    u, zeta, n = model.u, model.zeta_u, y.size
     rng = derive_rng(args.seed)
     draws = univariate.sample_params_gaussian(fit, args.n_draws, seed=args.seed)
     if args.threshold_mode == "fixed":
@@ -484,30 +483,27 @@ def cmd_task2(args) -> dict:
         idx = rng.integers(0, n, size=(args.n_draws, n))
         u_draws = np.quantile(y[idx], args.threshold_quantile, axis=1)
         zeta_draws = np.full(args.n_draws, zeta)
-    qs = []
-    for d_, z, u_d in zip(draws, zeta_draws, u_draws):
-        sigma, xi = max(d_[0], 1e-8), d_[1]
-        lam = args.ny * args.T * z
-        if lam <= 1.0:
-            continue
-        model = univariate.BinGpdModel(float(u_d), z,
-                                       univariate.GpdParams(sigma, xi))
-        qs.append(univariate.return_level_closed(model, args.T, args.ny))
-    qs = np.asarray(qs)
+    lam = args.ny * args.T * zeta_draws
+    keep = lam > 1.0
+    qs = univariate.gpd_return_level(
+        u_draws[keep], np.maximum(draws[keep, 0], univariate.SIGMA_MIN),
+        draws[keep, 1], lam[keep])
     weights = None
     if args.bootstrap:
         weights = univariate.bootstrap_weights(qs.size, args.bootstrap,
                                                args.seed + 1)
     qhat = univariate.minimize_expected_loss(qs, weights)
-    mle_model = univariate.BinGpdModel(u, zeta, fit.params)
     return {"loss_minimizer": qhat,
-            "mle_return_level": univariate.return_level_closed(mle_model, args.T, args.ny),
+            "mle_return_level": univariate.return_level_closed(model, args.T, args.ny),
             "posterior_mean": float(qs.mean()), "n_draws_used": int(qs.size),
             "threshold": u, "zeta_u": zeta}
 
 
 def cmd_task3(args) -> dict:
     ds = _load(args)
+    if ds.dim != 3:
+        raise ValueError(f"task3 needs 3 columns (two responses, then the "
+                         f"conditioning variable), got {ds.dim}")
     gum = MarginSpec("gumbel")
     lap = MarginSpec("laplace")
     L = ds.to_margin(lap)
@@ -593,11 +589,8 @@ def cmd_task4(args) -> dict:
 def cmd_task1(args) -> dict:
     y, X, cov_names = _response_and_covariates(_load(args), args.response)
     ald = univariate.fit_ald(X, y, args.tau)
-    u = ald.predict(X)
-    spec = univariate.RegressionSpec(
-        _columns(args.sigma_covariates, cov_names),
-        _columns(args.xi_covariates, cov_names), tuple(cov_names))
-    gpd_fit = univariate.fit_gpd_regression(X, y, u, spec)
+    gpd_fit = univariate.fit_gpd_regression(X, y, ald.predict(X),
+                                            _regression_spec(args, cov_names))
     # conditional quantile above the threshold at the requested level
     p_exc = 1.0 - (1.0 - args.level) / (1.0 - args.tau)
     coef_ald = univariate.sample_params_gaussian(ald, args.n_draws, args.seed)
@@ -605,18 +598,12 @@ def cmd_task1(args) -> dict:
                                                  args.seed + 1)
     Xp = X if args.predict is None else load_dataset(
         args.predict, ["empirical"] * len(cov_names)).values
-    point_sigma, point_xi = gpd_fit.predict(Xp)
-    point = ald.predict(Xp) + univariate.gpd_quantile(
-        p_exc, (point_sigma, np.clip(point_xi, -0.99, 4.99)))
-    qs = np.empty((args.n_draws, Xp.shape[0]))
-    for i in range(args.n_draws):
-        ui = Xp @ coef_ald[i][1:] + coef_ald[i][0]
-        sig, xi = gpd_fit.predict(Xp, coef_gpd[i])
-        sig = np.clip(sig, 1e-8, None)
-        xi = np.clip(xi, -0.99, 4.99)
-        qs[i] = ui + univariate.gpd_quantile(p_exc, (sig, xi))
-    lo = np.quantile(qs, args.alpha / 2, axis=0)
-    hi = np.quantile(qs, 1 - args.alpha / 2, axis=0)
+    (point,), _, _ = univariate.predictive_quantiles(
+        gpd_fit, gpd_fit.coefficients[None], Xp, p_exc, args.alpha,
+        [ald.predict(Xp)])
+    _, lo, hi = univariate.predictive_quantiles(
+        gpd_fit, coef_gpd, Xp, p_exc, args.alpha,
+        ald.predict_draws(Xp, coef_ald))
     return {"table": {
         "point": list(point), "lower": list(lo), "upper": list(hi),
     }, "level": args.level, "alpha": args.alpha,
@@ -856,11 +843,10 @@ def run(argv=None) -> int:
     try:
         inputs = [p for p in (getattr(args, "input", None),
                               getattr(args, "predict", None)) if p]
-        result = args.func(args)
+        _emit(args, args.func(args), inputs)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"extremis {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, result, inputs)
     return 0
 
 

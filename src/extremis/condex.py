@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtr
 
 from ._optim import covariance_from_hessian, minimize_nll, numeric_hessian
-from .core import MarginSpec, derive_rng
+from .core import MarginSpec, derive_rng, label_assignments
 
 ROOT_CAP = 500.0  # contributions beyond exp(-500) vanish in double precision
 KAPPA_CAP = 50.0
@@ -544,8 +544,8 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         # equal levels merge the groups: the one-level estimator over the
         # full pool is the exact reduction
         return ht_prob_analytic(params, s1, margin, paper_literal)
-    g1_probe, _ = (np.asarray(sorted(g), dtype=int) for g in groups)
-    if g1_probe.size == 0:
+    g1, g2 = (np.asarray(sorted(g), dtype=int) for g in groups)
+    if g1.size == 0:
         # no variable carries the higher level: one-level event at s2
         return ht_prob_analytic(params, s2, margin, paper_literal)
     alpha, beta = float(params.alpha), float(params.beta)
@@ -555,24 +555,11 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         raise ValueError("s1 must sit above the fitting threshold")
     margin = margin or MarginSpec("laplace")
     d = params.dim
-    g1, g2 = (np.asarray(sorted(g), dtype=int) for g in groups)
     if sorted(np.concatenate([g1, g2]).tolist()) != list(range(d)):
         raise ValueError("groups must partition the cluster variables")
     m2 = g2.size
-    flags: list[str] = []
-    if not exchangeable or m2 in (0, d):
-        assignments = [g2]
-    else:
-        n_comb = math.comb(d, m2)
-        if n_comb <= max_assignments:
-            from itertools import combinations
-            assignments = [np.asarray(c, dtype=int)
-                           for c in combinations(range(d), m2)]
-        else:
-            rng = derive_rng(seed)
-            assignments = [np.sort(rng.choice(d, size=m2, replace=False))
-                           for _ in range(max_assignments)]
-            flags.append("assignment-subsample")
+    assignments, flags = label_assignments(d, g2, exchangeable, seed,
+                                           max_assignments)
 
     pool = params.residual_pool
     log_probs = []

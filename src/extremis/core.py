@@ -18,7 +18,9 @@ clamping events are counted when a :class:`ClampCounter` is supplied.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -323,7 +325,11 @@ def load_dataset(path, margins) -> Dataset:
     instances or kind strings.  The string ``"empirical"`` builds the
     reference sample from the column itself.
     """
-    names, values = read_csv(path)
+    return make_dataset(*read_csv(path), margins)
+
+
+def make_dataset(names, values, margins) -> Dataset:
+    """:func:`load_dataset` for a table already read."""
     if isinstance(margins, (str, MarginSpec)):
         margins = [margins] * values.shape[1]
     if len(margins) != values.shape[1]:
@@ -351,3 +357,21 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
         raise ValueError("seed must be a nonnegative 64-bit integer")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key)))
+
+
+def label_assignments(d: int, group, exchangeable: bool, seed: int,
+                      max_assignments: int) -> tuple[list[np.ndarray], list[str]]:
+    """Column sets carrying a group's label under permutation averaging, and
+    flags: ``group`` alone when not exchangeable or holding no or all ``d``
+    columns; else every subset of its size in lexicographic order, or past
+    ``max_assignments`` that many sorted draws from ``derive_rng(seed)``,
+    flagged ``assignment-subsample``."""
+    group = np.asarray(group, dtype=int)
+    m = group.size
+    if not exchangeable or m in (0, d):
+        return [group], []
+    if math.comb(d, m) <= max_assignments:
+        return [np.asarray(c, dtype=int) for c in combinations(range(d), m)], []
+    rng = derive_rng(seed)
+    return ([np.sort(rng.choice(d, size=m, replace=False))
+             for _ in range(max_assignments)], ["assignment-subsample"])

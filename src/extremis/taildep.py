@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import derive_rng
+from .core import label_assignments
 
 
 @dataclass
@@ -148,22 +148,8 @@ def directional_extrapolate(E, group2, omega: float, t: float | None = None,
     group2 = np.asarray(sorted(group2), dtype=int)
     if np.any(group2 < 0) or np.any(group2 >= d) or np.unique(group2).size != group2.size:
         raise ValueError("group2 must be distinct column indices")
-    m2 = group2.size
-    flags: list[str] = []
-
-    if not exchangeable or m2 in (0, d):
-        assignments = [group2]
-    else:
-        n_comb = math.comb(d, m2)
-        if n_comb <= max_assignments:
-            from itertools import combinations
-            assignments = [np.asarray(c, dtype=int)
-                           for c in combinations(range(d), m2)]
-        else:
-            rng = derive_rng(seed)
-            assignments = [np.sort(rng.choice(d, size=m2, replace=False))
-                           for _ in range(max_assignments)]
-            flags.append("assignment-subsample")
+    assignments, flags = label_assignments(d, group2, exchangeable, seed,
+                                           max_assignments)
 
     log_probs = np.empty(len(assignments))
     etas = np.empty(len(assignments))

@@ -45,10 +45,14 @@ class AldParams:
     def coefficients(self) -> np.ndarray:
         return np.asarray(self.beta_eta, float)
 
-    def predict(self, X: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """Fitted threshold eta(x) per covariate row."""
-        b = self.beta_eta if coef is None else coef
-        return _design(X) @ b
+        return _design(X) @ self.beta_eta
+
+    def predict_draws(self, X: np.ndarray, coef: np.ndarray):
+        """Lazily, the threshold row of each coefficient draw in ``coef``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return (X @ c[1:] + c[0] for c in coef)
 
 
 def _design(X) -> np.ndarray:

@@ -213,16 +213,11 @@ class GpdRegression:
     def coefficients(self) -> np.ndarray:
         return np.concatenate([self.beta_sigma, self.beta_xi])
 
-    def predict(self, X: np.ndarray, coef: np.ndarray | None = None):
-        """Per-row (sigma, xi) from covariates; ``coef`` overrides the estimate."""
+    def predict(self, X: np.ndarray):
+        """Per-row (sigma, xi) from covariates."""
         Xs = _design(X, self.spec.sigma_columns)
         Xx = _design(X, self.spec.xi_columns)
-        if coef is None:
-            bs, bx = self.beta_sigma, self.beta_xi
-        else:
-            bs = coef[: self.beta_sigma.size]
-            bx = coef[self.beta_sigma.size:]
-        return np.exp(Xs @ bs), Xx @ bx
+        return np.exp(Xs @ self.beta_sigma), Xx @ self.beta_xi
 
 
 def _design(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:

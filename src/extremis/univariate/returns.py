@@ -46,13 +46,22 @@ def return_level_closed(m: BinGpdModel, T: float, Ny: float) -> float:
     1/(Ny T).  Requires Ny*T*zeta_u > 1 so the level sits above the
     threshold.
     """
-    lam = Ny * T * m.zeta_u
-    if lam <= 1.0:
+    return float(gpd_return_level(m.u, m.gpd.sigma, m.gpd.xi, Ny * T * m.zeta_u))
+
+
+def gpd_return_level(u, sigma, xi, lam):
+    """Closed-form level u + sigma/xi (lam^xi - 1), elementwise.
+
+    ``lam`` = Ny T zeta_u > 1 counts the threshold exceedances per return
+    period; below |xi| < XI_ZERO the limit u + sigma log(lam) is used.
+    Scalars stay scalars: numpy's array power can differ in the last bit.
+    """
+    if np.any(lam <= 1.0):
         raise ValueError("return level below threshold: Ny*T*zeta_u <= 1")
-    sigma, xi = m.gpd.sigma, m.gpd.xi
-    if abs(xi) < XI_ZERO:
-        return m.u + sigma * np.log(lam)
-    return m.u + sigma / xi * (lam ** xi - 1.0)
+    small = np.abs(xi) < XI_ZERO
+    xi_safe = np.where(small, 1.0, xi)[()]  # [()] keeps a scalar a scalar
+    return u + np.where(small, sigma * np.log(lam),
+                        sigma / xi_safe * (lam ** xi_safe - 1.0))
 
 
 def solve_return_level(models, T: float, m: int,
@@ -142,23 +151,17 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
     x = np.asarray(exceedances, dtype=float).ravel()
     fit = fit_gpd_mle(x)
     lam = Ny * T * zeta_u
-    if lam <= 1.0:
-        raise ValueError("return level below threshold: Ny*T*zeta_u <= 1")
     sigma_hat, xi_hat = fit.params.sigma, fit.params.xi
-    if abs(xi_hat) < XI_ZERO:
-        q_hat = sigma_hat * np.log(lam)
-    else:
-        q_hat = sigma_hat / xi_hat * (lam ** xi_hat - 1.0)
+    q_hat = gpd_return_level(0.0, sigma_hat, xi_hat, lam)
     loglik_hat = fit.loglik
     cutoff = 0.5 * chi2.ppf(level, df=1)
 
     # delta-method SE of q to set the initial grid span
     if fit.cov is not None:
         eps = 1e-6
-        g = np.array([
-            (_q_of(sigma_hat + eps, xi_hat, lam) - _q_of(sigma_hat - eps, xi_hat, lam)) / (2 * eps),
-            (_q_of(sigma_hat, xi_hat + eps, lam) - _q_of(sigma_hat, xi_hat - eps, lam)) / (2 * eps),
-        ])
+        g = np.array([(gpd_return_level(0.0, sigma_hat + a, xi_hat + b, lam)
+                       - gpd_return_level(0.0, sigma_hat - a, xi_hat - b, lam))
+                      / (2 * eps) for a, b in ((eps, 0.0), (0.0, eps))])
         se_q = float(np.sqrt(max(g @ fit.cov @ g, 1e-12)))
     else:
         se_q = 0.25 * q_hat
@@ -214,12 +217,6 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
 
 
 XI_LO_GRID, XI_HI_GRID = -0.95, 3.5
-
-
-def _q_of(sigma: float, xi: float, lam: float) -> float:
-    if abs(xi) < XI_ZERO:
-        return sigma * np.log(lam)
-    return sigma / xi * (lam ** xi - 1.0)
 
 
 def _cross(qs: np.ndarray, dev: np.ndarray, cutoff: float, idx: int, direction: int) -> float:

@@ -11,11 +11,17 @@ counted, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from ..core import derive_rng
-from .gpd import RegressionSpec, fit_gpd_regression, gpd_cdf, gpd_quantile
+from .gpd import (RegressionSpec, _design, fit_gpd_regression, gpd_cdf,
+                  gpd_quantile)
+
+# bounds for (sigma, xi) drawn from a fit's Gaussian approximation
+SIGMA_MIN = 1e-8
+XI_MIN, XI_MAX = -0.99, 4.99
 
 
 @dataclass(frozen=True)
@@ -35,13 +41,12 @@ class IntervalForecast:
 
 def interval_score(f: IntervalForecast, y: float) -> float:
     """(u-l) + (2/alpha)(l-y) 1{y<l} + (2/alpha)(y-u) 1{y>u}."""
-    width = f.upper - f.lower
-    pen = 0.0
-    if y < f.lower:
-        pen = (2.0 / f.alpha) * (f.lower - y)
-    elif y > f.upper:
-        pen = (2.0 / f.alpha) * (y - f.upper)
-    return float(width + pen)
+    return float(_interval_scores(f.lower, f.upper, f.alpha, y))
+
+
+def _interval_scores(lower, upper, alpha: float, y):
+    return (upper - lower) + (2.0 / alpha) * (np.maximum(lower - y, 0.0)
+                                              + np.maximum(y - upper, 0.0))
 
 
 def sample_params_gaussian(fit, n_draws: int, seed: int) -> np.ndarray:
@@ -63,6 +68,30 @@ def sample_params_gaussian(fit, n_draws: int, seed: int) -> np.ndarray:
     rng = derive_rng(seed)
     z = rng.standard_normal((n_draws, mean.size))
     return mean + z @ root.T
+
+
+def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
+    """Predictive quantiles of a GPD regression per coefficient draw.
+
+    Each row of ``coef`` is one draw of ``fit.coefficients``.  Its scale and
+    shape at the rows of ``X`` are clipped to sigma >= 1e-8 and xi in
+    [-0.99, 4.99]; its quantile is the next item of ``thresholds`` (one
+    threshold row per draw) plus the GPD excess quantile at level ``p``.
+    The design matrices are built once; the draws are evaluated one at a
+    time.  Returns ``(draws, lower, upper)``: the (n_draws, n_rows) draws
+    and their alpha/2 and 1 - alpha/2 quantiles over draws, each (n_rows,).
+    """
+    Xs = _design(X, fit.spec.sigma_columns)
+    Xx = _design(X, fit.spec.xi_columns)
+    k = Xs.shape[1]
+    draws = np.empty((len(coef), Xs.shape[0]))
+    for i, (c, u) in enumerate(zip(coef, thresholds, strict=True)):
+        sigma = np.clip(np.exp(Xs @ c[:k]), SIGMA_MIN, None)
+        xi = np.clip(Xx @ c[k:], XI_MIN, XI_MAX)
+        draws[i] = u + gpd_quantile(p, (sigma, xi))
+    lower = np.quantile(draws, alpha / 2.0, axis=0)
+    upper = np.quantile(draws, 1.0 - alpha / 2.0, axis=0)
+    return draws, lower, upper
 
 
 @dataclass
@@ -165,10 +194,9 @@ def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
             try:
                 fit1 = fit_gpd_regression(Xe[i1], ye[i1], ue[i1], spec)
                 fit2 = fit_gpd_regression(Xe[i2], ye[i2], ue[i2], spec)
+                # raises when fit2 has no covariance to draw from
+                coef = sample_params_gaussian(fit2, n_draws, draw_seed)
             except (ValueError, RuntimeError):
-                dropped[mi] += 1
-                continue
-            if fit2.cov is None:
                 dropped[mi] += 1
                 continue
             sig1, xi1 = fit1.predict(Xe[it])
@@ -178,22 +206,11 @@ def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
             if not keep.any():
                 dropped[mi] += 1
                 continue
-            coef = sample_params_gaussian(fit2, n_draws, draw_seed)
-            qs = np.empty((n_draws, int(keep.sum())))
-            Xt = Xe[it][keep]
             pt = np.clip(p[keep], 1e-12, 1.0 - 1e-12)
-            for d in range(n_draws):
-                sig2, xi2 = fit2.predict(Xt, coef[d])
-                sig2 = np.clip(sig2, 1e-8, None)
-                xi2 = np.clip(xi2, -0.99, 4.99)
-                qs[d] = ue[it][keep] + gpd_quantile(pt, (sig2, xi2))
-            lowers = np.quantile(qs, alpha / 2.0, axis=0)
-            uppers = np.quantile(qs, 1.0 - alpha / 2.0, axis=0)
+            _, lowers, uppers = predictive_quantiles(
+                fit2, coef, Xe[it][keep], pt, alpha, repeat(ue[it][keep], n_draws))
             yt = ye[it][keep]
-            width = uppers - lowers
-            below = np.maximum(lowers - yt, 0.0)
-            above = np.maximum(yt - uppers, 0.0)
-            s = width + (2.0 / alpha) * (below + above)
+            s = _interval_scores(lowers, uppers, alpha, yt)
             scores_per[mi].append(float(s.sum()))
             cover_per[mi].append(float(np.mean((yt >= lowers) & (yt <= uppers))))
 

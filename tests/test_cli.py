@@ -296,3 +296,101 @@ def test_task4_preset(capsys, tmp_path):
     assert len(res["clusters"]) == 2
     assert res["log_p1_total"] <= 0.0
     assert res["log_p2_total"] >= res["log_p1_total"] - 50.0
+
+
+# task1 and task2 results on the pot fixture, recorded before the per-draw
+# loops moved into the univariate helpers.  The full task1 table (4000 rows)
+# is pinned by the SHA-256 of its JSON text.  Refactors must reproduce them
+# exactly, except task2's posterior mean: task2 evaluates its return levels
+# with numpy's array power, which can differ from the scalar power in the
+# last bit, so each level may move by up to about 6e-13 relative.
+PINNED_TASK1_ROWS = {
+    "lower": [87.20557930416098, 92.41935940940657, 92.88485820543943,
+              96.44436554036564],
+    "point": [90.4938859651713, 93.96172020620037, 96.16008181589811,
+              98.04138121872367],
+    "upper": [96.14255781569875, 98.90021253653835, 101.7821130686462,
+              102.98606815439445],
+}
+PINNED_TASK1_TABLE_SHA256 = (
+    "3d80d86ee662efd4461a7d65a82e21e9d5377ddc565b742dd8b86970983993cb")
+PINNED_TASK2 = {
+    "fixed": {"loss_minimizer": 113.58805071967296,
+              "mle_return_level": 101.41210329233996, "n_draws_used": 2000,
+              "posterior_mean": 102.69597402012369,
+              "threshold": 59.09062015510365, "zeta_u": 0.1},
+    "random": {"loss_minimizer": 114.92743232695966,
+               "mle_return_level": 101.41210329233996, "n_draws_used": 300,
+               "posterior_mean": 103.13932971679259,
+               "threshold": 59.09062015510365, "zeta_u": 0.1},
+}
+
+
+def test_task1_task2_pinned_values_are_bit_identical(pot_csv, capsys, tmp_path):
+    import hashlib
+    predict = tmp_path / "predict.csv"
+    predict.write_text("x,season\n-0.5,0.0\n0.0,1.0\n0.75,0.0\n0.9,1.0\n",
+                       encoding="utf-8")
+    task1 = ["task1", "--input", pot_csv, "--response", "y", "--tau", "0.9",
+             "--n-draws", "100", "--sigma-covariates", "season", "--seed", "7"]
+    rows = _run_json(capsys, task1 + ["--predict", str(predict)])["result"]
+    assert rows["table"] == PINNED_TASK1_ROWS
+    table = _run_json(capsys, task1)["result"]["table"]
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == PINNED_TASK1_TABLE_SHA256
+    task2 = ["task2", "--input", pot_csv, "--response", "y"]
+    fixed = _run_json(capsys, task2 + ["--n-draws", "2000", "--seed", "42",
+                                       "--bootstrap", "bayesian"])["result"]
+    random = _run_json(capsys, task2 + ["--n-draws", "300", "--seed", "3",
+                                        "--threshold-mode", "random"])["result"]
+    for got, want in ((fixed, PINNED_TASK2["fixed"]),
+                      (random, PINNED_TASK2["random"])):
+        mean = got.pop("posterior_mean")
+        assert mean == pytest.approx(want["posterior_mean"], rel=1e-12, abs=0)
+        assert got == {k: v for k, v in want.items() if k != "posterior_mean"}
+
+
+def test_task3_rejects_wrong_column_count(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    rng = derive_rng(5)
+    rows = ["a,b"] + [f"{float(a)!r},{float(b)!r}" for a, b in rng.gumbel(size=(200, 2))]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = run(["task3", "--input", str(path), "--margins", "gumbel"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("extremis task3: error:")
+    assert "3 columns" in err
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    import extremis.cli
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(extremis.cli.os, "replace", refuse)
+    code = run(["simulate", "--family", "logistic", "--dim", "2", "--n", "50",
+                "--out-samples", str(tmp_path / "samples.csv")])
+    assert code == 1
+    assert "rename refused" in capsys.readouterr().err
+    code = run(["mvn-tail", "--lower", "0,0", "--upper", "inf,inf",
+                "--sigma", "1,0.5;0.5,1", "--n-points", "1000",
+                "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_input_csv_is_read_once(pot_csv, capsys, monkeypatch):
+    import extremis.cli
+    calls = []
+    read = extremis.cli.read_csv
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(extremis.cli, "read_csv", counted)
+    _run_json(capsys, ["return-level", "--input", pot_csv, "--response", "y",
+                       "--T", "200", "--ny", "300"])
+    assert calls == [pot_csv]

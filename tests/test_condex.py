@@ -302,3 +302,31 @@ def test_residual_energy_homogeneity():
         pval = energy_two_sample_pvalue(a, b, 199, rng)
         passes += pval > 0.01
     assert passes >= 0.95 * reps
+
+
+def test_two_level_assignment_subsample_is_seeded():
+    from scipy.special import logsumexp
+    rng = derive_rng(41)
+    n, d = 600, 4
+    conds = np.arange(n) % d
+    pool = rng.normal(size=(n, d)) * 0.5
+    pool[np.arange(n), conds] = np.nan
+    p = HtParams(0.5, 0.3, GaussianDiag(np.zeros(1), np.ones(1)), 2.0,
+                 pool, conds, None, True)
+    s1, s2 = 6.0, 4.5
+    full = ht_prob_two_level(p, ([0, 1], [2, 3]), s1, s2)
+    assert full.n_used == 6 and full.flags == []
+    out = ht_prob_two_level(p, ([0, 1], [2, 3]), s1, s2, seed=8,
+                            max_assignments=3)
+    assert out.n_used == 3
+    assert out.flags == ["assignment-subsample"]
+    # the subsample is three sorted draws of C(4, 2) subsets from the seed's
+    # stream, each averaged as a fixed assignment
+    draw = derive_rng(8)
+    parts = []
+    for _ in range(3):
+        g2 = np.sort(draw.choice(d, size=2, replace=False))
+        g1 = [c for c in range(d) if c not in g2]
+        parts.append(ht_prob_two_level(p, (g1, list(g2)), s1, s2,
+                                       exchangeable=False).log_prob)
+    assert out.log_prob == pytest.approx(logsumexp(parts) - np.log(3), abs=1e-12)

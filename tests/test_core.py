@@ -120,3 +120,20 @@ def test_derive_rng_deterministic_and_stream_separated():
     c = derive_rng(42, 4).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
+
+
+def test_label_assignments_order_and_subsample():
+    from itertools import combinations
+
+    from extremis.core import label_assignments
+    got, flags = label_assignments(5, [3, 4], True, seed=0, max_assignments=10)
+    assert [a.tolist() for a in got] == [list(c) for c in combinations(range(5), 2)]
+    assert flags == []
+    for group, exchangeable in (([1, 3], False), ([], True), ([0, 1, 2, 3, 4], True)):
+        got, flags = label_assignments(5, group, exchangeable, 0, 10)
+        assert [a.tolist() for a in got] == [group] and flags == []
+    got, flags = label_assignments(5, [3, 4], True, seed=6, max_assignments=4)
+    rng = derive_rng(6)
+    want = [sorted(rng.choice(5, size=2, replace=False).tolist()) for _ in range(4)]
+    assert [a.tolist() for a in got] == want
+    assert flags == ["assignment-subsample"]

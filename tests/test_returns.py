@@ -3,8 +3,8 @@ import pytest
 
 from extremis.core import derive_rng
 from extremis.univariate import (BinGpdModel, GpdParams, gpd_quantile,
-                                 profile_return_level_ci, return_level_closed,
-                                 solve_return_level)
+                                 gpd_return_level, profile_return_level_ci,
+                                 return_level_closed, solve_return_level)
 
 BASE = BinGpdModel(u=100.0, zeta_u=0.05, gpd=GpdParams(10.0, 0.1))
 
@@ -89,3 +89,42 @@ def test_profile_interval_coverage():
                                      grid_size=200)
         hits += ci.lower <= truth <= ci.upper
     assert hits >= 0.90 * reps
+
+
+# Closed-form levels (positive, negative and near-zero shape) and a profile
+# interval on fixed inputs, recorded before the closed form was shared.
+# Refactors must reproduce them exactly.
+PINNED_LEVELS = [
+    (GpdParams(1.3, 0.2), 24.685418850049146),
+    (GpdParams(1.3, -0.25), 6.404413094604572),
+    (GpdParams(1.3, 1e-9), 11.76213584582157),
+]
+PINNED_PROFILE = (20.816165675160878, 40.67078418982951, 27.3303735555655, [])
+
+
+def test_pinned_values_are_bit_identical():
+    for params, want in PINNED_LEVELS:
+        assert return_level_closed(BinGpdModel(2.0, 0.05, params), 100.0, 365.0) == want
+    rng = derive_rng(5)
+    x = gpd_quantile(rng.uniform(size=400), GpdParams(2.0, 0.15))
+    ci = profile_return_level_ci(x, 0.1, 50.0, 100.0, u=3.0)
+    assert (ci.lower, ci.upper, ci.estimate, ci.flags) == PINNED_PROFILE
+
+
+def test_array_closed_form_matches_scalar_form():
+    rng = derive_rng(17)
+    n = 2000
+    u = rng.uniform(0.0, 50.0, n)
+    sigma = rng.uniform(0.5, 5.0, n)
+    xi = np.concatenate([rng.uniform(-0.8, 1.5, n - 2), [0.0, 1e-9]])
+    zeta = rng.uniform(0.01, 0.2, n)
+    got = gpd_return_level(u, sigma, xi, 365.0 * 100.0 * zeta)
+    want = np.array([return_level_closed(BinGpdModel(a, z, GpdParams(s, x)), 100.0, 365.0)
+                     for a, s, x, z in zip(u, sigma, xi, zeta)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # scalar arguments take the scalar path and agree exactly; the xi -> 0
+    # limit is u + sigma log(lam)
+    for a, s, x, z in zip(u[-5:], sigma[-5:], xi[-5:], zeta[-5:]):
+        assert gpd_return_level(a, s, x, 36500.0 * z) == return_level_closed(
+            BinGpdModel(a, z, GpdParams(s, x)), 100.0, 365.0)
+    assert got[-1] == u[-1] + sigma[-1] * np.log(36500.0 * zeta[-1])

@@ -130,3 +130,54 @@ def test_cv_train_fraction():
     assert out[0].scores.size == 2
     with pytest.raises(ValueError):
         cv_interval_score(x, y, u, [RegressionSpec()], train_fraction=0.6)
+
+
+# cv_interval_score on a small seeded input, recorded before the per-draw
+# loop moved into predictive_quantiles.  Refactors must reproduce it exactly.
+PINNED_CV = [
+    ([78.8937695511907, 350.40356547246233], [0.7833333333333333, 0.0], 0, 0),
+    ([180.09662405116103, 243.79094394958992], [0.21666666666666667, 0.0], 0, 0),
+]
+
+
+def test_cv_pinned_values_are_bit_identical():
+    x, y, u = _simulate_gpd_data(41, n=900)
+    specs = [RegressionSpec(), RegressionSpec(sigma_columns=(0,))]
+    out = cv_interval_score(x, y, u, specs, alpha=0.5, repeats=2, seed=7,
+                            n_draws=100)
+    got = [(s.scores.tolist(), s.coverages.tolist(), s.n_excluded,
+            s.n_dropped_repeats) for s in out]
+    assert got == PINNED_CV
+
+
+def test_predictive_quantiles_clip_each_draw():
+    from itertools import repeat
+
+    from extremis.univariate import GpdRegression, predictive_quantiles
+    fit = GpdRegression(np.array([0.2, 0.5]), np.array([0.1, 0.05]),
+                        RegressionSpec((0,), (0,)), None, 0.0, 0, True)
+    X = np.array([[-1.0], [0.0], [0.5], [2.0]])
+    coef = np.array([[0.2, 0.5, 0.1, 0.05],
+                     [-40.0, 0.0, 0.1, 0.0],     # sigma below the floor
+                     [0.0, 0.0, 9.0, 0.0],       # xi above the cap
+                     [0.0, 0.0, -3.0, 0.0],      # xi below the floor
+                     [0.3, -0.2, 0.0, 1.0]])
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    p = 0.9
+    draws, lower, upper = predictive_quantiles(fit, coef, X, p, 0.5,
+                                               repeat(u, len(coef)))
+    assert draws.shape == (5, 4) and lower.shape == upper.shape == (4,)
+    for c, row in zip(coef, draws):
+        sigma = np.maximum(np.exp(c[0] + c[1] * X[:, 0]), 1e-8)
+        xi = np.clip(c[2] + c[3] * X[:, 0], -0.99, 4.99)
+        np.testing.assert_allclose(row, u + gpd_quantile(p, (sigma, xi)),
+                                   rtol=1e-14)
+    np.testing.assert_array_equal(lower, np.quantile(draws, 0.25, axis=0))
+    np.testing.assert_array_equal(upper, np.quantile(draws, 0.75, axis=0))
+    # the estimate as a one-row draw matrix gives the point prediction
+    (point,), _, _ = predictive_quantiles(fit, fit.coefficients[None], X, p,
+                                          0.5, [0.0])
+    sigma, xi = fit.predict(X)
+    np.testing.assert_array_equal(point, gpd_quantile(p, (sigma, xi)))
+    with pytest.raises(ValueError):
+        predictive_quantiles(fit, coef, X, p, 0.5, repeat(u, 2))
