@@ -178,6 +178,23 @@ def _threshold_fit(args):
     return y, exc, fit, univariate.BinGpdModel(u, float(np.mean(y > u)), fit.params)
 
 
+BOOTSTRAP_BLOCK = 64  # resamples drawn at once by _bootstrap_quantiles
+
+
+def _bootstrap_quantiles(y, q, n_draws, rng, block=BOOTSTRAP_BLOCK):
+    """The q-quantile of each of ``n_draws`` bootstrap resamples of ``y``.
+
+    Resamples ``block`` rows of indices at a time; consecutive draws continue
+    the generator's stream, so the result equals one (n_draws, n) draw
+    while holding only (block, n) of it.
+    """
+    out = np.empty(n_draws)
+    for a in range(0, n_draws, block):
+        idx = rng.integers(0, y.size, size=(min(block, n_draws - a), y.size))
+        out[a:a + block] = np.quantile(y[idx], q, axis=1)
+    return out
+
+
 def cmd_fit_gpd(args) -> dict:
     y, X, cov_names = _response_and_covariates(_load(args), args.response)
     u = np.full(y.size, np.quantile(y, args.threshold_quantile))
@@ -480,8 +497,7 @@ def cmd_task2(args) -> dict:
     else:
         # threshold treated as random (bootstrap of the quantile
         # estimator), exceedance probability held at its level
-        idx = rng.integers(0, n, size=(args.n_draws, n))
-        u_draws = np.quantile(y[idx], args.threshold_quantile, axis=1)
+        u_draws = _bootstrap_quantiles(y, args.threshold_quantile, args.n_draws, rng)
         zeta_draws = np.full(args.n_draws, zeta)
     lam = args.ny * args.T * zeta_draws
     keep = lam > 1.0

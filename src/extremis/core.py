@@ -104,15 +104,15 @@ class MarginSpec:
 
 def _empirical_knots(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ties collapse to one knot at the average rank so the CDF stays strictly
-    # increasing and invertible.
+    # increasing and invertible; a tie block holds ranks start+1 .. end, so
+    # that average is the (exact) half-integer (start + end + 1) / 2.
     n = ref.size
     xs = np.sort(ref)
-    ranks = np.arange(1, n + 1, dtype=float)
     ux, start = np.unique(xs, return_index=True)
     if ux.size < 2:
         raise ValueError("empirical reference sample is constant")
     end = np.append(start[1:], n)
-    avg_rank = np.array([ranks[a:b].mean() for a, b in zip(start, end)])
+    avg_rank = (start + end + 1) / 2.0
     return ux, avg_rank / (n + 1.0)
 
 

@@ -158,11 +158,6 @@ class MixtureShareTable:
     counts: np.ndarray  # (n_components, n_levels) exceedance counts
     shares: np.ndarray  # counts normalized per level
 
-    def share_of(self, alpha: float, level: float) -> float:
-        i = int(np.argmin(np.abs(self.alpha_grid - alpha)))
-        j = int(np.argmin(np.abs(self.levels - level)))
-        return float(self.shares[i, j])
-
 
 def mixture_threshold_experiment(alpha_grid, n_per_component: int, levels,
                                  seed: int, d: int = 8) -> MixtureShareTable:

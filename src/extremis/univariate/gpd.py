@@ -86,6 +86,39 @@ def gpd_logpdf(x, p):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _gpd_loglik_sum(x, sigma, xi, work=None):
+    """``gpd_logpdf(x, (sigma, xi)).sum(axis=-1)``, bit for bit.
+
+    The same float operations run in the same order, in place in one
+    buffer, so each sum is the same pairwise sum over a contiguous row; it
+    is -inf where any point is off the support.  ``x`` is an (n,) array;
+    ``sigma`` and ``xi`` are scalars or broadcast against it, e.g. (k, 1)
+    for k parameter pairs at once.  ``work`` is an optional float buffer of
+    the broadcast shape, reused across calls.  Any shape inside the seam
+    |xi| < XI_ZERO takes the :func:`gpd_logpdf` path.
+    """
+    if (np.abs(xi) < XI_ZERO).any():
+        return np.sum(gpd_logpdf(x, (sigma, xi)), axis=-1)
+    out = np.empty(np.broadcast(x, sigma, xi).shape) if work is None else work
+    np.divide(x, sigma, out=out)
+    np.multiply(xi, out, out=out)
+    np.add(1.0, out, out=out)  # arg = 1 + xi x / sigma
+    # Mask to -inf only when a point is off the support (or arg is NaN).
+    # Otherwise the floor is a no-op: a positive 1 + xi z is >= 2**-53.
+    bad = None
+    if not out.min(initial=np.inf) > 0.0 or x.min(initial=np.inf) < 0.0:
+        bad = out <= 0.0
+        bad |= x < 0.0
+        np.maximum(out, 1e-300, out=out)
+    np.log(out, out=out)
+    np.divide(out, xi, out=out)
+    np.multiply(1.0 + xi, out, out=out)
+    np.subtract(-np.log(sigma), out, out=out)
+    if bad is not None:
+        np.copyto(out, -np.inf, where=bad)
+    return out.sum(axis=-1)
+
+
 @dataclass
 class GpdFit:
     params: GpdParams
@@ -129,7 +162,7 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
         xi_fixed = float(fix_xi)
 
         def nll1(t):
-            return -float(np.sum(gpd_logpdf(x, (np.exp(t[0]), xi_fixed))))
+            return -float(_gpd_loglik_sum(x, np.exp(t[0]), xi_fixed))
 
         theta, val, ok = minimize_nll(nll1, np.array([np.log(sigma0)]))
         if not ok:
@@ -138,7 +171,7 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
         flags: list[str] = []
 
         def nll_nat(t):
-            return -float(np.sum(gpd_logpdf(x, (t[0], xi_fixed))))
+            return -float(_gpd_loglik_sum(x, t[0], xi_fixed))
 
         hess = numeric_hessian(nll_nat, np.array([sigma]))
         cov = covariance_from_hessian(hess, flags)
@@ -149,7 +182,7 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
         log_sigma, xi = t
         if not (XI_LO < xi < XI_HI) or abs(log_sigma) > 50.0:
             return np.inf
-        return -float(np.sum(gpd_logpdf(x, (np.exp(log_sigma), xi))))
+        return -float(_gpd_loglik_sum(x, np.exp(log_sigma), xi))
 
     theta, val, ok = minimize_nll(
         nll, np.array([np.log(sigma0), xi0]),
@@ -164,7 +197,7 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
     def nll_nat(t):
         if t[0] <= 0.0:
             return np.inf
-        return -float(np.sum(gpd_logpdf(x, (t[0], t[1]))))
+        return -float(_gpd_loglik_sum(x, t[0], t[1]))
 
     hess = numeric_hessian(nll_nat, np.array([sigma, xi]))
     cov = covariance_from_hessian(hess, flags)
@@ -256,12 +289,11 @@ def fit_gpd_regression(X, y, u, spec: RegressionSpec) -> GpdRegression:
     def nll(beta):
         sig = Xs @ beta[:ks]
         xi = Xx @ beta[ks:]
-        if np.any(np.abs(sig) > 50.0) or np.any(xi <= XI_LO) or np.any(xi >= XI_HI):
+        if (np.abs(sig) > 50.0).any() or (xi <= XI_LO).any() or (xi >= XI_HI).any():
             return np.inf
-        ll = gpd_logpdf(z, (np.exp(sig), xi))
-        if np.any(np.isneginf(ll)):
-            return np.inf
-        return -float(ll.sum())
+        ll = _gpd_loglik_sum(z, np.exp(sig), xi)
+        # an overflowing sum and a point off the support both give -inf
+        return np.inf if ll == -np.inf else -float(ll)
 
     beta, val, ok = minimize_nll(nll, beta0)
     if not ok:

@@ -350,6 +350,19 @@ def test_task1_task2_pinned_values_are_bit_identical(pot_csv, capsys, tmp_path):
         assert got == {k: v for k, v in want.items() if k != "posterior_mean"}
 
 
+def test_bootstrap_quantiles_in_blocks_match_one_draw():
+    from extremis.cli import BOOTSTRAP_BLOCK, _bootstrap_quantiles
+    y = derive_rng(3).gumbel(size=2001)
+    for n_draws, block in ((50, 7), (130, BOOTSTRAP_BLOCK), (5, 16)):
+        one = derive_rng(9)
+        idx = one.integers(0, y.size, size=(n_draws, y.size))
+        want = np.quantile(y[idx], 0.9, axis=1)
+        blocked = derive_rng(9)
+        got = _bootstrap_quantiles(y, 0.9, n_draws, blocked, block=block)
+        assert np.array_equal(got, want)
+        assert blocked.random() == one.random()  # the stream continues alike
+
+
 def test_task3_rejects_wrong_column_count(tmp_path, capsys):
     path = tmp_path / "two.csv"
     rng = derive_rng(5)

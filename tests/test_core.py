@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extremis.core import (ClampCounter, Dataset, MarginSpec, derive_rng,
-                           empirical_cdf, load_dataset, rank_transform,
-                           transform_margin)
+from extremis.core import (ClampCounter, Dataset, MarginSpec, _empirical_knots,
+                           derive_rng, empirical_cdf, load_dataset,
+                           rank_transform, transform_margin)
 
 PARAMETRIC = ["gumbel", "exponential", "laplace", "frechet", "pareto", "uniform"]
 
@@ -137,3 +139,32 @@ def test_label_assignments_order_and_subsample():
     want = [sorted(rng.choice(5, size=2, replace=False).tolist()) for _ in range(4)]
     assert [a.tolist() for a in got] == want
     assert flags == ["assignment-subsample"]
+
+
+def _knots_by_block_means(ref):
+    """The tie-averaged knots as a mean over each tie block's ranks, the
+    form the closed-form half-integer ranks replaced."""
+    n = ref.size
+    xs = np.sort(ref)
+    ranks = np.arange(1, n + 1, dtype=float)
+    ux, start = np.unique(xs, return_index=True)
+    end = np.append(start[1:], n)
+    return ux, np.array([ranks[a:b].mean() for a, b in zip(start, end)]) / (n + 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(2, 3000),
+       kind=st.sampled_from(["integers", "rounded", "continuous"]),
+       levels=st.integers(2, 40))
+def test_empirical_knots_match_block_means(seed, n, kind, levels):
+    rng = derive_rng(seed)
+    if kind == "integers":  # heavy ties: a few values, many copies each
+        ref = rng.integers(0, levels, n).astype(float)
+    elif kind == "rounded":
+        ref = np.round(rng.normal(size=n), levels % 3)
+    else:
+        ref = rng.normal(size=n)
+    if np.unique(ref).size < 2:
+        ref[0] = ref.max() + 1.0
+    got, want = _empirical_knots(ref), _knots_by_block_means(ref)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremis._optim import numeric_gradient
 from extremis.core import derive_rng
 from extremis.univariate import (GpdParams, RegressionSpec, exceedance_fraction,
                                  fit_gpd_mle, fit_gpd_regression, gpd_cdf,
                                  gpd_logpdf, gpd_quantile)
+from extremis.univariate.gpd import XI_ZERO, _gpd_loglik_sum
 
 
 def test_cdf_exponential_case():
@@ -130,3 +133,75 @@ def test_exceedance_fraction():
     assert exceedance_fraction([1, 2, 3], [0, 0, 0]) == 1.0
     assert exceedance_fraction([1, 2, 3], [2, 2, 2]) == pytest.approx(1 / 3)
     assert exceedance_fraction([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+
+# Shapes on both sides of the xi = 0 seam (|xi| < XI_ZERO takes the
+# exponential branch), at its edges, and across the fitting range.
+seam_shapes = st.one_of(st.floats(-1e-8, 1e-8),
+                        st.sampled_from([0.0, XI_ZERO, -XI_ZERO, 2e-8, -2e-8]),
+                        st.floats(-0.99, 4.99))
+
+
+def _points(seed, n, sigma, negative=False):
+    """Exceedances spread past the endpoint -sigma/xi of a negative shape,
+    with some exact zeros (and, on request, points below the origin)."""
+    rng = derive_rng(seed)
+    x = rng.exponential(3.0 * sigma, n)
+    x[rng.uniform(size=n) < 0.1] = 0.0
+    if negative:
+        x[rng.uniform(size=n) < 0.05] *= -1.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 300),
+       sigma=st.floats(0.05, 20.0), xi=seam_shapes, negative=st.booleans())
+def test_loglik_sum_is_logpdf_sum(seed, n, sigma, xi, negative):
+    x = _points(seed, n, sigma, negative)
+    got = _gpd_loglik_sum(x, sigma, xi)
+    assert got == np.sum(gpd_logpdf(x, (sigma, xi)))
+    if xi < 0.0 and x.max() > -sigma / xi * (1.0 + 1e-9) or x.min() < 0.0:
+        assert got == -np.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 200), k=st.integers(1, 12),
+       seam=st.booleans())
+def test_loglik_sum_broadcasts_parameter_rows(seed, n, k, seam):
+    rng = derive_rng(seed, 1)
+    x = _points(seed, n, 2.0)
+    sigma = rng.uniform(0.1, 8.0, (k, 1))
+    xi = rng.choice([-0.9, -0.4, -0.05, 0.3, 1.5, 4.0], (k, 1))
+    if seam:
+        xi[rng.integers(k)] = rng.uniform(-XI_ZERO, XI_ZERO)
+    want = gpd_logpdf(x, (sigma, xi)).sum(axis=-1)
+    assert np.array_equal(_gpd_loglik_sum(x, sigma, xi), want)
+    work = np.full((k, n), np.nan)
+    assert np.array_equal(_gpd_loglik_sum(x, sigma, xi, work), want)
+    # per-row sums equal one row at a time
+    for i in range(k):
+        assert _gpd_loglik_sum(x, sigma[i, 0], xi[i, 0]) == want[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 300))
+def test_loglik_sum_takes_per_point_parameters(seed, n):
+    # the regression objective's form: one (sigma, xi) per point
+    rng = derive_rng(seed, 2)
+    x = _points(seed, n, 1.0)
+    sigma = np.exp(rng.normal(0.0, 0.5, n))
+    xi = rng.uniform(-0.6, 1.0, n)
+    assert _gpd_loglik_sum(x, sigma, xi) == gpd_logpdf(x, (sigma, xi)).sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(1e-9, 1.0 - 1e-9), sigma=st.floats(0.05, 20.0),
+       xi=st.one_of(st.floats(-1e-6, 1e-6), st.sampled_from([0.0, XI_ZERO, -XI_ZERO])))
+def test_cdf_inverts_quantile_across_seam(q, sigma, xi):
+    c = gpd_cdf(gpd_quantile(q, (sigma, xi)), (sigma, xi))
+    if abs(xi) < XI_ZERO:
+        assert c == pytest.approx(q, rel=1e-12)
+    else:
+        # log(1 + xi z) keeps about eps/|xi| of absolute accuracy in the
+        # cumulative hazard just outside the seam
+        assert c == pytest.approx(q, rel=1e-12, abs=2e-8)

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremis.core import derive_rng
-from extremis.univariate import (BinGpdModel, GpdParams, gpd_quantile,
+from extremis.univariate import (BinGpdModel, GpdParams, gpd_logpdf, gpd_quantile,
                                  gpd_return_level, profile_return_level_ci,
                                  return_level_closed, solve_return_level)
+from extremis.univariate import returns
 
 BASE = BinGpdModel(u=100.0, zeta_u=0.05, gpd=GpdParams(10.0, 0.1))
 
@@ -128,3 +133,54 @@ def test_array_closed_form_matches_scalar_form():
         assert gpd_return_level(a, s, x, 36500.0 * z) == return_level_closed(
             BinGpdModel(a, z, GpdParams(s, x)), 100.0, 365.0)
     assert got[-1] == u[-1] + sigma[-1] * np.log(36500.0 * zeta[-1])
+
+
+def _profile_loglik_by_chunks(x, q_excess, lam):
+    """The profile grid as it was before the likelihood kernel: 64 q rows at
+    a time as one (64, 160, n) tensor through gpd_logpdf."""
+    sig = returns._sigma_of(q_excess[:, None], returns.XI_GRID[None, :], lam)
+    ll = np.full(sig.shape, -np.inf)
+    valid = sig > 0.0
+    for a in range(0, q_excess.size, 64):
+        s = sig[a:a + 64][:, :, None]
+        xi = np.broadcast_to(returns.XI_GRID[None, :, None], s.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = gpd_logpdf(x[None, None, :], (s, xi))
+        ll[a:a + 64] = np.where(valid[a:a + 64], lp.sum(axis=2), -np.inf)
+    return ll.max(axis=1)
+
+
+def _interval_or_error(*args):
+    try:
+        ci = profile_return_level_ci(*args)
+    except (RuntimeError, ValueError) as err:
+        return repr(err)
+    return (ci.lower, ci.upper, ci.estimate, ci.flags)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(30, 400),
+       xi=st.floats(-0.7, 0.3), T=st.sampled_from([20.0, 200.0]))
+def test_profile_grid_matches_chunked_tensor(seed, n, xi, T):
+    x = gpd_quantile(derive_rng(seed).uniform(size=n), GpdParams(2.0, xi))
+    lam = 0.05 * T * 300.0
+    qs = np.linspace(1e-9, 3.0 * gpd_return_level(0.0, 2.0, xi, lam), 130)
+    got = returns._profile_loglik(x, qs, lam)
+    assert np.array_equal(got, _profile_loglik_by_chunks(x, qs, lam))
+    with mock.patch.object(returns, "_profile_loglik", _profile_loglik_by_chunks):
+        want = _interval_or_error(x, 0.05, T, 300.0)
+    assert _interval_or_error(x, 0.05, T, 300.0) == want
+
+
+def test_profile_grid_cells_off_the_support_are_excluded():
+    # negative shape: cells whose endpoint lies below the largest point are
+    # -inf and drop out of the maximum over the xi grid
+    x = gpd_quantile(derive_rng(8).uniform(size=300), GpdParams(2.0, -0.4))
+    lam = 0.05 * 200.0 * 300.0
+    qs = np.linspace(1e-9, 12.0, 50)
+    sig = returns._sigma_of(qs[:, None], returns.XI_GRID[None, :], lam)
+    off = 1.0 + returns.XI_GRID * x.max() / sig <= 0.0
+    assert off.any() and not off.all()
+    got = returns._profile_loglik(x, qs, lam)
+    assert np.array_equal(got, _profile_loglik_by_chunks(x, qs, lam))
+    assert np.isfinite(got).all()
