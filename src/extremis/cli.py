@@ -352,7 +352,7 @@ def cmd_condex_prob(args) -> dict:
 def cmd_condex_prob2(args) -> dict:
     ds = _load(args)
     fit = _fit_condex(args, ds)
-    groups = _parse_groups(args.groups, ds.dim)
+    groups = _parse_groups(args.groups)
     lap = MarginSpec("laplace")
     s1 = float(lap.quantile(args.s1)) if args.level_is_quantile else args.s1
     s2 = float(lap.quantile(args.s2)) if args.level_is_quantile else args.s2
@@ -365,7 +365,7 @@ def cmd_condex_prob2(args) -> dict:
             "n_assignments": out.n_used, "flags": out.flags}
 
 
-def _parse_groups(spec: str, d: int):
+def _parse_groups(spec: str):
     parts = spec.split("|")
     if len(parts) != 2:
         raise ValueError("groups must be 'i,j,...|k,l,...'")
@@ -629,13 +629,11 @@ def cmd_task1(args) -> dict:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(p, seed=True, out=True, margins=True):
-    if seed:
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("EXTREMIS_SEED", "0")))
-    if out:
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(p, margins=True):
+    p.add_argument("--seed", type=int,
+                   default=int(os.environ.get("EXTREMIS_SEED", "0")))
+    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     if margins:
         p.add_argument("--margins", help="margin kinds: one for all columns, "
                        "a comma list, or name=kind pairs (default empirical)")
@@ -707,8 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold-quantile", type=float, default=0.95)
         p.add_argument("--gaussian", action="store_true",
                        help="gaussian residual margins instead of skew-normal")
-        p.add_argument("--paper-literal", action="store_true",
-                       help="fold the margin tail into the exponent")
+        if name != "fit":
+            p.add_argument("--paper-literal", action="store_true",
+                           help="fold the margin tail into the exponent")
         if name == "prob":
             p.add_argument("--level", type=float, required=True)
             p.add_argument("--level-is-quantile", action="store_true")

@@ -9,6 +9,11 @@ simulation, a root-finding/log-sum-exp estimator that stays accurate far
 beyond Monte Carlo reach, and the two-level variant for unequal target
 levels with permutation averaging.
 
+The root-finding estimators bisect each pool entry once per target level
+(``_entry_roots``).  The bisection predicate alpha y + y^beta z >= v is
+monotone in z in floating point, so the bisected root of a row minimum is
+bit for bit the row maximum of the entries' roots.
+
 Positive dependence (alpha >= 0) is assumed by the root-finding estimators;
 the simulation estimator has no such restriction.
 """
@@ -399,21 +404,42 @@ class HtProbability:
         return float(np.exp(self.log_prob))
 
 
-def _log_tail(margin: MarginSpec, v: float) -> float:
-    if margin.kind == "laplace" and v > 0.0:
+def _log_tail(v: float) -> float:
+    """log P(Y0 > v) on the standard Laplace margin."""
+    if v > 0.0:
         return float(-v - np.log(2.0))
-    return float(np.log(max(1.0 - float(margin.cdf(v)), 1e-300)))
+    return float(np.log(max(1.0 - float(MarginSpec("laplace").cdf(v)), 1e-300)))
+
+
+def _entry_roots(params: HtParams, v: float) -> np.ndarray:
+    """Root level of every pool entry at v, NaN in each conditioner slot."""
+    alpha, beta = _shared_dependence(params)
+    pool = params.residual_pool
+    filled = ~np.isnan(pool)
+    roots = np.full(pool.shape, np.nan)
+    roots[filled] = _root_v_vector(pool[filled], alpha, beta, v)
+    return roots
+
+
+def _log_mean_tail(level: np.ndarray, v: float, paper_literal: bool) -> float:
+    """log mean over rows of exp(-(level - v)) P(Y0 > v), or of exp(-level)
+    when ``paper_literal``; +inf levels add 0."""
+    finite = np.isfinite(level)
+    if not finite.any():
+        return -np.inf
+    if paper_literal:
+        return float(logsumexp(-level[finite]) - np.log(level.size))
+    return float(_log_tail(v) + logsumexp(-(level[finite] - v)) - np.log(level.size))
 
 
 def ht_prob_analytic(params: HtParams, v: float,
-                     margin: MarginSpec | None = None,
                      paper_literal: bool = False) -> HtProbability:
     """Joint upper-tail probability via root finding and log-sum-exp.
 
     For each pooled residual row the minimum component determines the level
     the conditioner must exceed; averaging exp(-(level - v)) and scaling by
-    the conditioning margin's exact tail P(Y0 > v) gives the estimate, all
-    in log space.  ``paper_literal`` instead folds the tail factor into the
+    the Laplace conditioning margin's exact tail P(Y0 > v) gives the
+    estimate, all in log space.  ``paper_literal`` instead folds the tail factor into the
     exponent as exp(-level), the convention that treats exp(-v) P(Y0 > v)^-1
     as one (exact on exponential margins; on Laplace margins it differs by
     the factor 1/2).
@@ -423,31 +449,22 @@ def ht_prob_analytic(params: HtParams, v: float,
         raise ValueError("analytic estimator requires alpha >= 0")
     if v <= params.threshold:
         raise ValueError("v must sit above the fitting threshold")
-    margin = margin or MarginSpec("laplace")
-    zmin = np.nanmin(params.residual_pool, axis=1)
-    roots = _root_v_vector(zmin, alpha, beta, v)
-    finite = np.isfinite(roots)
-    n_unreach = int((~finite).sum())
-    flags = []
-    if not finite.any():
-        return HtProbability(-np.inf, 0, n_unreach, ["all-contributions-zero"])
-    if paper_literal:
-        log_p = float(logsumexp(-roots[finite]) - np.log(roots.size))
-    else:
-        log_p = float(_log_tail(margin, v)
-                      + logsumexp(-(roots[finite] - v)) - np.log(roots.size))
-    return HtProbability(log_p, int(finite.sum()), n_unreach, flags)
+    level = np.fmax.reduce(_entry_roots(params, v), axis=1)
+    n_used = int(np.isfinite(level).sum())
+    if n_used == 0:
+        return HtProbability(-np.inf, 0, level.size, ["all-contributions-zero"])
+    return HtProbability(_log_mean_tail(level, v, paper_literal), n_used,
+                         level.size - n_used, [])
 
 
 def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
                        seed: int, cond: int | None = None,
-                       margin: MarginSpec | None = None,
                        pool_rows: str = "cond"):
     """Forward-simulation estimate of P(Y in region, Y_cond > v).
 
     Simulates the conditioner exponentially above v, draws residual rows
     with replacement from the empirical pool, reconstructs companions, and
-    multiplies the hit rate by the conditioning margin's tail.  Region
+    multiplies the hit rate by the Laplace conditioning margin's tail.  Region
     bounds are per-variable on the Laplace scale (use +-inf for
     unconstrained sides); bounds on the conditioner apply on top of the
     exceedance event.  With ``pool_rows="all"`` an exchangeable fit draws
@@ -463,7 +480,6 @@ def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
     cond = params.cond_index if cond is None else cond
     if cond is None:
         cond = 0
-    margin = margin or MarginSpec("laplace")
     rng = derive_rng(seed)
     others = np.flatnonzero(np.arange(d) != cond)
     if pool_rows == "all":
@@ -496,7 +512,7 @@ def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
         hits += int(ok.sum())
         done += m
     p_hit = hits / N
-    tail = np.exp(_log_tail(margin, v))
+    tail = np.exp(_log_tail(v))
     prob = tail * p_hit
     se = tail * math.sqrt(max(p_hit * (1.0 - p_hit), 0.0) / N)
     flags = []
@@ -506,26 +522,9 @@ def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
     return prob, se, flags
 
 
-def _group_root(block: np.ndarray, member: np.ndarray, alpha: float,
-                beta: float, level: float) -> np.ndarray:
-    """Root levels for the row-wise minimum over one group's residuals.
-
-    Rows with no residual in the group (the conditioner's own slot is NaN)
-    impose no constraint beyond the conditioner exceeding ``level``.
-    """
-    sel = np.where(member[None, :], block, np.nan)
-    has = np.any(~np.isnan(sel), axis=1)
-    out = np.full(block.shape[0], level)
-    if has.any():
-        zmin = np.nanmin(sel[has], axis=1)
-        out[has] = _root_v_vector(zmin, alpha, beta, level)
-    return out
-
-
 def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
-                      exchangeable: bool = True,
-                      margin: MarginSpec | None = None,
-                      paper_literal: bool = False, seed: int = 0,
+                      exchangeable: bool = True, paper_literal: bool = False,
+                      seed: int = 0,
                       max_assignments: int = 1_000_000) -> HtProbability:
     """Unequal-level joint tail probability with permutation averaging.
 
@@ -535,6 +534,10 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     exchangeability the probability is averaged over every assignment of
     the second-group labels (rows whose conditioner falls in the second
     group are left out of that assignment).
+
+    Cost: one bisection pass over the pool entries at s1 and one at s2,
+    then one masked max-reduction per assignment; by the monotonicity in
+    the module docstring each group's root is exactly its entries' maximum.
     """
     if s1 < s2:
         raise ValueError("s1 must be at least s2")
@@ -543,25 +546,22 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     if s1 == s2:
         # equal levels merge the groups: the one-level estimator over the
         # full pool is the exact reduction
-        return ht_prob_analytic(params, s1, margin, paper_literal)
+        return ht_prob_analytic(params, s1, paper_literal)
     g1, g2 = (np.asarray(sorted(g), dtype=int) for g in groups)
     if g1.size == 0:
         # no variable carries the higher level: one-level event at s2
-        return ht_prob_analytic(params, s2, margin, paper_literal)
-    alpha, beta = float(params.alpha), float(params.beta)
-    if alpha < 0.0:
+        return ht_prob_analytic(params, s2, paper_literal)
+    if float(params.alpha) < 0.0:
         raise ValueError("analytic estimator requires alpha >= 0")
     if s1 <= params.threshold:
         raise ValueError("s1 must sit above the fitting threshold")
-    margin = margin or MarginSpec("laplace")
     d = params.dim
     if sorted(np.concatenate([g1, g2]).tolist()) != list(range(d)):
         raise ValueError("groups must partition the cluster variables")
-    m2 = g2.size
     assignments, flags = label_assignments(d, g2, exchangeable, seed,
                                            max_assignments)
 
-    pool = params.residual_pool
+    root1, root2 = _entry_roots(params, s1), _entry_roots(params, s2)
     log_probs = []
     for cols2 in assignments:
         in2 = np.zeros(d, dtype=bool)
@@ -569,21 +569,9 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         rows = ~in2[params.pool_cond]
         if not rows.any():
             continue
-        block = pool[rows]
-        v1 = _group_root(block, ~in2, alpha, beta, s1)
-        v2 = _group_root(block, in2, alpha, beta, s2) if m2 > 0 else np.full(
-            block.shape[0], s2)
-        level = np.maximum(np.maximum(v1, v2), s1)
-        finite = np.isfinite(level)
-        if not finite.any():
-            log_probs.append(-np.inf)
-            continue
-        if paper_literal:
-            log_probs.append(float(logsumexp(-level[finite]) - np.log(level.size)))
-        else:
-            log_probs.append(float(_log_tail(margin, s1)
-                                   + logsumexp(-(level[finite] - s1))
-                                   - np.log(level.size)))
+        level = np.maximum(np.fmax.reduce(np.where(in2, root2[rows], root1[rows]),
+                                          axis=1), s1)
+        log_probs.append(_log_mean_tail(level, s1, paper_literal))
     if not log_probs:
         return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
     log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))
@@ -615,5 +603,5 @@ def ht_model_chi(params: HtParams, k: int, level: float, N: int = 1_000_000,
     alpha = float(params.alpha) if params.exchangeable else float(np.mean(params.alpha))
     beta = float(params.beta) if params.exchangeable else float(np.mean(params.beta))
     y = alpha * y0[:, None] + y0[:, None] ** beta * z
-    p_joint = float(np.mean(np.all(y > v, axis=1))) * np.exp(_log_tail(lap, v))
+    p_joint = float(np.mean(np.all(y > v, axis=1))) * np.exp(_log_tail(v))
     return p_joint / (1.0 - level)

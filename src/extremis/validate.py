@@ -230,27 +230,17 @@ class ExchTestResult:
     flags: list[str] = field(default_factory=list)
 
 
-def _structure_matrix(clusters: ClusterSpec, pairs,
-                      between: str = "pooled") -> np.ndarray:
+def _structure_matrix(clusters: ClusterSpec, pairs) -> np.ndarray:
     """Pair-class indicator matrix.
 
-    One column per within-block pair class plus, by default, a single
-    pooled between-block class; ``between="pairwise"`` gives each
-    block-pair its own class instead.  Empty classes are dropped.
+    One column per within-block pair class plus a single pooled
+    between-block class.  Empty classes are dropped.
     """
     lab = clusters.labels()
     li, lj = lab[np.asarray(pairs)].T
     blocks = np.arange(len(clusters.blocks))
-    cols = [(li == lj)[:, None] & (li[:, None] == blocks)]
-    if between == "pooled":
-        cols.append((li != lj)[:, None])
-    elif between == "pairwise":
-        g, h = np.triu_indices(blocks.size, 1)
-        cols.append((np.minimum(li, lj)[:, None] == g)
-                    & (np.maximum(li, lj)[:, None] == h))
-    else:
-        raise ValueError("between must be 'pooled' or 'pairwise'")
-    B = np.hstack(cols)
+    B = np.hstack([(li == lj)[:, None] & (li[:, None] == blocks),
+                   (li != lj)[:, None]])
     return B[:, B.any(axis=0)].astype(float)
 
 
@@ -279,17 +269,15 @@ def _orbit_average(S: np.ndarray, clusters: ClusterSpec, pairs) -> np.ndarray:
 
 
 def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
-              structure: str = "orbit", between: str = "pooled",
               jackknife: tuple[np.ndarray, np.ndarray] | None = None
               ) -> ExchTestResult:
     """Test partial exchangeability of the dependence structure.
 
     Projects the stacked Kendall's tau vector onto the orthocomplement of
     the cluster-structure column space and standardizes by the jackknife
-    covariance (entry-averaged over block-permutation orbits by default;
-    ``structure="raw"`` skips the averaging).  Monte Carlo p-values draw
-    from the implied Gaussian null; the chi-square p-value uses the
-    p - L degrees of freedom of the quadratic statistic.  ``jackknife``
+    covariance, entry-averaged over block-permutation orbits.  Monte Carlo
+    p-values draw from the implied Gaussian null; the chi-square p-value
+    uses the p - L degrees of freedom of the quadratic statistic.  ``jackknife``
     takes a ``(tau, pseudo)`` pair already computed by
     :func:`tau_jackknife` on ``Y``.
     """
@@ -307,14 +295,9 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
         raise ValueError("jackknife does not match Y")
     center = pseudo.mean(axis=0)
     resid = pseudo - center
-    S = (n - 1) / n * (resid.T @ resid)
+    S = _orbit_average((n - 1) / n * (resid.T @ resid), clusters, pairs)
     flags: list[str] = []
-    if structure == "orbit":
-        S = _orbit_average(S, clusters, pairs)
-    elif structure != "raw":
-        raise ValueError("structure must be 'orbit' or 'raw'")
-
-    B = _structure_matrix(clusters, pairs, between)
+    B = _structure_matrix(clusters, pairs)
     L = B.shape[1]
     P = np.eye(len(pairs)) - B @ np.linalg.pinv(B)
     Pt = P @ tau

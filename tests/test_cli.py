@@ -241,6 +241,13 @@ def test_condex_fit_and_prob_commands(gumbel3_csv, capsys):
     assert doc3["result"]["log_prob"] >= res["log_prob_analytic"] - 1e-9
 
 
+def test_condex_fit_rejects_paper_literal(gumbel3_csv, capsys):
+    # the flag only changes the probability estimators, so fit has none
+    code = run(["condex", "fit", "--input", gumbel3_csv, "--paper-literal"])
+    assert code == 2
+    assert "--paper-literal" in capsys.readouterr().err
+
+
 def test_mixture_experiment_command(capsys):
     doc = _run_json(capsys, [
         "mixture-experiment", "--alpha-grid", "0.4,0.9", "--n-per", "5000",

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import skewnorm
 
 from helpers import energy_two_sample_pvalue
-from extremis.condex import (GaussianDiag, HtParams,
-                             fit_ht_exchangeable_gaussian,
+from extremis.condex import (GaussianDiag, HtParams, _entry_roots,
+                             _root_v_vector, fit_ht_exchangeable_gaussian,
                              fit_ht_exchangeable_skewnormal, fit_ht_gaussian,
                              ht_model_chi, ht_prob_analytic,
                              ht_prob_simulation, ht_prob_two_level,
@@ -330,3 +332,78 @@ def test_two_level_assignment_subsample_is_seeded():
         parts.append(ht_prob_two_level(p, (g1, list(g2)), s1, s2,
                                        exchangeable=False).log_prob)
     assert out.log_prob == pytest.approx(logsumexp(parts) - np.log(3), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       beta=st.one_of(st.sampled_from([-5.0, 0.0, 1.0]), st.floats(-5.0, 1.0)),
+       v=st.floats(0.1, 30.0), scale=st.floats(0.1, 50.0),
+       n=st.integers(1, 40), d=st.integers(2, 6), seed=st.integers(0, 2**31))
+@example(alpha=0.0, beta=0.5, v=6.0, scale=3.0, n=40, d=3, seed=1)
+@example(alpha=1.0, beta=1.0, v=0.1, scale=50.0, n=40, d=2, seed=2)
+def test_row_root_is_row_max_of_entry_roots(alpha, beta, v, scale, n, d, seed):
+    # the bisection predicate is monotone in z, so bisecting a row minimum
+    # lands on exactly the largest of the row's per-entry roots
+    rng = derive_rng(seed)
+    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)))
+    pool[np.arange(n), rng.integers(0, d, n)] = np.nan
+    roots = _entry_roots(make_params(alpha, beta, pool), v)
+    assert np.array_equal(np.isnan(roots), np.isnan(pool))
+    got = np.fmax.reduce(roots, axis=1)
+    want = _root_v_vector(np.nanmin(pool, axis=1), alpha, beta, v)
+    assert np.array_equal(got, want)
+    for name, hit in (("at-v", want == v), ("unreachable", np.isinf(want)),
+                      ("bisection", np.isfinite(want) & (want > v))):
+        if hit.any():
+            event(name)
+
+
+def pinned_pool():
+    """Seeded d = 4 pool with unreachable (-30) entries and eight rows at v."""
+    rng = derive_rng(53)
+    n, d = 400, 4
+    conds = np.arange(n) % d
+    pool = rng.normal(size=(n, d)) * 1.5
+    pool[rng.choice(n, 30, replace=False), rng.integers(0, d, 30)] = -30.0
+    pool[:8] = 5.0
+    pool[np.arange(n), conds] = np.nan
+    return HtParams(0.1, 0.3, GaussianDiag(np.zeros(1), np.ones(1)), 2.0,
+                    pool, conds, None, True)
+
+
+# (log_prob, n_used, n_unreachable, flags) on pinned_pool: the root table is
+# exact, so any rewrite of the root-finding estimators reproduces these bit
+# for bit
+PINNED_CONDEX = {
+    "analytic": (-10.60516331552239, 380, 20, []),
+    "analytic-literal": (-9.912016134962446, 380, 20, []),
+    "two-level": (-10.60494704597785, 6, 0, []),
+    "two-level-literal": (-9.911799865417905, 6, 0, []),
+    "two-level-fixed": (-10.605169923360256, 1, 0, []),
+    "two-level-subsample": (-10.60472871574286, 3, 0, ["assignment-subsample"]),
+    "two-level-lone-g1": (-10.594099556165691, 4, 0, []),
+    "two-level-empty-g2": (-10.60516331552239, 1, 0, []),
+    "equal-levels": (-10.60516331552239, 380, 20, []),
+    "empty-g1": (-9.102689350516929, 380, 20, []),
+}
+
+
+def test_condex_estimators_pinned_values():
+    p = pinned_pool()
+    g = ([0, 1], [2, 3])
+    got = {
+        "analytic": ht_prob_analytic(p, 6.0),
+        "analytic-literal": ht_prob_analytic(p, 6.0, paper_literal=True),
+        "two-level": ht_prob_two_level(p, g, 6.0, 4.5),
+        "two-level-literal": ht_prob_two_level(p, g, 6.0, 4.5, paper_literal=True),
+        "two-level-fixed": ht_prob_two_level(p, g, 6.0, 4.5, exchangeable=False),
+        "two-level-subsample": ht_prob_two_level(p, g, 6.0, 4.5, seed=8,
+                                                 max_assignments=3),
+        "two-level-lone-g1": ht_prob_two_level(p, ([0], [1, 2, 3]), 6.0, 4.5),
+        "two-level-empty-g2": ht_prob_two_level(p, ([0, 1, 2, 3], []), 6.0, 4.5),
+        "equal-levels": ht_prob_two_level(p, g, 6.0, 6.0),
+        "empty-g1": ht_prob_two_level(p, ([], [0, 1, 2, 3]), 6.0, 4.5),
+    }
+    for name, out in got.items():
+        assert (out.log_prob, out.n_used, out.n_unreachable, out.flags) == \
+            PINNED_CONDEX[name], name

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -329,15 +327,11 @@ def orbit_average_reference(S, clusters, pairs):
     return 0.5 * (out + out.T)
 
 
-def structure_matrix_reference(clusters, pairs, between):
+def structure_matrix_reference(clusters, pairs):
     lab = clusters.labels()
     g = len(clusters.blocks)
     classes = [lambda a, b, h=h: a == b == h for h in range(g)]
-    if between == "pooled":
-        classes.append(lambda a, b: a != b)
-    else:
-        classes += [lambda a, b, h=h, k=k: {a, b} == {h, k}
-                    for h, k in combinations(range(g), 2)]
+    classes.append(lambda a, b: a != b)
     cols = [np.array([float(c(lab[i], lab[j])) for i, j in pairs])
             for c in classes]
     return np.column_stack([c for c in cols if c.any()])
@@ -360,6 +354,5 @@ def test_orbit_average_matches_loop_reference(clusters, seed):
     fast = _orbit_average(S, clusters, pairs)
     ref = orbit_average_reference(S, clusters, pairs)
     np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12 * np.abs(S).max())
-    for between in ("pooled", "pairwise"):
-        np.testing.assert_array_equal(_structure_matrix(clusters, pairs, between),
-                                      structure_matrix_reference(clusters, pairs, between))
+    np.testing.assert_array_equal(_structure_matrix(clusters, pairs),
+                                  structure_matrix_reference(clusters, pairs))
