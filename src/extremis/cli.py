@@ -15,11 +15,13 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, condex, mgpd, simulate, taildep, univariate, validate
-from .core import (ClampCounter, Dataset, MarginSpec, derive_rng,
+from .core import (ClampCounter, Dataset, MarginSpec, column_index, derive_rng,
                    load_dataset, make_dataset, read_csv, transform_margin)
 from .mvnt import OrthantQuery, mvn_rect, mvt_rect
 
@@ -135,22 +137,17 @@ def _columns(spec: str | None, names) -> tuple[int, ...]:
     out = []
     for item in spec.split(","):
         item = item.strip()
-        if not item:
-            continue
-        if item not in names:
-            raise ValueError(f"unknown column {item!r}")
-        out.append(names.index(item))
+        if item:
+            out.append(column_index(names, item))
     return tuple(out)
 
 
 def _response_and_covariates(ds: Dataset, response: str):
     """The response column, the other columns as a covariate matrix, and
     their names."""
-    names = list(ds.names)
-    y = ds.column(response)
-    resp = names.index(response)
+    resp = column_index(ds.names, response)
     cov_cols = [i for i in range(ds.dim) if i != resp]
-    return y, ds.values[:, cov_cols], [names[i] for i in cov_cols]
+    return ds.values[:, resp], ds.values[:, cov_cols], [ds.names[i] for i in cov_cols]
 
 
 def _dependence_model(family: str, args) -> mgpd.MgpdModel:
@@ -279,7 +276,7 @@ def cmd_cv_score(args) -> dict:
 
 def cmd_loss_min(args) -> dict:
     names, values = read_csv(args.input)
-    col = names.index(args.column) if args.column else 0
+    col = column_index(names, args.column) if args.column else 0
     q = values[:, col]
     weights = None
     if args.bootstrap:
@@ -388,6 +385,8 @@ def cmd_mgpd_fit(args) -> dict:
 
 
 def cmd_mgpd_prob(args) -> dict:
+    if (args.level is None) == (args.level_quantile is None):
+        raise ValueError("give exactly one of --level, --level-quantile")
     ds = _load(args)
     fre = ds.to_margin(MarginSpec("frechet"))
     u = np.quantile(fre, args.threshold_quantile, axis=0)
@@ -629,223 +628,163 @@ def cmd_task1(args) -> dict:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(p, margins=True):
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("EXTREMIS_SEED", "0")))
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    if margins:
-        p.add_argument("--margins", help="margin kinds: one for all columns, "
-                       "a comma list, or name=kind pairs (default empirical)")
+def _opt(*flags, **kwargs):
+    """One ``add_argument`` call's flags and keywords."""
+    return flags, kwargs
+
+
+def _threshold(default):
+    return _opt("--threshold-quantile", type=float, default=default)
+
+
+def _n_draws(default):
+    return _opt("--n-draws", type=int, default=default)
+
+
+def _family(choices):
+    return _opt("--family", required=True, choices=choices)
+
+
+INPUT = _opt("--input", required=True)
+RESPONSE = _opt("--response", required=True)
+TAU = _opt("--tau", type=float, default=0.95)
+ALPHA = _opt("--alpha", type=float, default=0.5)
+BOOTSTRAP = _opt("--bootstrap", choices=("nonparametric", "bayesian"))
+SIGMA_COVARIATES = _opt("--sigma-covariates", default="")
+XI_COVARIATES = _opt("--xi-covariates", default="")
+GAUSSIAN = _opt("--gaussian", action="store_true",
+                help="gaussian residual margins instead of skew-normal")
+PAPER_LITERAL = _opt("--paper-literal", action="store_true",
+                     help="fold the margin tail into the exponent")
+LEVEL_IS_QUANTILE = _opt("--level-is-quantile", action="store_true")
+FITTED_FAMILY = _family([n for n, f in mgpd.FAMILIES.items() if f.fit])
+N_SIM = _opt("--n-sim", type=int, default=1_000_000)
+N_MC = _opt("--n-mc", type=int, default=2000)
+COMMON = (_opt("--seed", type=int, default=0),
+          _opt("--out", help="output path (default stdout)"),
+          _opt("--format", choices=("json", "csv"), default="json"))
+MARGINS = _opt("--margins", help="margin kinds: one for all columns, "
+               "a comma list, or name=kind pairs (default empirical)")
+
+
+class Command(NamedTuple):
+    """A subcommand: its options in ``--help`` order, followed by ``COMMON``
+    and, when ``margins``, ``MARGINS``.  A group has no handler; its
+    options are the commands under it."""
+
+    name: str
+    help: str | None
+    handler: Callable | None
+    options: tuple
+    margins: bool = True
+
+
+COMMANDS = (
+    Command("fit-gpd", "GPD regression above a constant threshold", cmd_fit_gpd,
+            (INPUT, RESPONSE, _threshold(0.95), SIGMA_COVARIATES, XI_COVARIATES)),
+    Command("fit-threshold", "asymmetric Laplace quantile regression", cmd_fit_threshold,
+            (INPUT, RESPONSE, _opt("--covariates"), TAU)),
+    Command("return-level", "binomial-GPD return level with profile CI", cmd_return_level,
+            (INPUT, RESPONSE, _threshold(0.9), _opt("--T", type=float, required=True),
+             _opt("--ny", type=float, required=True),
+             _opt("--profile-level", type=float, default=0.95))),
+    Command("cv-score", "cross-validated interval scores", cmd_cv_score,
+            (INPUT, RESPONSE, _threshold(0.95),
+             _opt("--models", required=True,
+                  help="semicolon-separated: 'sigma:a,b&xi:c;sigma:&xi:'"),
+             ALPHA, _opt("--repeats", type=int, default=10), _n_draws(1000))),
+    Command("loss-min", "expected-loss return-level point estimate", cmd_loss_min,
+            (INPUT, _opt("--column"), BOOTSTRAP), margins=False),
+    Command("taildep", "chi/eta tail dependence table", cmd_taildep,
+            (INPUT, _opt("--levels", default="0.9,0.95,0.98,0.99"))),
+    Command("condex", "conditional extremes", None, (
+        Command("fit", None, cmd_condex_fit, (INPUT, _threshold(0.95), GAUSSIAN)),
+        Command("prob", None, cmd_condex_prob,
+                (INPUT, _threshold(0.95), GAUSSIAN, PAPER_LITERAL,
+                 _opt("--level", type=float, required=True), LEVEL_IS_QUANTILE, N_SIM)),
+        Command("prob2", None, cmd_condex_prob2,
+                (INPUT, _threshold(0.95), GAUSSIAN, PAPER_LITERAL,
+                 _opt("--s1", type=float, required=True),
+                 _opt("--s2", type=float, required=True), LEVEL_IS_QUANTILE,
+                 _opt("--groups", required=True, help="column indices 'i,j|k,l'"),
+                 _opt("--no-permute", action="store_true"))))),
+    Command("mgpd", "multivariate generalized Pareto", None, (
+        Command("fit", None, cmd_mgpd_fit,
+                (INPUT, FITTED_FAMILY, _threshold(0.95),
+                 _opt("--censor-quantile", type=float, default=0.5))),
+        Command("prob", None, cmd_mgpd_prob,
+                (INPUT, FITTED_FAMILY, _threshold(0.95),
+                 _opt("--level", type=float, help="common Frechet-scale target level"),
+                 _opt("--level-quantile", type=float))))),
+    Command("mvn-tail", "normal/Student rectangle probability", cmd_mvn_tail,
+            (_opt("--lower", required=True), _opt("--upper", required=True),
+             _opt("--sigma", required=True, help="rows 'a,b;c,d'"), _opt("--mu"),
+             _opt("--df", type=float), _opt("--n-points", type=int, default=100_000)),
+            margins=False),
+    Command("simulate", "composition sampling", cmd_simulate,
+            (_family(list(mgpd.FAMILIES)), _opt("--beta", type=float, default=2.0),
+             _opt("--theta", type=float, default=1.0),
+             _opt("--gamma", type=float, default=1.0), _opt("--dim", type=int, default=3),
+             _opt("--functional", choices=("min", "max", "sum"), default="min"),
+             _opt("--u", help="thresholds 'a,b,c'"), _opt("--n", type=int, required=True),
+             _opt("--out-samples")),
+            margins=False),
+    Command("mixture-experiment", "exceedance shares across a dependence mixture",
+            cmd_mixture_experiment,
+            (_opt("--alpha-grid", default="0.4:0.9:100", help="'lo:hi:count' or comma list"),
+             _opt("--n-per", type=int, default=10_000),
+             _opt("--levels", default="0.8,0.9,0.95"), _opt("--dim", type=int, default=8)),
+            margins=False),
+    Command("cluster", "Kendall tau matrix and Ward blocks", cmd_cluster,
+            (INPUT, _opt("--k", type=int, required=True))),
+    Command("exch-test", "partial exchangeability test", cmd_exch_test,
+            (INPUT, _opt("--blocks", required=True, help="'0,1,2|3,4,5'"), N_MC)),
+    Command("model-select", "leave-subset-out chi scores", cmd_model_select,
+            (INPUT, _opt("--k", type=int, default=2),
+             _opt("--level", type=float, default=0.99),
+             _opt("--fit-quantile", type=float, default=0.95),
+             _opt("--fitters", default="logistic,hr"))),
+    Command("task1", "conditional quantile intervals preset", cmd_task1,
+            (INPUT, RESPONSE,
+             _opt("--predict", help="CSV of covariate rows to predict (default: input rows)"),
+             TAU, _opt("--level", type=float, default=0.9999), ALPHA, _n_draws(1000),
+             SIGMA_COVARIATES, XI_COVARIATES)),
+    Command("task2", "loss-based return level preset", cmd_task2,
+            (INPUT, RESPONSE, _threshold(0.9),
+             _opt("--threshold-mode", choices=("fixed", "random"), default="fixed",
+                  help="fixed threshold with unknown exceedance "
+                  "probability (default) or bootstrap-random threshold"),
+             _opt("--T", type=float, default=200.0), _opt("--ny", type=float, default=300.0),
+             _n_draws(10_000), BOOTSTRAP)),
+    Command("task3", "trivariate joint tail preset", cmd_task3,
+            (INPUT, _opt("--y", type=float, default=6.0), _opt("--v", type=float, default=7.0),
+             _threshold(0.95), N_SIM)),
+    Command("task4", "clustered high-dimensional tail preset", cmd_task4,
+            (INPUT, _opt("--k", type=int, default=5),
+             _opt("--phi1", type=float, default=1.0 / 300.0),
+             _opt("--phi2", type=float, default=12.0 / 300.0),
+             _opt("--u1", help="comma list of U1 column indices"),
+             _threshold(0.98), N_MC)),
+)
+
+
+def _add_commands(parser, dest, commands) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for cmd in commands:
+        # a help string, even None, would list the command in its group's help
+        p = sub.add_parser(cmd.name, **({"help": cmd.help} if cmd.help else {}))
+        if cmd.handler is None:
+            _add_commands(p, "subcommand", cmd.options)
+            continue
+        for flags, kwargs in cmd.options + COMMON + ((MARGINS,) if cmd.margins else ()):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=cmd.handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="extremis",
                                  description="extreme-value analysis toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit-gpd", help="GPD regression above a constant threshold")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--threshold-quantile", type=float, default=0.95)
-    p.add_argument("--sigma-covariates", default="")
-    p.add_argument("--xi-covariates", default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_gpd)
-
-    p = sub.add_parser("fit-threshold", help="asymmetric Laplace quantile regression")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--covariates", default=None)
-    p.add_argument("--tau", type=float, default=0.95)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_threshold)
-
-    p = sub.add_parser("return-level", help="binomial-GPD return level with profile CI")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--threshold-quantile", type=float, default=0.9)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--ny", type=float, required=True)
-    p.add_argument("--profile-level", type=float, default=0.95)
-    _add_common(p)
-    p.set_defaults(func=cmd_return_level)
-
-    p = sub.add_parser("cv-score", help="cross-validated interval scores")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--threshold-quantile", type=float, default=0.95)
-    p.add_argument("--models", required=True,
-                   help="semicolon-separated: 'sigma:a,b&xi:c;sigma:&xi:'")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--n-draws", type=int, default=1000)
-    _add_common(p)
-    p.set_defaults(func=cmd_cv_score)
-
-    p = sub.add_parser("loss-min", help="expected-loss return-level point estimate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column", default=None)
-    p.add_argument("--bootstrap", choices=("nonparametric", "bayesian"),
-                   default=None)
-    _add_common(p, margins=False)
-    p.set_defaults(func=cmd_loss_min)
-
-    p = sub.add_parser("taildep", help="chi/eta tail dependence table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--levels", default="0.9,0.95,0.98,0.99")
-    _add_common(p)
-    p.set_defaults(func=cmd_taildep)
-
-    pc = sub.add_parser("condex", help="conditional extremes")
-    csub = pc.add_subparsers(dest="subcommand", required=True)
-    for name in ("fit", "prob", "prob2"):
-        p = csub.add_parser(name)
-        p.add_argument("--input", required=True)
-        p.add_argument("--threshold-quantile", type=float, default=0.95)
-        p.add_argument("--gaussian", action="store_true",
-                       help="gaussian residual margins instead of skew-normal")
-        if name != "fit":
-            p.add_argument("--paper-literal", action="store_true",
-                           help="fold the margin tail into the exponent")
-        if name == "prob":
-            p.add_argument("--level", type=float, required=True)
-            p.add_argument("--level-is-quantile", action="store_true")
-            p.add_argument("--n-sim", type=int, default=1_000_000)
-        if name == "prob2":
-            p.add_argument("--s1", type=float, required=True)
-            p.add_argument("--s2", type=float, required=True)
-            p.add_argument("--level-is-quantile", action="store_true")
-            p.add_argument("--groups", required=True,
-                           help="column indices 'i,j|k,l'")
-            p.add_argument("--no-permute", action="store_true")
-        _add_common(p)
-        p.set_defaults(func={"fit": cmd_condex_fit, "prob": cmd_condex_prob,
-                             "prob2": cmd_condex_prob2}[name])
-
-    pm = sub.add_parser("mgpd", help="multivariate generalized Pareto")
-    msub = pm.add_subparsers(dest="subcommand", required=True)
-    for name in ("fit", "prob"):
-        p = msub.add_parser(name)
-        p.add_argument("--input", required=True)
-        p.add_argument("--family", required=True,
-                       choices=[n for n, f in mgpd.FAMILIES.items() if f.fit])
-        p.add_argument("--threshold-quantile", type=float, default=0.95)
-        if name == "fit":
-            p.add_argument("--censor-quantile", type=float, default=0.5)
-        else:
-            p.add_argument("--level", type=float, default=None,
-                           help="common Frechet-scale target level")
-            p.add_argument("--level-quantile", type=float, default=None)
-        _add_common(p)
-        p.set_defaults(func={"fit": cmd_mgpd_fit, "prob": cmd_mgpd_prob}[name])
-
-    p = sub.add_parser("mvn-tail", help="normal/Student rectangle probability")
-    p.add_argument("--lower", required=True)
-    p.add_argument("--upper", required=True)
-    p.add_argument("--sigma", required=True, help="rows 'a,b;c,d'")
-    p.add_argument("--mu", default=None)
-    p.add_argument("--df", type=float, default=None)
-    p.add_argument("--n-points", type=int, default=100_000)
-    _add_common(p, margins=False)
-    p.set_defaults(func=cmd_mvn_tail)
-
-    p = sub.add_parser("simulate", help="composition sampling")
-    p.add_argument("--family", choices=list(mgpd.FAMILIES), required=True)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--functional", choices=("min", "max", "sum"),
-                   default="min")
-    p.add_argument("--u", default=None, help="thresholds 'a,b,c'")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out-samples", default=None)
-    _add_common(p, margins=False)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("mixture-experiment",
-                       help="exceedance shares across a dependence mixture")
-    p.add_argument("--alpha-grid", default="0.4:0.9:100",
-                   help="'lo:hi:count' or comma list")
-    p.add_argument("--n-per", type=int, default=10_000)
-    p.add_argument("--levels", default="0.8,0.9,0.95")
-    p.add_argument("--dim", type=int, default=8)
-    _add_common(p, margins=False)
-    p.set_defaults(func=cmd_mixture_experiment)
-
-    p = sub.add_parser("cluster", help="Kendall tau matrix and Ward blocks")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("exch-test", help="partial exchangeability test")
-    p.add_argument("--input", required=True)
-    p.add_argument("--blocks", required=True, help="'0,1,2|3,4,5'")
-    p.add_argument("--n-mc", type=int, default=2000)
-    _add_common(p)
-    p.set_defaults(func=cmd_exch_test)
-
-    p = sub.add_parser("model-select", help="leave-subset-out chi scores")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--level", type=float, default=0.99)
-    p.add_argument("--fit-quantile", type=float, default=0.95)
-    p.add_argument("--fitters", default="logistic,hr")
-    _add_common(p)
-    p.set_defaults(func=cmd_model_select)
-
-    p = sub.add_parser("task1", help="conditional quantile intervals preset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--predict", default=None,
-                   help="CSV of covariate rows to predict (default: input rows)")
-    p.add_argument("--tau", type=float, default=0.95)
-    p.add_argument("--level", type=float, default=0.9999)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--n-draws", type=int, default=1000)
-    p.add_argument("--sigma-covariates", default="")
-    p.add_argument("--xi-covariates", default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_task1)
-
-    p = sub.add_parser("task2", help="loss-based return level preset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--threshold-quantile", type=float, default=0.9)
-    p.add_argument("--threshold-mode", choices=("fixed", "random"),
-                   default="fixed",
-                   help="fixed threshold with unknown exceedance "
-                   "probability (default) or bootstrap-random threshold")
-    p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--ny", type=float, default=300.0)
-    p.add_argument("--n-draws", type=int, default=10_000)
-    p.add_argument("--bootstrap", choices=("nonparametric", "bayesian"),
-                   default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_task2)
-
-    p = sub.add_parser("task3", help="trivariate joint tail preset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--y", type=float, default=6.0)
-    p.add_argument("--v", type=float, default=7.0)
-    p.add_argument("--threshold-quantile", type=float, default=0.95)
-    p.add_argument("--n-sim", type=int, default=1_000_000)
-    _add_common(p)
-    p.set_defaults(func=cmd_task3)
-
-    p = sub.add_parser("task4", help="clustered high-dimensional tail preset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--phi1", type=float, default=1.0 / 300.0)
-    p.add_argument("--phi2", type=float, default=12.0 / 300.0)
-    p.add_argument("--u1", default=None, help="comma list of U1 column indices")
-    p.add_argument("--threshold-quantile", type=float, default=0.98)
-    p.add_argument("--n-mc", type=int, default=2000)
-    _add_common(p)
-    p.set_defaults(func=cmd_task4)
-
+    _add_commands(ap, "command", COMMANDS)
     return ap
 
 

@@ -204,9 +204,10 @@ def fit_ht_gaussian(L, j: int, threshold: float | None = None,
 
 
 def _pooled_pairs(L, u):
-    """Stacked (conditioner value, companion value, row, conditioner) tuples."""
-    n, d = L.shape
-    y0_list, y_list, cond_list = [], [], []
+    """Stacked (conditioner value, companion value) pairs: each column's
+    exceedances of ``u`` against every other column."""
+    d = L.shape[1]
+    y0_list, y_list = [], []
     for j in range(d):
         exc = L[:, j] > u
         if not exc.any():
@@ -217,16 +218,14 @@ def _pooled_pairs(L, u):
                 continue
             y0_list.append(y0)
             y_list.append(L[exc, k])
-            cond_list.append(np.full(y0.size, j, dtype=int))
     if not y0_list:
         raise ValueError("no conditioning exceedances")
-    return (np.concatenate(y0_list), np.concatenate(y_list),
-            np.concatenate(cond_list))
+    return np.concatenate(y0_list), np.concatenate(y_list)
 
 
 def _fit_exchangeable(L, u, resid_logpdf, start, bounds, flags_extra):
     """Shared driver for the exchangeable pseudo-likelihood fits."""
-    y0, y, _ = _pooled_pairs(L, u)
+    y0, y = _pooled_pairs(L, u)
     log_y0 = np.log(y0)
 
     def nll(t):

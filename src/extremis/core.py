@@ -272,7 +272,7 @@ class Dataset:
         return self.values.shape[1]
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
+        return self.values[:, column_index(self.names, name)]
 
     def to_uniform(self, clamp: ClampCounter | None = None) -> np.ndarray:
         """Transform all columns to the uniform scale via declared margins."""
@@ -291,6 +291,13 @@ class Dataset:
         """Transform all columns to one common target scale."""
         u = self.to_uniform(clamp)
         return np.asarray(target.quantile(np.clip(u, PROB_FLOOR, PROB_CEIL)))
+
+
+def column_index(names, name: str) -> int:
+    """Position of column ``name`` in ``names``."""
+    if name not in names:
+        raise ValueError(f"unknown column {name!r}")
+    return names.index(name)
 
 
 def read_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -159,18 +159,15 @@ def _split_folds(n: int, rng: np.random.Generator,
 
 
 def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
-                      folds: int = 3, repeats: int = 1, seed: int = 0,
+                      repeats: int = 1, seed: int = 0,
                       n_draws: int = 1000,
                       train_fraction=None) -> list[CvModelSummary]:
     """Cross-validate interval forecasts for competing GPD regressions.
 
     For every repeat the exceedances are split at random into train-1,
-    train-2 and test folds (``folds`` must be 3; the three-way split is the
-    scheme's structure).  Identical folds are reused across models so score
-    comparisons are paired.  Returns one summary per specification.
+    train-2 and test folds.  Identical folds are reused across models so
+    score comparisons are paired.  Returns one summary per specification.
     """
-    if folds != 3:
-        raise ValueError("the scheme uses exactly 3 folds")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -188,7 +185,7 @@ def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
         rng = derive_rng(seed, rep)
         i1, i2, it = _split_folds(n, rng, train_fraction)
         if min(i1.size, i2.size, it.size) == 0:
-            raise ValueError("fold too small; reduce model size or folds")
+            raise ValueError("fold too small; reduce model size")
         draw_seed = int(rng.integers(0, 2**63 - 1))
         for mi, spec in enumerate(spec_list):
             try:

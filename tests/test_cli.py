@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extremis.cli import run
+from extremis.cli import build_parser, run
 from extremis.core import MarginSpec, derive_rng
 from extremis.mgpd import Logistic, exponent_measure_v, xi_measure
 from extremis.simulate import simulate_mgpd_dataset
@@ -414,3 +418,518 @@ def test_input_csv_is_read_once(pot_csv, capsys, monkeypatch):
     _run_json(capsys, ["return-level", "--input", pot_csv, "--response", "y",
                        "--T", "200", "--ny", "300"])
     assert calls == [pot_csv]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mgpd", "prob", "--family", "hr"],
+     "extremis mgpd: error: give exactly one of --level, --level-quantile"),
+    (["mgpd", "prob", "--family", "hr", "--level", "20", "--level-quantile", "0.99"],
+     "extremis mgpd: error: give exactly one of --level, --level-quantile"),
+    (["fit-gpd", "--response", "zz"], "extremis fit-gpd: error: unknown column 'zz'"),
+    (["loss-min", "--column", "zz"], "extremis loss-min: error: unknown column 'zz'"),
+], ids=["mgpd-prob-no-level", "mgpd-prob-two-levels", "fit-gpd-response", "loss-min-column"])
+def test_bad_flag_values_are_named_errors(gumbel3_csv, capsys, argv, message):
+    code = run(argv + ["--input", gumbel3_csv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
+def test_seed_default_ignores_environment(monkeypatch):
+    monkeypatch.setenv("EXTREMIS_SEED", "7")
+    assert build_parser().parse_args(["simulate", "--family", "hr", "--n", "5"]).seed == 0
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c for c in commands if c]
+    assert len(commands) == 17 and all(c[0] == "extremis" for c in commands)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+def _parser_pin(parser, path="extremis"):
+    """Every action of every (sub)parser, its defaults and its subcommand helps."""
+    pin = {path: [(a.option_strings, a.dest, a.default, getattr(a.type, "__name__", a.type),
+                   a.required, a.choices if a.choices is None else list(a.choices), a.help,
+                   a.const, type(a).__name__) for a in parser._actions]
+           + [{k: v.__name__ for k, v in parser._defaults.items()}]}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            pin[path].append([(c.dest, c.help) for c in a._choices_actions])
+            for name, sub in a.choices.items():
+                pin.update(_parser_pin(sub, f"{path} {name}"))
+    return pin
+
+
+def test_parser_matches_recorded_pin():
+    assert _parser_pin(build_parser()) == PARSER_PIN
+
+
+# Every option, default, help string and handler of the CLI; a change to the
+# command table that alters --help or the parsed flags fails here.
+PARSER_PIN = {
+    'extremis': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        ([], 'command', None, None, True,
+         ['fit-gpd', 'fit-threshold', 'return-level', 'cv-score', 'loss-min', 'taildep',
+          'condex', 'mgpd', 'mvn-tail', 'simulate', 'mixture-experiment', 'cluster',
+          'exch-test', 'model-select', 'task1', 'task2', 'task3', 'task4'], None, None,
+         '_SubParsersAction'),
+        {},
+        [('fit-gpd', 'GPD regression above a constant threshold'),
+         ('fit-threshold', 'asymmetric Laplace quantile regression'),
+         ('return-level', 'binomial-GPD return level with profile CI'),
+         ('cv-score', 'cross-validated interval scores'),
+         ('loss-min', 'expected-loss return-level point estimate'),
+         ('taildep', 'chi/eta tail dependence table'), ('condex', 'conditional extremes'),
+         ('mgpd', 'multivariate generalized Pareto'),
+         ('mvn-tail', 'normal/Student rectangle probability'),
+         ('simulate', 'composition sampling'),
+         ('mixture-experiment', 'exceedance shares across a dependence mixture'),
+         ('cluster', 'Kendall tau matrix and Ward blocks'),
+         ('exch-test', 'partial exchangeability test'),
+         ('model-select', 'leave-subset-out chi scores'),
+         ('task1', 'conditional quantile intervals preset'),
+         ('task2', 'loss-based return level preset'), ('task3', 'trivariate joint tail preset'),
+         ('task4', 'clustered high-dimensional tail preset')],
+    ],
+    'extremis fit-gpd': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--sigma-covariates'], 'sigma_covariates', '', None, False, None, None, None,
+         '_StoreAction'),
+        (['--xi-covariates'], 'xi_covariates', '', None, False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_fit_gpd'},
+    ],
+    'extremis fit-threshold': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--covariates'], 'covariates', None, None, False, None, None, None, '_StoreAction'),
+        (['--tau'], 'tau', 0.95, 'float', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_fit_threshold'},
+    ],
+    'extremis return-level': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.9, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--T'], 'T', None, 'float', True, None, None, None, '_StoreAction'),
+        (['--ny'], 'ny', None, 'float', True, None, None, None, '_StoreAction'),
+        (['--profile-level'], 'profile_level', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_return_level'},
+    ],
+    'extremis cv-score': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--models'], 'models', None, None, True, None,
+         "semicolon-separated: 'sigma:a,b&xi:c;sigma:&xi:'", None, '_StoreAction'),
+        (['--alpha'], 'alpha', 0.5, 'float', False, None, None, None, '_StoreAction'),
+        (['--repeats'], 'repeats', 10, 'int', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 1000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_cv_score'},
+    ],
+    'extremis loss-min': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--column'], 'column', None, None, False, None, None, None, '_StoreAction'),
+        (['--bootstrap'], 'bootstrap', None, None, False, ['nonparametric', 'bayesian'], None,
+         None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        {'func': 'cmd_loss_min'},
+    ],
+    'extremis taildep': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--levels'], 'levels', '0.9,0.95,0.98,0.99', None, False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_taildep'},
+    ],
+    'extremis condex': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        ([], 'subcommand', None, None, True, ['fit', 'prob', 'prob2'], None, None,
+         '_SubParsersAction'),
+        {},
+        [],
+    ],
+    'extremis condex fit': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--gaussian'], 'gaussian', False, None, False, None,
+         'gaussian residual margins instead of skew-normal', True, '_StoreTrueAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_condex_fit'},
+    ],
+    'extremis condex prob': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--gaussian'], 'gaussian', False, None, False, None,
+         'gaussian residual margins instead of skew-normal', True, '_StoreTrueAction'),
+        (['--paper-literal'], 'paper_literal', False, None, False, None,
+         'fold the margin tail into the exponent', True, '_StoreTrueAction'),
+        (['--level'], 'level', None, 'float', True, None, None, None, '_StoreAction'),
+        (['--level-is-quantile'], 'level_is_quantile', False, None, False, None, None, True,
+         '_StoreTrueAction'),
+        (['--n-sim'], 'n_sim', 1000000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_condex_prob'},
+    ],
+    'extremis condex prob2': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--gaussian'], 'gaussian', False, None, False, None,
+         'gaussian residual margins instead of skew-normal', True, '_StoreTrueAction'),
+        (['--paper-literal'], 'paper_literal', False, None, False, None,
+         'fold the margin tail into the exponent', True, '_StoreTrueAction'),
+        (['--s1'], 's1', None, 'float', True, None, None, None, '_StoreAction'),
+        (['--s2'], 's2', None, 'float', True, None, None, None, '_StoreAction'),
+        (['--level-is-quantile'], 'level_is_quantile', False, None, False, None, None, True,
+         '_StoreTrueAction'),
+        (['--groups'], 'groups', None, None, True, None, "column indices 'i,j|k,l'", None,
+         '_StoreAction'),
+        (['--no-permute'], 'no_permute', False, None, False, None, None, True,
+         '_StoreTrueAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_condex_prob2'},
+    ],
+    'extremis mgpd': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        ([], 'subcommand', None, None, True, ['fit', 'prob'], None, None, '_SubParsersAction'),
+        {},
+        [],
+    ],
+    'extremis mgpd fit': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--family'], 'family', None, None, True, ['logistic', 'hr'], None, None,
+         '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--censor-quantile'], 'censor_quantile', 0.5, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_mgpd_fit'},
+    ],
+    'extremis mgpd prob': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--family'], 'family', None, None, True, ['logistic', 'hr'], None, None,
+         '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--level'], 'level', None, 'float', False, None, 'common Frechet-scale target level',
+         None, '_StoreAction'),
+        (['--level-quantile'], 'level_quantile', None, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_mgpd_prob'},
+    ],
+    'extremis mvn-tail': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--lower'], 'lower', None, None, True, None, None, None, '_StoreAction'),
+        (['--upper'], 'upper', None, None, True, None, None, None, '_StoreAction'),
+        (['--sigma'], 'sigma', None, None, True, None, "rows 'a,b;c,d'", None, '_StoreAction'),
+        (['--mu'], 'mu', None, None, False, None, None, None, '_StoreAction'),
+        (['--df'], 'df', None, 'float', False, None, None, None, '_StoreAction'),
+        (['--n-points'], 'n_points', 100000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        {'func': 'cmd_mvn_tail'},
+    ],
+    'extremis simulate': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--family'], 'family', None, None, True, ['logistic', 'neglogistic', 'hr'], None,
+         None, '_StoreAction'),
+        (['--beta'], 'beta', 2.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--theta'], 'theta', 1.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--gamma'], 'gamma', 1.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--dim'], 'dim', 3, 'int', False, None, None, None, '_StoreAction'),
+        (['--functional'], 'functional', 'min', None, False, ['min', 'max', 'sum'], None, None,
+         '_StoreAction'),
+        (['--u'], 'u', None, None, False, None, "thresholds 'a,b,c'", None, '_StoreAction'),
+        (['--n'], 'n', None, 'int', True, None, None, None, '_StoreAction'),
+        (['--out-samples'], 'out_samples', None, None, False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        {'func': 'cmd_simulate'},
+    ],
+    'extremis mixture-experiment': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--alpha-grid'], 'alpha_grid', '0.4:0.9:100', None, False, None,
+         "'lo:hi:count' or comma list", None, '_StoreAction'),
+        (['--n-per'], 'n_per', 10000, 'int', False, None, None, None, '_StoreAction'),
+        (['--levels'], 'levels', '0.8,0.9,0.95', None, False, None, None, None, '_StoreAction'),
+        (['--dim'], 'dim', 8, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        {'func': 'cmd_mixture_experiment'},
+    ],
+    'extremis cluster': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--k'], 'k', None, 'int', True, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_cluster'},
+    ],
+    'extremis exch-test': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--blocks'], 'blocks', None, None, True, None, "'0,1,2|3,4,5'", None, '_StoreAction'),
+        (['--n-mc'], 'n_mc', 2000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_exch_test'},
+    ],
+    'extremis model-select': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--k'], 'k', 2, 'int', False, None, None, None, '_StoreAction'),
+        (['--level'], 'level', 0.99, 'float', False, None, None, None, '_StoreAction'),
+        (['--fit-quantile'], 'fit_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--fitters'], 'fitters', 'logistic,hr', None, False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_model_select'},
+    ],
+    'extremis task1': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--predict'], 'predict', None, None, False, None,
+         'CSV of covariate rows to predict (default: input rows)', None, '_StoreAction'),
+        (['--tau'], 'tau', 0.95, 'float', False, None, None, None, '_StoreAction'),
+        (['--level'], 'level', 0.9999, 'float', False, None, None, None, '_StoreAction'),
+        (['--alpha'], 'alpha', 0.5, 'float', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 1000, 'int', False, None, None, None, '_StoreAction'),
+        (['--sigma-covariates'], 'sigma_covariates', '', None, False, None, None, None,
+         '_StoreAction'),
+        (['--xi-covariates'], 'xi_covariates', '', None, False, None, None, None,
+         '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_task1'},
+    ],
+    'extremis task2': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--response'], 'response', None, None, True, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.9, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--threshold-mode'], 'threshold_mode', 'fixed', None, False, ['fixed', 'random'],
+         'fixed threshold with unknown exceedance probability (default) or bootstrap-random threshold',
+         None, '_StoreAction'),
+        (['--T'], 'T', 200.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--ny'], 'ny', 300.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 10000, 'int', False, None, None, None, '_StoreAction'),
+        (['--bootstrap'], 'bootstrap', None, None, False, ['nonparametric', 'bayesian'], None,
+         None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_task2'},
+    ],
+    'extremis task3': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--y'], 'y', 6.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--v'], 'v', 7.0, 'float', False, None, None, None, '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.95, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--n-sim'], 'n_sim', 1000000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_task3'},
+    ],
+    'extremis task4': [
+        (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
+         'show this help message and exit', None, '_HelpAction'),
+        (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
+        (['--k'], 'k', 5, 'int', False, None, None, None, '_StoreAction'),
+        (['--phi1'], 'phi1', 0.0033333333333333335, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--phi2'], 'phi2', 0.04, 'float', False, None, None, None, '_StoreAction'),
+        (['--u1'], 'u1', None, None, False, None, 'comma list of U1 column indices', None,
+         '_StoreAction'),
+        (['--threshold-quantile'], 'threshold_quantile', 0.98, 'float', False, None, None, None,
+         '_StoreAction'),
+        (['--n-mc'], 'n_mc', 2000, 'int', False, None, None, None, '_StoreAction'),
+        (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
+        (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
+         '_StoreAction'),
+        (['--format'], 'format', 'json', None, False, ['json', 'csv'], None, None,
+         '_StoreAction'),
+        (['--margins'], 'margins', None, None, False, None,
+         'margin kinds: one for all columns, a comma list, or name=kind pairs (default empirical)',
+         None, '_StoreAction'),
+        {'func': 'cmd_task4'},
+    ],
+}
