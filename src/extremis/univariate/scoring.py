@@ -89,8 +89,7 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
         sigma = np.clip(np.exp(Xs @ c[:k]), SIGMA_MIN, None)
         xi = np.clip(Xx @ c[k:], XI_MIN, XI_MAX)
         draws[i] = u + gpd_quantile(p, (sigma, xi))
-    lower = np.quantile(draws, alpha / 2.0, axis=0)
-    upper = np.quantile(draws, 1.0 - alpha / 2.0, axis=0)
+    lower, upper = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     return draws, lower, upper
 
 

@@ -337,15 +337,15 @@ class SubsetChiScore:
     flags: list[str] = field(default_factory=list)
 
 
-def _fit_model_chi(Ysub, fitter: str, k: int, level: float,
+def _fit_model_chi(Ysub, family, k: int, level: float,
                    fit_quantile: float, mc_n: int, seed: int) -> float:
-    """Fit a family to the given columns and return its k-variate chi."""
+    """Fit a family (None for the HT model) to the given columns and return
+    its k-variate chi."""
     u01 = rank_transform(Ysub)
-    if fitter == "ht":
+    if family is None:
         lap = np.asarray(MarginSpec("laplace").quantile(u01))
         params = fit_ht_exchangeable_gaussian(lap, threshold_quantile=fit_quantile)
         return ht_model_chi(params, k, level, N=mc_n, seed=seed)
-    family = fitted_family(fitter)
     fre = np.asarray(MarginSpec("frechet").quantile(u01))
     u = np.full(Ysub.shape[1], float(MarginSpec("frechet").quantile(fit_quantile)))
     fit = family.fit(fre, u, censor=u)
@@ -370,6 +370,9 @@ def subset_chi_cv(Y, k: int, u: float, fitter: str,
     n_k = math.comb(m, k)
     if n_k > max_subsets:
         raise ValueError(f"{n_k} subsets exceed the cap {max_subsets}")
+    # resolved before the loop, so an unknown name is an error of its own
+    # rather than a failure of every complementary fit
+    family = None if fitter == "ht" else fitted_family(fitter)
     U = rank_transform(Y)
     emp, mod = [], []
     failed = 0
@@ -377,7 +380,7 @@ def subset_chi_cv(Y, k: int, u: float, fitter: str,
         rest = [c for c in range(m) if c not in subset]
         emp_chi = chi_estimate(U[:, subset], u).chi
         try:
-            mc = _fit_model_chi(Y[:, rest], fitter, k, u, fit_quantile,
+            mc = _fit_model_chi(Y[:, rest], family, k, u, fit_quantile,
                                 mc_n, derive_rng(seed, s_idx).integers(2**31))
         except (ValueError, RuntimeError):
             failed += 1

@@ -154,6 +154,14 @@ def test_simulate_sum_checks_u_against_model_dimension(capsys):
             in captured.err)
 
 
+def test_model_select_names_an_unknown_fitter(gumbel3_csv, capsys):
+    code = run(["model-select", "--input", gumbel3_csv, "--fitters", "nope"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "extremis model-select: error: unknown fitter 'nope'" in captured.err
+
+
 def test_taildep_csv_output(gumbel3_csv, capsys, tmp_path):
     out = tmp_path / "td.csv"
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "gumbel",
@@ -310,29 +318,31 @@ def test_task4_preset(capsys, tmp_path):
 
 
 # task1 and task2 results on the pot fixture, recorded before the per-draw
-# loops moved into the univariate helpers.  The full task1 table (4000 rows)
-# is pinned by the SHA-256 of its JSON text.  Refactors must reproduce them
-# exactly, except task2's posterior mean: task2 evaluates its return levels
-# with numpy's array power, which can differ from the scalar power in the
-# last bit, so each level may move by up to about 6e-13 relative.
+# loops moved into the univariate helpers and re-recorded once when the GPD
+# fits moved to analytic-derivative Newton (each fit's NLL no higher than
+# before).  The full task1 table (4000 rows) is pinned by the SHA-256 of its
+# JSON text.  Refactors must reproduce them exactly, except task2's posterior
+# mean: task2 evaluates its return levels with numpy's array power, which can
+# differ from the scalar power in the last bit, so each level may move by up
+# to about 6e-13 relative.
 PINNED_TASK1_ROWS = {
-    "lower": [87.20557930416098, 92.41935940940657, 92.88485820543943,
-              96.44436554036564],
-    "point": [90.4938859651713, 93.96172020620037, 96.16008181589811,
-              98.04138121872367],
-    "upper": [96.14255781569875, 98.90021253653835, 101.7821130686462,
-              102.98606815439445],
+    "lower": [87.20557033766099, 92.41935839347084, 92.8848486114679,
+              96.44435858073992],
+    "point": [90.49388660483365, 93.96172097696395, 96.16008245556046,
+              98.04138198948725],
+    "upper": [96.14255699742068, 98.90021851368797, 101.7821288697329,
+              102.98607413154406],
 }
 PINNED_TASK1_TABLE_SHA256 = (
-    "3d80d86ee662efd4461a7d65a82e21e9d5377ddc565b742dd8b86970983993cb")
+    "5754eddc8124b94402538da4e9b0a5926375c59c13e4557df17469dc55d9c3a7")
 PINNED_TASK2 = {
-    "fixed": {"loss_minimizer": 113.58805071967296,
-              "mle_return_level": 101.41210329233996, "n_draws_used": 2000,
-              "posterior_mean": 102.69597402012369,
+    "fixed": {"loss_minimizer": 113.58810671794502,
+              "mle_return_level": 101.41210450122357, "n_draws_used": 2000,
+              "posterior_mean": 102.69598333796687,
               "threshold": 59.09062015510365, "zeta_u": 0.1},
-    "random": {"loss_minimizer": 114.92743232695966,
-               "mle_return_level": 101.41210329233996, "n_draws_used": 300,
-               "posterior_mean": 103.13932971679259,
+    "random": {"loss_minimizer": 115.19774678821382,
+               "mle_return_level": 101.41210450122357, "n_draws_used": 300,
+               "posterior_mean": 103.13934661435981,
                "threshold": 59.09062015510365, "zeta_u": 0.1},
 }
 
