@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -315,12 +316,9 @@ def _fit_condex(args, ds: Dataset):
 
 def _condex_fit_payload(fit) -> dict:
     law = fit.residual_law
-    law_doc = ({"kind": "skewnormal", "nu": law.nu, "omega": law.omega,
-                "kappa": law.kappa}
-               if isinstance(law, condex.SkewNormal)
-               else {"kind": "gaussian", "mu": law.mu, "sigma": law.sigma})
     return {"alpha": fit.alpha, "beta": fit.beta, "threshold": fit.threshold,
-            "residual_law": law_doc, "pool_size": int(fit.residual_pool.shape[0]),
+            "residual_law": {"kind": law.kind, **asdict(law)},
+            "pool_size": int(fit.residual_pool.shape[0]),
             "se": fit.se, "loglik": fit.loglik, "flags": fit.flags}
 
 

@@ -2,12 +2,16 @@
 
 Given a conditioning component above a high threshold, the remaining
 components are represented as alpha * L0 + L0^beta * Z with a residual
-vector Z.  The module fits the per-component Gaussian version and the
-exchangeable skew-normal pseudo-likelihood version, extracts empirical
-residual pools, and estimates joint tail probabilities three ways: forward
-simulation, a root-finding/log-sum-exp estimator that stays accurate far
-beyond Monte Carlo reach, and the two-level variant for unequal target
-levels with permutation averaging.
+vector Z.  Every fit is one pseudo-likelihood driver (``_fit_pairs``) run
+over (conditioner, companion) pairs taken from one conditioning-set loop
+(``_conditioning_sets``): the per-component Gaussian fit is that driver
+applied once per companion, and the exchangeable Gaussian and skew-normal
+fits apply it once to the pairs pooled over every conditioner.  The
+residual laws carry their own fitting density, start and bounds.  The
+module also extracts empirical residual pools, and estimates joint tail
+probabilities three ways: forward simulation, a root-finding/log-sum-exp
+estimator that stays accurate far beyond Monte Carlo reach, and the
+two-level variant for unequal target levels with permutation averaging.
 
 The root-finding estimators bisect each pool entry once per target level
 (``_entry_roots``).  The bisection predicate alpha y + y^beta z >= v is
@@ -30,14 +34,22 @@ from .core import MarginSpec, derive_rng, label_assignments
 
 ROOT_CAP = 500.0  # contributions beyond exp(-500) vanish in double precision
 KAPPA_CAP = 50.0
+DEPENDENCE_BOUNDS = [(-1.0, 1.0), (-5.0, 1.0)]  # (alpha, beta)
 
 
 @dataclass(frozen=True)
 class GaussianDiag:
-    """Independent Gaussian residual components."""
+    """Independent Gaussian residual components.
+
+    ``kind`` names the law in payloads; ``fit_start``/``fit_bounds`` and
+    ``fit_logpdf`` describe its fitted parameters (mu, sigma) to the HT fits.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
+    kind = "gaussian"
+    fit_start = (0.0, 1.0)
+    fit_bounds = ((None, None), (1e-8, None))
 
     def __post_init__(self) -> None:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
@@ -47,18 +59,61 @@ class GaussianDiag:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sg)
 
+    @staticmethod
+    def fit_logpdf(z, extra):
+        """Log density of residuals z at (mu, sigma); None outside the space."""
+        mu, sg = extra
+        if sg <= 0.0:
+            return None
+        zz = (z - mu) / sg
+        return -np.log(sg) - 0.5 * zz * zz - 0.5 * np.log(2.0 * np.pi)
+
+    @classmethod
+    def from_fit(cls, extra):
+        """The law at fitted (mu, sigma), shared by every component, and its flags."""
+        return cls(np.array([extra[0]]), np.array([extra[1]])), []
+
+    def sample(self, shape, rng) -> np.ndarray:
+        """iid draws at the components' mean location and scale."""
+        mu = float(np.mean(self.mu))
+        sg = float(np.mean(self.sigma))
+        return mu + sg * rng.standard_normal(shape)
+
 
 @dataclass(frozen=True)
 class SkewNormal:
-    """Skew-normal residual margin with location, scale and slant."""
+    """Skew-normal residual margin with location, scale and slant.
+
+    The fitted slant is capped at |kappa| = KAPPA_CAP and flagged there.
+    """
 
     nu: float
     omega: float
     kappa: float
+    kind = "skewnormal"
+    fit_start = (0.0, 1.0, 0.5)
+    fit_bounds = ((None, None), (1e-8, None), (-KAPPA_CAP, KAPPA_CAP))
 
     def __post_init__(self) -> None:
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
+
+    @staticmethod
+    def fit_logpdf(z, extra):
+        """Log density of residuals z at (nu, omega, kappa); None outside the space."""
+        mu, sg, ka = extra
+        if sg <= 0.0 or abs(ka) > KAPPA_CAP:
+            return None
+        return skewnorm_logpdf(z, mu, sg, ka)
+
+    @classmethod
+    def from_fit(cls, extra):
+        """The law at fitted (nu, omega, kappa) and its flags."""
+        law = cls(*(float(x) for x in extra))
+        return law, ["kappa-capped"] if abs(law.kappa) >= KAPPA_CAP - 1e-6 else []
+
+    def sample(self, shape, rng) -> np.ndarray:
+        return skewnorm_sample(shape, self.nu, self.omega, self.kappa, rng)
 
 
 def skewnorm_logpdf(x, nu, omega, kappa):
@@ -119,19 +174,38 @@ def _check_laplace_threshold(u: float) -> None:
         raise ValueError("Laplace-scale threshold must be positive")
 
 
+def _conditioning_sets(L, u, conds):
+    """For each conditioner j in ``conds`` with exceedances of u, yield
+    (its values on those rows, the other columns on those rows, j)."""
+    d = L.shape[1]
+    for j in conds:
+        exc = L[:, j] > u
+        if exc.any():
+            yield L[exc, j], L[exc][:, np.arange(d) != j], j
+
+
+def _residual_pool(L, u, conds, alpha, beta):
+    """Variable-aligned residual rows over the conditioning sets (NaN in the
+    conditioner's slot) and each row's conditioner.  ``alpha``/``beta`` are
+    scalars or per-companion arrays."""
+    d = L.shape[1]
+    blocks, cond = [], []
+    for y0, comps, j in _conditioning_sets(L, u, conds):
+        block = np.full((y0.size, d), np.nan)
+        block[:, np.arange(d) != j] = (comps - alpha * y0[:, None]) / y0[:, None] ** beta
+        blocks.append(block)
+        cond.append(np.full(y0.size, j, dtype=int))
+    return np.vstack(blocks), np.concatenate(cond)
+
+
 def ht_residuals(L, j: int, params: HtParams) -> np.ndarray:
     """Empirical residuals (l_k - alpha l_j)/l_j^beta on conditioning exceedances."""
     L = np.atleast_2d(np.asarray(L, dtype=float))
     _check_laplace_threshold(params.threshold)
-    exc = L[:, j] > params.threshold
-    if not exc.any():
-        raise ValueError("no conditioning exceedances")
-    lj = L[exc, j]
-    if np.any(lj <= 0.0):
-        raise ValueError("conditioning values must be positive")
-    others = np.arange(L.shape[1]) != j
-    alpha, beta = params.dependence(j)
-    return (L[exc][:, others] - alpha * lj[:, None]) / lj[:, None] ** beta
+    for y0, comps, _ in _conditioning_sets(L, params.threshold, [j]):
+        alpha, beta = params.dependence(j)
+        return (comps - alpha * y0[:, None]) / y0[:, None] ** beta
+    raise ValueError("no conditioning exceedances")
 
 
 def _resolve_threshold(col, threshold, threshold_quantile) -> float:
@@ -143,203 +217,114 @@ def _resolve_threshold(col, threshold, threshold_quantile) -> float:
     return float(threshold)
 
 
-def fit_ht_gaussian(L, j: int, threshold: float | None = None,
-                    threshold_quantile: float | None = None) -> HtParams:
-    """Per-companion Gaussian pseudo-likelihood fit conditioning on column j.
+def _fit_pairs(y0, y, resid_logpdf, start, bounds, boundary_flag, name):
+    """Maximize the HT pseudo-likelihood over pairs of a conditioner value y0
+    and a companion value y, with y = alpha y0 + y0^beta Z and Z of log
+    density ``resid_logpdf(z, extra)``, over parameters (alpha, beta, *extra).
 
-    Each companion k gets its own (alpha_k, beta_k, mu_k, sigma_k) from the
-    working model l_k ~ Normal(alpha l_j + mu l_j^beta, (sigma l_j^beta)^2)
-    over conditioning exceedances.  Boundary alpha estimates are flagged.
+    Returns (parameters, loglik, covariance, standard errors, flags); the
+    last two are None when the observed information is degenerate.
+    ``name`` says which fit failed to converge.
     """
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    n, d = L.shape
-    u = _resolve_threshold(L[:, j], threshold, threshold_quantile)
-    exc = L[:, j] > u
-    if int(exc.sum()) < 20:
-        raise ValueError("need at least 20 conditioning exceedances")
-    y0 = L[exc, j]
-    others = np.flatnonzero(np.arange(d) != j)
-    alphas = np.empty(d - 1)
-    betas = np.empty(d - 1)
-    mus = np.empty(d - 1)
-    sigmas = np.empty(d - 1)
-    ses = np.empty((d - 1, 4))
-    flags: list[str] = []
-    loglik = 0.0
-    log_y0 = np.log(y0)
-    for c, k in enumerate(others):
-        y = L[exc, k]
-        slope = float(np.clip(np.cov(y0, y)[0, 1] / max(np.var(y0), 1e-12),
-                              -0.9, 0.9))
-        start = np.array([slope, 0.2, 0.0, max(float(np.std(y)), 1e-3)])
-
-        def nll(t):
-            a, b, mu, sg = t
-            if not (-1.0 <= a <= 1.0 and b <= 1.0 and sg > 0.0):
-                return np.inf
-            scale = y0 ** b
-            z = (y - a * y0 - mu * scale) / (sg * scale)
-            return float(np.sum(np.log(sg) + b * log_y0 + 0.5 * z * z
-                                + 0.5 * np.log(2.0 * np.pi)))
-
-        t, val, ok = minimize_nll(nll, start,
-                                  bounds=[(-1.0, 1.0), (-5.0, 1.0),
-                                          (None, None), (1e-8, None)])
-        if not ok:
-            raise RuntimeError(f"conditional fit for companion {k} did not converge")
-        alphas[c], betas[c], mus[c], sigmas[c] = t
-        loglik -= val
-        if abs(abs(t[0]) - 1.0) < 1e-6:
-            flags.append(f"alpha-boundary:{k}")
-        hess = numeric_hessian(nll, t)
-        cov = covariance_from_hessian(hess, flags)
-        ses[c] = np.sqrt(np.diag(cov)) if cov is not None else np.nan
-
-    pool = np.full((int(exc.sum()), d), np.nan)
-    resid = (L[exc][:, others] - alphas * y0[:, None]) / y0[:, None] ** betas
-    pool[:, others] = resid
-    return HtParams(alphas, betas, GaussianDiag(mus, sigmas), u, pool,
-                    np.full(pool.shape[0], j, dtype=int), j, False,
-                    loglik, None, ses, flags)
-
-
-def _pooled_pairs(L, u):
-    """Stacked (conditioner value, companion value) pairs: each column's
-    exceedances of ``u`` against every other column."""
-    d = L.shape[1]
-    y0_list, y_list = [], []
-    for j in range(d):
-        exc = L[:, j] > u
-        if not exc.any():
-            continue
-        y0 = L[exc, j]
-        for k in range(d):
-            if k == j:
-                continue
-            y0_list.append(y0)
-            y_list.append(L[exc, k])
-    if not y0_list:
-        raise ValueError("no conditioning exceedances")
-    return np.concatenate(y0_list), np.concatenate(y_list)
-
-
-def _fit_exchangeable(L, u, resid_logpdf, start, bounds, flags_extra):
-    """Shared driver for the exchangeable pseudo-likelihood fits."""
-    y0, y = _pooled_pairs(L, u)
     log_y0 = np.log(y0)
 
     def nll(t):
         a, b = t[0], t[1]
         if not (-1.0 <= a <= 1.0 and b <= 1.0):
             return np.inf
-        scale = y0 ** b
-        val = resid_logpdf((y - a * y0) / scale, t[2:])
+        val = resid_logpdf((y - a * y0) / y0 ** b, t[2:])
         if val is None:
             return np.inf
         return float(-np.sum(val - b * log_y0))
 
     t, val, ok = minimize_nll(nll, start, bounds=bounds)
     if not ok:
-        raise RuntimeError("exchangeable conditional fit did not converge")
-    flags = list(flags_extra)
-    if abs(abs(t[0]) - 1.0) < 1e-6:
-        flags.append("alpha-boundary")
-    hess = numeric_hessian(nll, t)
-    cov = covariance_from_hessian(hess, flags)
+        raise RuntimeError(f"{name} did not converge")
+    flags = [boundary_flag] if abs(abs(t[0]) - 1.0) < 1e-6 else []
+    cov = covariance_from_hessian(numeric_hessian(nll, t), flags)
     se = np.sqrt(np.diag(cov)) if cov is not None else None
     return t, -val, cov, se, flags
 
 
-def _exchangeable_pool(L, u, alpha, beta):
-    n, d = L.shape
-    pools, conds = [], []
-    for j in range(d):
-        exc = L[:, j] > u
-        if not exc.any():
-            continue
-        y0 = L[exc, j]
-        others = np.arange(d) != j
-        block = np.full((y0.size, d), np.nan)
-        block[:, others] = (L[exc][:, others] - alpha * y0[:, None]) / y0[:, None] ** beta
-        pools.append(block)
-        conds.append(np.full(y0.size, j, dtype=int))
-    return np.vstack(pools), np.concatenate(conds)
+def fit_ht_gaussian(L, j: int, threshold: float | None = None,
+                    threshold_quantile: float | None = None) -> HtParams:
+    """Per-companion Gaussian pseudo-likelihood fit conditioning on column j.
 
-
-def fit_ht_exchangeable_skewnormal(L, threshold: float | None = None,
-                                   threshold_quantile: float | None = None,
-                                   fix_kappa: float | None = None) -> HtParams:
-    """Exchangeable skew-normal pseudo-likelihood over all conditionings.
-
-    Maximizes the triple sum over conditioning variables, exceedances and
-    companions of the skew-normal density with location alpha y0 + mu
-    y0^beta and scale sigma y0^beta, under shared parameters (alpha, beta,
-    mu, sigma, kappa).  Pooling residuals over conditioners enlarges the
-    empirical pool roughly m-fold.  The slant is capped at |kappa| = 50.
+    Each companion k gets its own (alpha_k, beta_k, mu_k, sigma_k) from the
+    working model l_k ~ Normal(alpha l_j + mu l_j^beta, (sigma l_j^beta)^2)
+    over conditioning exceedances: the pair driver run once per companion.
+    Boundary alpha estimates are flagged.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
-    n, d = L.shape
+    d = L.shape[1]
+    u = _resolve_threshold(L[:, j], threshold, threshold_quantile)
+    if int(np.sum(L[:, j] > u)) < 20:
+        raise ValueError("need at least 20 conditioning exceedances")
+    [(y0, comps, _)] = _conditioning_sets(L, u, [j])
+    est = np.empty((d - 1, 4))
+    ses = np.empty((d - 1, 4))
+    flags: list[str] = []
+    loglik = 0.0
+    for c, k in enumerate(np.flatnonzero(np.arange(d) != j)):
+        y = comps[:, c]
+        slope = float(np.clip(np.cov(y0, y)[0, 1] / max(np.var(y0), 1e-12),
+                              -0.9, 0.9))
+        start = np.array([slope, 0.2, 0.0, max(float(np.std(y)), 1e-3)])
+        est[c], ll, _, se, fit_flags = _fit_pairs(
+            y0, y, GaussianDiag.fit_logpdf, start,
+            [*DEPENDENCE_BOUNDS, *GaussianDiag.fit_bounds],
+            f"alpha-boundary:{k}", f"conditional fit for companion {k}")
+        ses[c] = np.nan if se is None else se
+        loglik += ll
+        flags += fit_flags
+    alphas, betas, mus, sigmas = est.T.copy()
+    pool, conds = _residual_pool(L, u, [j], alphas, betas)
+    return HtParams(alphas, betas, GaussianDiag(mus, sigmas), u, pool, conds,
+                    j, False, loglik, None, ses, flags)
+
+
+def _fit_exchangeable(L, threshold, threshold_quantile, law) -> HtParams:
+    """Exchangeable fit of residual law class ``law``: the pair driver over
+    every conditioner's exceedances against each of its companions, under
+    shared parameters.  Pooling residuals over conditioners enlarges the
+    empirical pool roughly m-fold."""
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    d = L.shape[1]
     if d < 2:
         raise ValueError("cluster size must be at least 2")
     u = _resolve_threshold(L.ravel(), threshold, threshold_quantile)
     if int(np.sum(L > u)) < 50:
         raise ValueError("need at least 50 pooled conditioning exceedances")
+    sets = list(_conditioning_sets(L, u, range(d)))
+    y0 = np.concatenate([np.tile(y0_j, d - 1) for y0_j, _, _ in sets])
+    y = np.concatenate([comps.T.ravel() for _, comps, _ in sets])
+    t, loglik, cov, se, flags = _fit_pairs(
+        y0, y, law.fit_logpdf, np.array([0.3, 0.2, *law.fit_start]),
+        [*DEPENDENCE_BOUNDS, *law.fit_bounds], "alpha-boundary",
+        "exchangeable conditional fit")
+    fitted, law_flags = law.from_fit(t[2:])
+    alpha, beta = float(t[0]), float(t[1])
+    pool, conds = _residual_pool(L, u, range(d), alpha, beta)
+    return HtParams(alpha, beta, fitted, u, pool, conds, None, True, loglik,
+                    cov, se, flags + law_flags)
 
-    if fix_kappa is None:
-        def resid_logpdf(z, extra):
-            mu, sg, ka = extra
-            if sg <= 0.0 or abs(ka) > KAPPA_CAP:
-                return None
-            return skewnorm_logpdf(z, mu, sg, ka)
-        start = np.array([0.3, 0.2, 0.0, 1.0, 0.5])
-        bounds = [(-1.0, 1.0), (-5.0, 1.0), (None, None), (1e-8, None),
-                  (-KAPPA_CAP, KAPPA_CAP)]
-    else:
-        ka_fixed = float(fix_kappa)
 
-        def resid_logpdf(z, extra):
-            mu, sg = extra
-            if sg <= 0.0:
-                return None
-            return skewnorm_logpdf(z, mu, sg, ka_fixed)
-        start = np.array([0.3, 0.2, 0.0, 1.0])
-        bounds = [(-1.0, 1.0), (-5.0, 1.0), (None, None), (1e-8, None)]
+def fit_ht_exchangeable_skewnormal(L, threshold: float | None = None,
+                                   threshold_quantile: float | None = None) -> HtParams:
+    """Exchangeable skew-normal pseudo-likelihood over all conditionings.
 
-    t, loglik, cov, se, flags = _fit_exchangeable(L, u, resid_logpdf, start,
-                                                  bounds, [])
-    if fix_kappa is None and abs(t[4]) >= KAPPA_CAP - 1e-6:
-        flags.append("kappa-capped")
-    kappa = float(t[4]) if fix_kappa is None else float(fix_kappa)
-    law = SkewNormal(float(t[2]), float(t[3]), kappa)
-    pool, conds = _exchangeable_pool(L, u, float(t[0]), float(t[1]))
-    return HtParams(float(t[0]), float(t[1]), law, u, pool, conds, None,
-                    True, loglik, cov, se, flags)
+    Maximizes the triple sum over conditioning variables, exceedances and
+    companions of the skew-normal density with location alpha y0 + mu
+    y0^beta and scale sigma y0^beta, under shared parameters (alpha, beta,
+    mu, sigma, kappa).  The slant is capped at |kappa| = 50.
+    """
+    return _fit_exchangeable(L, threshold, threshold_quantile, SkewNormal)
 
 
 def fit_ht_exchangeable_gaussian(L, threshold: float | None = None,
                                  threshold_quantile: float | None = None) -> HtParams:
     """Exchangeable fit with Gaussian residual margins (zero-slant reference)."""
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    if L.shape[1] < 2:
-        raise ValueError("cluster size must be at least 2")
-    u = _resolve_threshold(L.ravel(), threshold, threshold_quantile)
-    if int(np.sum(L > u)) < 50:
-        raise ValueError("need at least 50 pooled conditioning exceedances")
-
-    def resid_logpdf(z, extra):
-        mu, sg = extra
-        if sg <= 0.0:
-            return None
-        zz = (z - mu) / sg
-        return -np.log(sg) - 0.5 * zz * zz - 0.5 * np.log(2.0 * np.pi)
-
-    t, loglik, cov, se, flags = _fit_exchangeable(
-        L, u, resid_logpdf, np.array([0.3, 0.2, 0.0, 1.0]),
-        [(-1.0, 1.0), (-5.0, 1.0), (None, None), (1e-8, None)], [])
-    law = GaussianDiag(np.array([t[2]]), np.array([t[3]]))
-    pool, conds = _exchangeable_pool(L, u, float(t[0]), float(t[1]))
-    return HtParams(float(t[0]), float(t[1]), law, u, pool, conds, None,
-                    True, loglik, cov, se, flags)
+    return _fit_exchangeable(L, threshold, threshold_quantile, GaussianDiag)
 
 
 def _root_v_vector(zmin, alpha: float, beta: float, v: float,
@@ -592,13 +577,7 @@ def ht_model_chi(params: HtParams, k: int, level: float, N: int = 1_000_000,
     v = float(lap.quantile(level))
     rng = derive_rng(seed)
     y0 = v + rng.exponential(size=N)
-    law = params.residual_law
-    if isinstance(law, SkewNormal):
-        z = skewnorm_sample((N, k - 1), law.nu, law.omega, law.kappa, rng)
-    else:
-        mu = float(np.mean(law.mu))
-        sg = float(np.mean(law.sigma))
-        z = mu + sg * rng.standard_normal((N, k - 1))
+    z = params.residual_law.sample((N, k - 1), rng)
     alpha = float(params.alpha) if params.exchangeable else float(np.mean(params.alpha))
     beta = float(params.beta) if params.exchangeable else float(np.mean(params.beta))
     y = alpha * y0[:, None] + y0[:, None] ** beta * z

@@ -102,18 +102,21 @@ class MarginSpec:
         return bool(np.all(x > lo) and np.all(x < hi))
 
 
+def _tie_ranks(x: np.ndarray):
+    """Sorted distinct values of x, their average 1-based ranks and the index
+    of each x among them.  A tie block holds ranks end - count + 1 .. end, so
+    its average is the exact half-integer end - (count - 1) / 2."""
+    ux, inv, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return ux, np.cumsum(counts) - (counts - 1) / 2.0, inv
+
+
 def _empirical_knots(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ties collapse to one knot at the average rank so the CDF stays strictly
-    # increasing and invertible; a tie block holds ranks start+1 .. end, so
-    # that average is the (exact) half-integer (start + end + 1) / 2.
-    n = ref.size
-    xs = np.sort(ref)
-    ux, start = np.unique(xs, return_index=True)
+    # increasing and invertible.
+    ux, rank, _ = _tie_ranks(ref)
     if ux.size < 2:
         raise ValueError("empirical reference sample is constant")
-    end = np.append(start[1:], n)
-    avg_rank = (start + end + 1) / 2.0
-    return ux, avg_rank / (n + 1.0)
+    return ux, rank / (ref.size + 1.0)
 
 
 def _emp_cdf(m: MarginSpec, x):
@@ -218,20 +221,10 @@ def rank_transform(values: np.ndarray) -> np.ndarray:
     one_dim = values.ndim == 1
     if one_dim:
         values = values[:, None]
-    n = values.shape[0]
     out = np.empty_like(values)
     for j in range(values.shape[1]):
-        order = np.argsort(values[:, j], kind="mergesort")
-        ranks = np.empty(n)
-        ranks[order] = np.arange(1, n + 1)
-        # average ranks over ties
-        xs = values[:, j]
-        _, inv, counts = np.unique(xs, return_inverse=True, return_counts=True)
-        if np.any(counts > 1):
-            sums = np.zeros(counts.size)
-            np.add.at(sums, inv, ranks)
-            ranks = sums[inv] / counts[inv]
-        out[:, j] = ranks / (n + 1.0)
+        _, rank, inv = _tie_ranks(values[:, j])  # ties share their average rank
+        out[:, j] = rank[inv] / (values.shape[0] + 1.0)
     return out[:, 0] if one_dim else out
 
 

@@ -153,6 +153,20 @@ def _sov_batches(L, a, b, n_points, seed, df=None):
     return prob, se
 
 
+def _rect(q: OrthantQuery, n_points: int, seed: int):
+    """Rectangle probability under the query's Gaussian or Student law."""
+    if q.dim > 100:
+        raise ValueError("dimension capped at 100")
+    lo = q.lower - q.mu
+    hi = q.upper - q.mu
+    if q.dim == 1:
+        sd = np.sqrt(max(q.sigma[0, 0], _JITTER))
+        cdf = _phi if q.df is None else (lambda x: _tdist.cdf(x, df=q.df))
+        return float(cdf(hi[0] / sd) - cdf(lo[0] / sd)), 0.0
+    L, a, b = _permuted_cholesky(q.sigma.copy(), lo.copy(), hi.copy())
+    return _sov_batches(L, a, b, n_points, seed, df=q.df)
+
+
 def mvn_rect(q: OrthantQuery, n_points: int = 100_000, seed: int = 0):
     """Gaussian rectangle probability and standard error.
 
@@ -161,31 +175,14 @@ def mvn_rect(q: OrthantQuery, n_points: int = 100_000, seed: int = 0):
     """
     if q.df is not None:
         raise ValueError("query carries df; use mvt_rect")
-    if q.dim > 100:
-        raise ValueError("dimension capped at 100")
-    lo = q.lower - q.mu
-    hi = q.upper - q.mu
-    if q.dim == 1:
-        sd = np.sqrt(max(q.sigma[0, 0], _JITTER))
-        return float(_phi(hi[0] / sd) - _phi(lo[0] / sd)), 0.0
-    L, a, b = _permuted_cholesky(q.sigma.copy(), lo.copy(), hi.copy())
-    return _sov_batches(L, a, b, n_points, seed)
+    return _rect(q, n_points, seed)
 
 
 def mvt_rect(q: OrthantQuery, n_points: int = 100_000, seed: int = 0):
     """Student rectangle probability via the chi-square scale mixture."""
     if q.df is None:
         raise ValueError("query lacks df; use mvn_rect")
-    if q.dim > 100:
-        raise ValueError("dimension capped at 100")
-    lo = q.lower - q.mu
-    hi = q.upper - q.mu
-    if q.dim == 1:
-        sd = np.sqrt(max(q.sigma[0, 0], _JITTER))
-        p = _tdist.cdf(hi[0] / sd, df=q.df) - _tdist.cdf(lo[0] / sd, df=q.df)
-        return float(p), 0.0
-    L, a, b = _permuted_cholesky(q.sigma.copy(), lo.copy(), hi.copy())
-    return _sov_batches(L, a, b, n_points, seed, df=q.df)
+    return _rect(q, n_points, seed)
 
 
 def mvn_cdf(x, mu, sigma, n_points: int = 100_000, seed: int = 0):

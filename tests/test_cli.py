@@ -237,6 +237,12 @@ def test_condex_fit_and_prob_commands(gumbel3_csv, capsys):
         "--threshold-quantile", "0.95", "--gaussian",
     ])
     assert -1.0 <= doc["result"]["alpha"] <= 1.0
+    assert set(doc["result"]["residual_law"]) == {"kind", "mu", "sigma"}
+    sn = _run_json(capsys, [
+        "condex", "fit", "--input", gumbel3_csv, "--margins", "gumbel",
+        "--threshold-quantile", "0.95",
+    ])
+    assert set(sn["result"]["residual_law"]) == {"kind", "nu", "omega", "kappa"}
     doc2 = _run_json(capsys, [
         "condex", "prob", "--input", gumbel3_csv, "--margins", "gumbel",
         "--threshold-quantile", "0.95", "--gaussian", "--level", "0.999",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import skewnorm
 
 from helpers import energy_two_sample_pvalue
-from extremis.condex import (GaussianDiag, HtParams, _entry_roots,
+from extremis.condex import (GaussianDiag, HtParams, SkewNormal, _entry_roots,
                              _root_v_vector, fit_ht_exchangeable_gaussian,
                              fit_ht_exchangeable_skewnormal, fit_ht_gaussian,
                              ht_model_chi, ht_prob_analytic,
@@ -125,19 +125,53 @@ def test_fit_exchangeable_skewnormal_recovery():
 
 
 def test_exchangeable_kappa_zero_matches_gaussian_fit():
-    L = simulate_ht(0.4, 0.2, 4000, 3, seed=17, u=3.5)
-    sn = fit_ht_exchangeable_skewnormal(L, threshold=3.5, fix_kappa=0.0)
-    ga = fit_ht_exchangeable_gaussian(L, threshold=3.5)
-    assert sn.alpha == pytest.approx(ga.alpha, abs=1e-4)
-    assert sn.beta == pytest.approx(ga.beta, abs=1e-4)
+    # the Gaussian exchangeable fit is the skew-normal fit with the slant
+    # held at 0: its fitting density is the skew-normal one at kappa = 0
+    z = np.linspace(-8.0, 8.0, 161)
+    for mu, sg in ((0.0, 1.0), (-0.7, 0.3), (1.2, 2.5)):
+        np.testing.assert_allclose(SkewNormal.fit_logpdf(z, (mu, sg, 0.0)),
+                                   GaussianDiag.fit_logpdf(z, (mu, sg)),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_skewnormal_nests_gaussian_likelihood():
     L = simulate_ht(0.3, 0.4, 3000, 3, seed=19, u=3.5,
                     law=("skew", 0.0, 0.5, 2.0))
     full = fit_ht_exchangeable_skewnormal(L, threshold=3.5)
-    fixed = fit_ht_exchangeable_skewnormal(L, threshold=3.5, fix_kappa=0.0)
-    assert full.loglik >= fixed.loglik - 1e-6
+    gauss = fit_ht_exchangeable_gaussian(L, threshold=3.5)
+    assert full.loglik >= gauss.loglik - 1e-6
+
+
+def test_exchangeable_fits_pinned():
+    # values recorded before the HT fitters were merged onto one driver;
+    # the pooled pairs keep their order, so every sum stays bit-identical
+    L = simulate_ht(0.35, 0.3, 1200, 3, seed=29, u=3.0,
+                    law=("skew", 0.0, 0.6, 1.5))
+    sn = fit_ht_exchangeable_skewnormal(L, threshold=3.0)
+    assert (sn.alpha, sn.beta) == (0.3095928188146032, -0.09608915681134206)
+    law = sn.residual_law
+    assert (law.nu, law.omega, law.kappa) == (
+        -0.25693527824597606, 2.007706749299661, 5.137785474178099)
+    assert sn.loglik == -4101.006802717001
+    assert sn.se.tolist() == [0.016848583231955483, 0.07101907423871809,
+                              0.08564377256864784, 0.1922872742573731,
+                              0.277601508692298]
+    assert float(np.nansum(sn.residual_pool)) == 3510.4302968619827
+    assert ht_model_chi(sn, 3, 0.99, N=20_000, seed=0) == 0.02075000000000001
+
+    ga = fit_ht_exchangeable_gaussian(L, threshold=3.0)
+    assert (ga.alpha, ga.beta) == (0.3352736222692533, -0.2104902743892441)
+    assert (ga.residual_law.mu.tolist(), ga.residual_law.sigma.tolist()) == (
+        [1.2878331166191606], [1.5841240098056304])
+    assert ga.loglik == -4598.525164118371
+    assert ga.se.tolist() == [0.022837259706342743, 0.07123596268527423,
+                              0.1204136744849293, 0.1521674545059568]
+    assert float(np.nansum(ga.residual_pool)) == 3706.3837462390015
+    assert ht_model_chi(ga, 3, 0.99, N=20_000, seed=0) == 0.02060000000000001
+
+    for fit in (sn, ga):
+        assert fit.flags == []
+        assert fit.pool_cond.tolist() == [0] * 483 + [1] * 489 + [2] * 467
 
 
 def test_root_v_examples():
