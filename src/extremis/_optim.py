@@ -1,5 +1,9 @@
 """Shared optimization helpers: trust-region Newton with analytic derivatives,
-simplex start with quasi-Newton polish, numeric Hessian."""
+simplex start with quasi-Newton polish, numeric Hessian.
+
+The GPD and conditional-extremes fits pass analytic derivatives and take
+their covariance from the analytic information; ``numeric_hessian`` serves
+the one-parameter ``mgpd`` fits, and ``numeric_gradient`` the tests."""
 from __future__ import annotations
 
 import warnings

@@ -7,7 +7,10 @@ over (conditioner, companion) pairs taken from one conditioning-set loop
 (``_conditioning_sets``): the per-component Gaussian fit is that driver
 applied once per companion, and the exchangeable Gaussian and skew-normal
 fits apply it once to the pairs pooled over every conditioner.  The
-residual laws carry their own fitting density, start and bounds.  The
+residual laws carry their own fitting density, its per-point derivatives,
+start and bounds.  ``_pair_objective`` chains those derivatives into the
+closed-form score and observed information; each fit takes trust-region
+Newton steps on them and its covariance from the same information.  The
 module also extracts empirical residual pools, and estimates joint tail
 probabilities three ways: forward simulation, a root-finding/log-sum-exp
 estimator that stays accurate far beyond Monte Carlo reach, and the
@@ -27,9 +30,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
 
-from ._optim import covariance_from_hessian, minimize_nll, numeric_hessian
+from ._optim import covariance_from_hessian, minimize_nll
 from .core import MarginSpec, derive_rng, label_assignments
 
 ROOT_CAP = 500.0  # contributions beyond exp(-500) vanish in double precision
@@ -41,8 +44,9 @@ DEPENDENCE_BOUNDS = [(-1.0, 1.0), (-5.0, 1.0)]  # (alpha, beta)
 class GaussianDiag:
     """Independent Gaussian residual components.
 
-    ``kind`` names the law in payloads; ``fit_start``/``fit_bounds`` and
-    ``fit_logpdf`` describe its fitted parameters (mu, sigma) to the HT fits.
+    ``kind`` names the law in payloads; ``fit_start``/``fit_bounds``,
+    ``fit_logpdf`` and ``fit_derivs`` describe its fitted parameters
+    (mu, sigma) to the HT fits.
     """
 
     mu: np.ndarray
@@ -61,12 +65,17 @@ class GaussianDiag:
 
     @staticmethod
     def fit_logpdf(z, extra):
-        """Log density of residuals z at (mu, sigma); None outside the space."""
+        """Log density of residuals z at (mu, sigma)."""
         mu, sg = extra
-        if sg <= 0.0:
-            return None
         zz = (z - mu) / sg
         return -np.log(sg) - 0.5 * zz * zz - 0.5 * np.log(2.0 * np.pi)
+
+    @staticmethod
+    def fit_derivs(z, extra):
+        """Per-point derivatives of ``fit_logpdf`` in (z, mu, sigma): the
+        zero-slant slice of the skew-normal ones."""
+        g, h = skewnorm_logpdf_derivs(z, extra[0], extra[1], 0.0)
+        return g[:3], h[:3, :3]
 
     @classmethod
     def from_fit(cls, extra):
@@ -100,11 +109,13 @@ class SkewNormal:
 
     @staticmethod
     def fit_logpdf(z, extra):
-        """Log density of residuals z at (nu, omega, kappa); None outside the space."""
-        mu, sg, ka = extra
-        if sg <= 0.0 or abs(ka) > KAPPA_CAP:
-            return None
-        return skewnorm_logpdf(z, mu, sg, ka)
+        """Log density of residuals z at (nu, omega, kappa)."""
+        return skewnorm_logpdf(z, *extra)
+
+    @staticmethod
+    def fit_derivs(z, extra):
+        """Per-point derivatives of ``fit_logpdf`` in (z, nu, omega, kappa)."""
+        return skewnorm_logpdf_derivs(z, *extra)
 
     @classmethod
     def from_fit(cls, extra):
@@ -120,6 +131,43 @@ def skewnorm_logpdf(x, nu, omega, kappa):
     z = (np.asarray(x, dtype=float) - nu) / omega
     return (np.log(2.0) - np.log(omega) - 0.5 * z * z
             - 0.5 * np.log(2.0 * np.pi) + log_ndtr(kappa * z))
+
+
+def skewnorm_logpdf_derivs(z, nu, omega, kappa):
+    """First and second derivatives of ``skewnorm_logpdf`` at each z in
+    (z, nu, omega, kappa), as arrays of shape (4, n) and (4, 4, n).
+
+    With w = (z - nu)/omega the log density is -log omega - w^2/2 +
+    log Phi(kappa w) + const.  The ratio r = phi/Phi at s = kappa w, whose
+    derivative is -r (s + r), is taken as sqrt(2/pi) / erfcx(-s/sqrt(2)):
+    it keeps full precision far in the lower tail, where phi and Phi both
+    underflow and exp(log phi - log_ndtr) loses about s^2/2 ulps.
+    """
+    w = (np.asarray(z, dtype=float) - nu) / omega
+    s = kappa * w
+    r = np.sqrt(2.0 / np.pi) / erfcx(-s / np.sqrt(2.0))
+    dr = -r * (s + r)
+    # h(w, kappa) = -w^2/2 + log Phi(kappa w), and w's derivatives in
+    # (z, nu, omega); the second ones are (0, 0, -1; 0, 0, 1; -1, 1, 2w)/omega^2
+    h_w = kappa * r - w
+    h_ww = kappa * kappa * dr - 1.0
+    inv = 1.0 / omega
+    w_u = np.stack(np.broadcast_arrays(inv, -inv, -w * inv))
+    g = np.empty((4, w.size))
+    g[:3] = h_w * w_u
+    g[2] -= inv
+    g[3] = w * r
+    h = np.empty((4, 4, w.size))
+    h[:3, :3] = h_ww * w_u[:, None] * w_u[None, :]
+    h[:3, 3] = h[3, :3] = (r + s * dr) * w_u
+    h[3, 3] = w * w * dr
+    curv = h_w * inv * inv
+    h[0, 2] -= curv
+    h[2, 0] -= curv
+    h[1, 2] += curv
+    h[2, 1] += curv
+    h[2, 2] += 2.0 * w * curv + inv * inv
+    return g, h
 
 
 def skewnorm_sample(n, nu, omega, kappa, rng):
@@ -217,31 +265,73 @@ def _resolve_threshold(col, threshold, threshold_quantile) -> float:
     return float(threshold)
 
 
-def _fit_pairs(y0, y, resid_logpdf, start, bounds, boundary_flag, name):
-    """Maximize the HT pseudo-likelihood over pairs of a conditioner value y0
-    and a companion value y, with y = alpha y0 + y0^beta Z and Z of log
-    density ``resid_logpdf(z, extra)``, over parameters (alpha, beta, *extra).
+def _pair_objective(y0, y, law):
+    """(nll, derivs, box) of the HT pseudo-likelihood over pairs of a
+    conditioner value y0 and a companion value y, with y = alpha y0 +
+    y0^beta Z and Z of residual law class ``law``, in parameters
+    (alpha, beta, *extra).
 
-    Returns (parameters, loglik, covariance, standard errors, flags); the
-    last two are None when the observed information is degenerate.
-    ``name`` says which fit failed to converge.
+    ``nll`` is +inf outside ``box``, DEPENDENCE_BOUNDS x ``law.fit_bounds``.
+    ``derivs`` gives its gradient and Hessian by chaining the law's
+    per-point derivatives in (z, extra) through z = (y - alpha y0) y0^-beta,
+    whose derivatives are z_a = -y0^(1-beta), z_b = -z log y0,
+    z_ab = -z_a log y0, z_bb = -z_b log y0 and z_aa = 0; the Jacobian term
+    -beta log y0 adds sum(log y0) to the beta gradient.
     """
     log_y0 = np.log(y0)
+    sum_log_y0 = float(np.sum(log_y0))
+    box = [*DEPENDENCE_BOUNDS, *law.fit_bounds]
+    lo = np.array([-np.inf if b is None else b for b, _ in box])
+    hi = np.array([np.inf if b is None else b for _, b in box])
 
     def nll(t):
-        a, b = t[0], t[1]
-        if not (-1.0 <= a <= 1.0 and b <= 1.0):
+        if not (np.all(t >= lo) and np.all(t <= hi)):
             return np.inf
-        val = resid_logpdf((y - a * y0) / y0 ** b, t[2:])
-        if val is None:
-            return np.inf
-        return float(-np.sum(val - b * log_y0))
+        val = law.fit_logpdf((y - t[0] * y0) / y0 ** t[1], t[2:])
+        return float(-np.sum(val - t[1] * log_y0))
 
-    t, val, ok = minimize_nll(nll, start, bounds=bounds)
+    def derivs(t):
+        y0_b = y0 ** -t[1]
+        z = (y - t[0] * y0) * y0_b
+        g, h = law.fit_derivs(z, t[2:])
+        dz = np.stack([-y0 * y0_b, -z * log_y0])  # z_a, z_b
+        k = t.size
+        grad = np.empty(k)
+        grad[:2] = dz @ g[0]
+        grad[1] -= sum_log_y0
+        grad[2:] = g[1:].sum(axis=1)
+        hess = np.empty((k, k))
+        hess[:2, :2] = (dz * h[0, 0]) @ dz.T
+        cross = -(g[0] * log_y0) @ dz.T  # sums of l_z z_ab and l_z z_bb
+        hess[0, 1] += cross[0]
+        hess[1, 0] += cross[0]
+        hess[1, 1] += cross[1]
+        hess[:2, 2:] = dz @ h[0, 1:].T
+        hess[2:, :2] = hess[:2, 2:].T
+        hess[2:, 2:] = h[1:, 1:].sum(axis=2)
+        return -grad, -hess
+
+    return nll, derivs, box
+
+
+def _fit_pairs(y0, y, law, start, boundary_flag, name):
+    """Maximize the pair pseudo-likelihood of ``_pair_objective`` from
+    ``start``.
+
+    Returns (parameters, loglik, covariance, standard errors, flags); the
+    covariance and standard errors are None when the observed information
+    is degenerate.  The flags are ``newton-fallback`` when the Newton run
+    failed, ``boundary_flag`` at |alpha| = 1, then the covariance flags.
+    ``name`` says which fit failed to converge.
+    """
+    nll, derivs, box = _pair_objective(y0, y, law)
+    flags: list[str] = []
+    t, val, ok = minimize_nll(nll, start, bounds=box, derivs=derivs, flags=flags)
     if not ok:
         raise RuntimeError(f"{name} did not converge")
-    flags = [boundary_flag] if abs(abs(t[0]) - 1.0) < 1e-6 else []
-    cov = covariance_from_hessian(numeric_hessian(nll, t), flags)
+    if abs(abs(t[0]) - 1.0) < 1e-6:
+        flags.append(boundary_flag)
+    cov = covariance_from_hessian(derivs(t)[1], flags)
     se = np.sqrt(np.diag(cov)) if cov is not None else None
     return t, -val, cov, se, flags
 
@@ -271,9 +361,8 @@ def fit_ht_gaussian(L, j: int, threshold: float | None = None,
                               -0.9, 0.9))
         start = np.array([slope, 0.2, 0.0, max(float(np.std(y)), 1e-3)])
         est[c], ll, _, se, fit_flags = _fit_pairs(
-            y0, y, GaussianDiag.fit_logpdf, start,
-            [*DEPENDENCE_BOUNDS, *GaussianDiag.fit_bounds],
-            f"alpha-boundary:{k}", f"conditional fit for companion {k}")
+            y0, y, GaussianDiag, start, f"alpha-boundary:{k}",
+            f"conditional fit for companion {k}")
         ses[c] = np.nan if se is None else se
         loglik += ll
         flags += fit_flags
@@ -299,8 +388,7 @@ def _fit_exchangeable(L, threshold, threshold_quantile, law) -> HtParams:
     y0 = np.concatenate([np.tile(y0_j, d - 1) for y0_j, _, _ in sets])
     y = np.concatenate([comps.T.ravel() for _, comps, _ in sets])
     t, loglik, cov, se, flags = _fit_pairs(
-        y0, y, law.fit_logpdf, np.array([0.3, 0.2, *law.fit_start]),
-        [*DEPENDENCE_BOUNDS, *law.fit_bounds], "alpha-boundary",
+        y0, y, law, np.array([0.3, 0.2, *law.fit_start]), "alpha-boundary",
         "exchangeable conditional fit")
     fitted, law_flags = law.from_fit(t[2:])
     alpha, beta = float(t[0]), float(t[1])

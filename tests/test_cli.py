@@ -266,6 +266,19 @@ def test_condex_fit_rejects_paper_literal(gumbel3_csv, capsys):
     assert "--paper-literal" in capsys.readouterr().err
 
 
+def test_condex_fit_payload_reports_newton_fallback(tmp_path, capsys):
+    # half-normal residuals drive the slant to its cap, where the Newton
+    # run cannot converge and the derivative-free path finishes the fit
+    from test_condex import half_normal_input
+    path = tmp_path / "half.csv"
+    rows = ["a,b,c"] + [",".join(repr(float(v)) for v in row)
+                        for row in half_normal_input()]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    doc = _run_json(capsys, ["condex", "fit", "--input", str(path), "--margins",
+                             "laplace", "--threshold-quantile", "0.8"])
+    assert doc["result"]["flags"] == ["newton-fallback", "kappa-capped"]
+
+
 def test_mixture_experiment_command(capsys):
     doc = _run_json(capsys, [
         "mixture-experiment", "--alpha-grid", "0.4,0.9", "--n-per", "5000",

@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 from scipy.stats import skewnorm
 
 from helpers import energy_two_sample_pvalue
-from extremis.condex import (GaussianDiag, HtParams, SkewNormal, _entry_roots,
-                             _root_v_vector, fit_ht_exchangeable_gaussian,
+from test_gpd import _close
+from extremis import condex
+from extremis._optim import minimize_nll, numeric_gradient, numeric_hessian
+from extremis.condex import (KAPPA_CAP, GaussianDiag, HtParams, SkewNormal,
+                             _entry_roots, _pair_objective, _root_v_vector,
+                             fit_ht_exchangeable_gaussian,
                              fit_ht_exchangeable_skewnormal, fit_ht_gaussian,
                              ht_model_chi, ht_prob_analytic,
                              ht_prob_simulation, ht_prob_two_level,
@@ -142,36 +146,189 @@ def test_skewnormal_nests_gaussian_likelihood():
     assert full.loglik >= gauss.loglik - 1e-6
 
 
+def pinned_fit_input():
+    return simulate_ht(0.35, 0.3, 1200, 3, seed=29, u=3.0,
+                       law=("skew", 0.0, 0.6, 1.5))
+
+
 def test_exchangeable_fits_pinned():
-    # values recorded before the HT fitters were merged onto one driver;
-    # the pooled pairs keep their order, so every sum stays bit-identical
-    L = simulate_ht(0.35, 0.3, 1200, 3, seed=29, u=3.0,
-                    law=("skew", 0.0, 0.6, 1.5))
+    # re-recorded when the fits moved to Newton steps on the analytic score
+    # and information: every NLL at most 1 ulp from the derivative-free
+    # optimum, alpha/beta within 3e-8 of it, and the standard errors now
+    # from the exact information rather than a finite-difference Hessian
+    L = pinned_fit_input()
     sn = fit_ht_exchangeable_skewnormal(L, threshold=3.0)
-    assert (sn.alpha, sn.beta) == (0.3095928188146032, -0.09608915681134206)
+    assert (sn.alpha, sn.beta) == (0.3095928286002393, -0.09608912675054025)
     law = sn.residual_law
     assert (law.nu, law.omega, law.kappa) == (
-        -0.25693527824597606, 2.007706749299661, 5.137785474178099)
-    assert sn.loglik == -4101.006802717001
-    assert sn.se.tolist() == [0.016848583231955483, 0.07101907423871809,
-                              0.08564377256864784, 0.1922872742573731,
-                              0.277601508692298]
-    assert float(np.nansum(sn.residual_pool)) == 3510.4302968619827
+        -0.25693530127563785, 2.0077066808708004, 5.1377855485637145)
+    assert sn.loglik == -4101.006802717
+    assert sn.se.tolist() == [0.016849452246587557, 0.07102726484953734,
+                              0.08565061843267792, 0.192309943613353,
+                              0.27760321249877823]
+    assert float(np.nansum(sn.residual_pool)) == 3510.4300307709855
     assert ht_model_chi(sn, 3, 0.99, N=20_000, seed=0) == 0.02075000000000001
 
     ga = fit_ht_exchangeable_gaussian(L, threshold=3.0)
-    assert (ga.alpha, ga.beta) == (0.3352736222692533, -0.2104902743892441)
+    assert (ga.alpha, ga.beta) == (0.33527362322161774, -0.21049026756619513)
     assert (ga.residual_law.mu.tolist(), ga.residual_law.sigma.tolist()) == (
-        [1.2878331166191606], [1.5841240098056304])
+        [1.2878331126455136], [1.5841239791452504])
     assert ga.loglik == -4598.525164118371
-    assert ga.se.tolist() == [0.022837259706342743, 0.07123596268527423,
-                              0.1204136744849293, 0.1521674545059568]
-    assert float(np.nansum(ga.residual_pool)) == 3706.3837462390015
+    assert ga.se.tolist() == [0.022838304591108596, 0.07124413204983557,
+                              0.12042544575374953, 0.1521848687970387]
+    assert float(np.nansum(ga.residual_pool)) == 3706.383698193754
     assert ht_model_chi(ga, 3, 0.99, N=20_000, seed=0) == 0.02060000000000001
 
     for fit in (sn, ga):
         assert fit.flags == []
         assert fit.pool_cond.tolist() == [0] * 483 + [1] * 489 + [2] * 467
+
+
+def test_pinned_skewnormal_fit_takes_few_objective_calls(monkeypatch):
+    # the derivative-free path spent about 1 100 objective calls here
+    calls = []
+
+    def counting(nll, x0, **kwargs):
+        def counted(t):
+            calls.append(t)
+            return nll(t)
+        return minimize_nll(counted, x0, **kwargs)
+
+    monkeypatch.setattr(condex, "minimize_nll", counting)
+    sn = fit_ht_exchangeable_skewnormal(pinned_fit_input(), threshold=3.0)
+    assert "newton-fallback" not in sn.flags
+    assert 0 < len(calls) < 100
+
+
+def _ref_pair_nll(y0, y, law, t):
+    """The pair NLL with no fitting box, for finite differences."""
+    z = (y - t[0] * y0) / y0 ** t[1]
+    return float(-np.sum(law.fit_logpdf(z, t[2:]) - t[1] * np.log(y0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(5, 60),
+       law=st.sampled_from([GaussianDiag, SkewNormal]),
+       alpha=st.floats(-1.0, 1.0), beta=st.floats(-5.0, 1.0),
+       nu=st.floats(-2.0, 2.0), omega=st.floats(0.05, 5.0),
+       kappa=st.one_of(st.sampled_from([-KAPPA_CAP, 0.0, KAPPA_CAP]),
+                       st.floats(-KAPPA_CAP, KAPPA_CAP)))
+@example(seed=1, n=40, law=SkewNormal, alpha=1.0, beta=-5.0, nu=0.3,
+         omega=0.5, kappa=KAPPA_CAP)
+@example(seed=2, n=40, law=SkewNormal, alpha=-1.0, beta=1.0, nu=-1.0,
+         omega=2.0, kappa=-KAPPA_CAP)
+def test_pair_score_and_information_match_finite_differences(
+        seed, n, law, alpha, beta, nu, omega, kappa):
+    rng = derive_rng(seed, 6)
+    # conditioner values near 1 keep y0^beta within a few decades of
+    # alpha y0 at beta = -5, so y - alpha y0 keeps its digits
+    y0 = 1.0 + rng.exponential(0.5, size=n)
+    w = 3.0 * rng.standard_normal(n)
+    y = alpha * y0 + y0 ** beta * (nu + omega * w)
+    t = np.array([alpha, beta, nu, omega, kappa][:2 + len(law.fit_start)])
+    nll, derivs, _ = _pair_objective(y0, y, law)
+    f = lambda t: _ref_pair_nll(y0, y, law, t)  # noqa: E731
+    val = f(t)
+    assert nll(t) == pytest.approx(val, rel=1e-12)
+    if law is SkewNormal and np.min(kappa * w) < -30.0:
+        event("phi/Phi below kappa w = -30")
+    grad, hess = derivs(t)
+    z = (y - alpha * y0) / y0 ** beta
+    g, h = law.fit_derivs(z, t[2:])
+    # per-pair term sizes: the chain rule in absolute values, with
+    # |z_a| = y0^(1-beta) and |z_b| = |z log y0|
+    k = t.size
+    jac = np.zeros((k - 1, k, n))
+    jac[0, 0], jac[0, 1] = y0 ** (1.0 - beta), np.abs(z * np.log(y0))
+    jac[1:, 2:] = np.eye(k - 2)[:, :, None]
+    g_size = np.einsum("ipn,in->p", jac, np.abs(g))
+    g_size[1] += np.log(y0).sum()
+    h_size = np.einsum("ipn,ijn,jqn->pq", jac, np.abs(h), jac)
+    h_size[:2, :2] += np.sum(np.abs(g[0]) * np.log(y0) * (jac[0, 0] + jac[0, 1]))
+    # f rounds by about eps times its terms, and by eps |l_z| (|y| +
+    # |alpha y0|) y0^-beta from forming z; differences lose that over the
+    # step, so the scales include it
+    noise = 1.0 + abs(val) + np.sum(np.abs(law.fit_logpdf(z, t[2:])) + np.abs(g[0])
+                                    * (np.abs(y) + np.abs(alpha * y0)) / y0 ** beta)
+    # difference steps in units c that move each w and kappa w by at most
+    # about the step, so they resolve the bend of log Phi however steep
+    # the slant
+    slant = abs(kappa) if law is SkewNormal else 0.0
+    dw = np.array([*jac[0, :2].max(axis=1), 1.0, np.abs(w).max()]) / omega
+    c = 1.0 / (1.0 + np.append((1.0 + slant) * dw, np.abs(w).max())[:k])
+    fc = lambda u: f(t + c * u)  # noqa: E731
+    u0 = np.zeros(k)
+    _close(c * grad, numeric_gradient(fc, u0), c * g_size + noise, 1e-6)
+    _close(np.outer(c, c) * hess, numeric_hessian(fc, u0),
+           np.outer(c, c) * h_size + noise, 1e-4)
+
+
+def _derivative_free(monkeypatch):
+    """Send the HT fits down minimize_nll's path without derivatives."""
+    def no_derivs(nll, x0, bounds=None, derivs=None, flags=None):
+        return minimize_nll(nll, x0, bounds)
+    monkeypatch.setattr(condex, "minimize_nll", no_derivs)
+
+
+def test_comonotone_fit_falls_back_and_keeps_the_boundary_flag(monkeypatch):
+    # the input of test_fit_gaussian_comonotone_boundary: at alpha = 1 every
+    # residual is 0, the likelihood grows without bound as sigma -> 0, and
+    # the Newton run meets the box edges
+    base = np.asarray(LAP.quantile(derive_rng(5).uniform(0.5, 0.9999, size=400)))
+    L = np.column_stack([base, base])
+    fit = fit_ht_gaussian(L, 0, threshold_quantile=0.7)
+    assert "newton-fallback" in fit.flags and "alpha-boundary:1" in fit.flags
+    _derivative_free(monkeypatch)
+    ref = fit_ht_gaussian(L, 0, threshold_quantile=0.7)
+    assert "newton-fallback" not in ref.flags and "alpha-boundary:1" in ref.flags
+    assert fit.alpha[0] == pytest.approx(ref.alpha[0], abs=1e-6)
+    assert fit.residual_law.sigma[0] == pytest.approx(ref.residual_law.sigma[0],
+                                                      rel=1e-3)
+    # beta only enters through the Jacobian once the residuals vanish, so
+    # the fit may go further along the box than the simplex does
+    assert fit.loglik >= ref.loglik
+    assert -5.0 <= fit.beta[0] <= 1.0
+
+
+def half_normal_input():
+    """Half-normal residuals: the skew-normal slant runs to the cap."""
+    return simulate_ht(0.3, 0.4, 3000, 3, seed=31, u=4.0,
+                       law=("skew", 0.0, 0.5, 1e6), reject_spillover=True)
+
+
+def test_kappa_capped_fit_falls_back_to_the_derivative_free_optimum(monkeypatch):
+    L = half_normal_input()
+    fit = fit_ht_exchangeable_skewnormal(L, threshold=4.0)
+    assert fit.flags == ["newton-fallback", "kappa-capped"]
+    _derivative_free(monkeypatch)
+    ref = fit_ht_exchangeable_skewnormal(L, threshold=4.0)
+    assert ref.flags == ["kappa-capped"]
+
+    def est(f):
+        law = f.residual_law
+        return np.array([f.alpha, f.beta, law.nu, law.omega, law.kappa])
+
+    assert np.all(np.abs(est(fit) - est(ref)) <= 1e-2 * fit.se)
+    assert fit.loglik == pytest.approx(ref.loglik, rel=0.0, abs=1e-6)
+
+
+def test_fit_stays_inside_the_fitting_box():
+    # beta = -8 lies below the box; the unbounded Newton run heads there
+    L = simulate_ht(0.5, -8.0, 600, 2, seed=3, u=3.0, round_robin=False)
+    fit = fit_ht_gaussian(L, 0, threshold=3.0)
+    assert "newton-fallback" in fit.flags
+    assert -1.0 <= fit.alpha[0] <= 1.0 and -5.0 <= fit.beta[0] <= 1.0
+    y0 = L[L[:, 0] > 3.0, 0]
+    nll, _, box = _pair_objective(y0, L[L[:, 0] > 3.0, 1], GaussianDiag)
+    t = np.array([fit.alpha[0], fit.beta[0], fit.residual_law.mu[0],
+                  fit.residual_law.sigma[0]])
+    assert np.isfinite(nll(t))
+    for i, (lo, hi) in enumerate(box):
+        for edge, step in ((lo, -1e-9), (hi, 1e-9)):
+            if edge is not None:
+                out = t.copy()
+                out[i] = edge + step
+                assert nll(out) == np.inf
 
 
 def test_root_v_examples():
