@@ -72,10 +72,10 @@ class GaussianDiag:
 
     @staticmethod
     def fit_derivs(z, extra):
-        """Per-point derivatives of ``fit_logpdf`` in (z, mu, sigma): the
-        zero-slant slice of the skew-normal ones."""
-        g, h = skewnorm_logpdf_derivs(z, extra[0], extra[1], 0.0)
-        return g[:3], h[:3, :3]
+        """Derivatives of ``fit_logpdf`` in (z, mu, sigma), laid out as
+        ``skewnorm_logpdf_derivs`` gives them: its zero-slant slice."""
+        g_z, h_z, g_sum, h_sum = skewnorm_logpdf_derivs(z, extra[0], extra[1], 0.0)
+        return g_z, h_z[:3], g_sum[:2], h_sum[:2, :2]
 
     @classmethod
     def from_fit(cls, extra):
@@ -114,7 +114,8 @@ class SkewNormal:
 
     @staticmethod
     def fit_derivs(z, extra):
-        """Per-point derivatives of ``fit_logpdf`` in (z, nu, omega, kappa)."""
+        """Derivatives of ``fit_logpdf`` in (z, nu, omega, kappa), laid out
+        as ``skewnorm_logpdf_derivs`` gives them."""
         return skewnorm_logpdf_derivs(z, *extra)
 
     @classmethod
@@ -134,8 +135,10 @@ def skewnorm_logpdf(x, nu, omega, kappa):
 
 
 def skewnorm_logpdf_derivs(z, nu, omega, kappa):
-    """First and second derivatives of ``skewnorm_logpdf`` at each z in
-    (z, nu, omega, kappa), as arrays of shape (4, n) and (4, 4, n).
+    """Derivatives of ``skewnorm_logpdf`` in (z, nu, omega, kappa), in the
+    form the HT pair objective chains them: per point, l_z (shape (n,)) and
+    the Hessian's z row (shape (4, n)); summed over the points, the
+    gradient (3,) and Hessian (3, 3) in the parameters (nu, omega, kappa).
 
     With w = (z - nu)/omega the log density is -log omega - w^2/2 +
     log Phi(kappa w) + const.  The ratio r = phi/Phi at s = kappa w, whose
@@ -153,21 +156,24 @@ def skewnorm_logpdf_derivs(z, nu, omega, kappa):
     h_ww = kappa * kappa * dr - 1.0
     inv = 1.0 / omega
     w_u = np.stack(np.broadcast_arrays(inv, -inv, -w * inv))
-    g = np.empty((4, w.size))
-    g[:3] = h_w * w_u
-    g[2] -= inv
-    g[3] = w * r
-    h = np.empty((4, 4, w.size))
-    h[:3, :3] = h_ww * w_u[:, None] * w_u[None, :]
-    h[:3, 3] = h[3, :3] = (r + s * dr) * w_u
-    h[3, 3] = w * w * dr
+    h_wk = r + s * dr  # d2h / dw dkappa
     curv = h_w * inv * inv
-    h[0, 2] -= curv
-    h[2, 0] -= curv
-    h[1, 2] += curv
-    h[2, 1] += curv
-    h[2, 2] += 2.0 * w * curv + inv * inv
-    return g, h
+    h_z = np.empty((4, w.size))
+    h_z[:3] = h_ww * w_u[0] * w_u
+    h_z[2] -= curv
+    h_z[3] = h_wk * w_u[0]
+    g_sum = np.array([(h_w * w_u[1]).sum(), (h_w * w_u[2] - inv).sum(),
+                      (w * r).sum()])
+    h_nu, h_omega = h_ww * w_u[1], h_ww * w_u[2]
+    h_sum = np.empty((3, 3))
+    h_sum[0, 0] = (h_nu * w_u[1]).sum()
+    h_sum[0, 1] = (h_nu * w_u[2] + curv).sum()
+    h_sum[1, 0] = (h_omega * w_u[1] + curv).sum()
+    h_sum[1, 1] = (h_omega * w_u[2] + (2.0 * w * curv + inv * inv)).sum()
+    h_sum[0, 2] = h_sum[2, 0] = (h_wk * w_u[1]).sum()
+    h_sum[1, 2] = h_sum[2, 1] = (h_wk * w_u[2]).sum()
+    h_sum[2, 2] = (w * w * dr).sum()
+    return h_w * w_u[0], h_z, g_sum, h_sum
 
 
 def skewnorm_sample(n, nu, omega, kappa, rng):
@@ -293,22 +299,22 @@ def _pair_objective(y0, y, law):
     def derivs(t):
         y0_b = y0 ** -t[1]
         z = (y - t[0] * y0) * y0_b
-        g, h = law.fit_derivs(z, t[2:])
+        g_z, h_z, g_sum, h_sum = law.fit_derivs(z, t[2:])
         dz = np.stack([-y0 * y0_b, -z * log_y0])  # z_a, z_b
         k = t.size
         grad = np.empty(k)
-        grad[:2] = dz @ g[0]
+        grad[:2] = dz @ g_z
         grad[1] -= sum_log_y0
-        grad[2:] = g[1:].sum(axis=1)
+        grad[2:] = g_sum
         hess = np.empty((k, k))
-        hess[:2, :2] = (dz * h[0, 0]) @ dz.T
-        cross = -(g[0] * log_y0) @ dz.T  # sums of l_z z_ab and l_z z_bb
+        hess[:2, :2] = (dz * h_z[0]) @ dz.T
+        cross = -(g_z * log_y0) @ dz.T  # sums of l_z z_ab and l_z z_bb
         hess[0, 1] += cross[0]
         hess[1, 0] += cross[0]
         hess[1, 1] += cross[1]
-        hess[:2, 2:] = dz @ h[0, 1:].T
+        hess[:2, 2:] = dz @ h_z[1:].T
         hess[2:, :2] = hess[:2, 2:].T
-        hess[2:, 2:] = h[1:, 1:].sum(axis=2)
+        hess[2:, 2:] = h_sum
         return -grad, -hess
 
     return nll, derivs, box

@@ -30,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gamma as _gammafun
-from scipy.special import ndtr, ndtri, stdtr
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri, stdtr
 
 from ._optim import covariance_from_hessian, numeric_hessian
 from .mvnt import mvn_cdf, mvt_cdf
@@ -79,49 +78,74 @@ class MgpdModel:
 
 
 class _IidFamily(MgpdModel):
-    """Families with iid generators, sampled by exact truncated inverse CDF;
-    ``_generator(rng)`` gives one coordinate's (size-biased draw, cdf, ppf)."""
+    """Families with iid generators Z = c T^p, T ~ Exp(1), for one exponent
+    ``_exponent`` = p; the scale c cancels from every angle Z_i / Z_j.
+
+    Composition sampling runs in T-space and is exact.  Given pivot j the
+    pivot's T is size-biased, t ~ Gamma(1 + p), and a companion's event
+    Z_i >= k_i Z_j (``min``) or Z_i <= k_i Z_j (``max``) is a *tail*
+    T_i >= a_i t or a *head* T_i <= a_i t, with a_i = k_i^(1/p); under
+    ``sum`` every companion is a tail with a_i = 0.  Tails weight the pivot
+    density by e^(-a_i t), so t is Gamma(1 + p) / (1 + sum a_i) and
+    T_i - a_i t is Exp(1); heads weight it by 1 - e^(-a_i t) (see
+    ``_head_pivots``) and T_i is a truncated exponential.
+    """
 
     def pivot_block(self, j, k, n, rng, kind, flags):
-        """Pivot draws come from the size-biased marginal, accepted against
-        the product of companion tail (or lower-tail) probabilities on the
-        event that the pivot is the scaled extreme; companions then follow
-        exact truncated inverse-CDF draws."""
-        size_biased, cdf, ppf = self._generator(rng)
+        p = self._exponent
         d = k.size
-        others = np.arange(d) != j
-        zs = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(2 * (n - filled), 256)
-            z = size_biased(m)
-            if kind == "sum":
-                acc = np.ones(m, dtype=bool)
-            else:
-                logp = np.zeros(m)
-                for i in np.flatnonzero(others):
-                    f = cdf(k[i] * z)
-                    # f == 1 gives log1p(-1) = -inf: that candidate is rejected
-                    with np.errstate(divide="ignore"):
-                        logp += np.log1p(-f) if kind == "min" else np.log(np.maximum(f, 1e-300))
-                acc = rng.random(m) < np.exp(logp)
-            take = min(int(acc.sum()), n - filled)
-            zs[filled:filled + take] = z[acc][:take]
-            filled += take
-
+        others = np.flatnonzero(np.arange(d) != j)
+        a = k[others] ** (1.0 / p) if kind != "sum" else np.zeros(d - 1)
+        tail = kind == "sum" or (kind == "min") == (p > 0.0)
+        t = (rng.gamma(1.0 + p, size=n) / (1.0 + a.sum()) if tail
+             else _head_pivots(p, a, n, rng))
         omega = np.empty((n, d))
         omega[:, j] = 1.0
-        for i in np.flatnonzero(others):
-            if kind == "sum":
-                zi = ppf(rng.random(n))
+        for i, ai in zip(others, a):
+            if tail:
+                ti = ai * t + rng.exponential(size=n)
             else:
-                fa = cdf(k[i] * zs)
-                if kind == "min":
-                    zi = ppf(fa + rng.random(n) * (1.0 - fa))
-                else:
-                    zi = ppf(rng.random(n) * fa)
-            omega[:, i] = zi / zs
+                # 1 - U lies in (0, 1], so T_i > 0
+                ti = -np.log1p((1.0 - rng.random(n)) * np.expm1(-ai * t))
+            # a pivot gamma draw of shape 1 + p near 0 can underflow to 0:
+            # ti / t is then inf and omega_i its limit 0
+            with np.errstate(over="ignore", divide="ignore"):
+                omega[:, i] = (ti / t) ** p
         return omega
+
+
+def _head_pivots(p, a, n, rng):
+    """n draws of t with density proportional to t^p e^(-t) prod_i
+    (1 - e^(-a_i t)), by rejection from Gamma(1 + p + m) under the envelope
+    1 - e^(-x) <= x on the m smallest a_i and <= 1 on the rest (Devroye
+    1986, ch. II.3 and IX.3).  m minimizes the envelope's log mass
+    sum_(i<m) log a_(i) + lgamma(1 + p + m)."""
+    a = np.sort(a)
+    mass = (np.concatenate([[0.0], np.cumsum(np.log(a))])
+            + gammaln(1.0 + p + np.arange(a.size + 1)))
+    m = int(np.argmin(mass))
+    t = np.empty(n)
+    filled = 0
+    while filled < n:
+        size = max(2 * (n - filled), 256)
+        cand = rng.gamma(1.0 + p + m, size=size)
+        prob = np.ones(size)
+        for rank, ai in enumerate(a):  # one column at a time bounds the memory
+            prob *= _head_factor(ai * cand, rank < m)
+        keep = cand[rng.random(size) < prob][:n - filled]
+        t[filled:filled + keep.size] = keep
+        filled += keep.size
+    return t
+
+
+def _head_factor(x, power):
+    """Acceptance factor (1 - e^(-x)) / x^power of a head companion at
+    x = a_i t, for power 0 or 1; it lies in [0, 1], with limit 1 at x = 0
+    for power 1."""
+    f = -np.expm1(-x)
+    if power:
+        f = np.divide(f, x, out=np.ones_like(f), where=x > 0.0)
+    return f
 
 
 class _QmcFamily(MgpdModel):
@@ -174,12 +198,9 @@ class Logistic(_IidFamily):
     def v(self, u, n_points, seed):
         return float(np.sum(u ** (-self.beta)) ** (1.0 / self.beta)), 0.0
 
-    def _generator(self, rng):
-        beta = self.beta
-        c = 1.0 / _gammafun(1.0 - 1.0 / beta)
-        return (lambda m: c * rng.gamma(1.0 - 1.0 / beta, size=m) ** (-1.0 / beta),
-                lambda x: np.exp(-((x / c) ** (-beta))),
-                lambda p: c * (-np.log(p)) ** (-1.0 / beta))
+    @property
+    def _exponent(self) -> float:
+        return -1.0 / self.beta
 
 
 @dataclass(frozen=True)
@@ -218,12 +239,9 @@ class NegLogistic(_IidFamily):
         signed_sizes = sizes[1:] - 1  # (-1)^(|s|+1) = (-1)^(|s|-1)
         return float(_alternating_fsum(vals[1:], signed_sizes)), 0.0
 
-    def _generator(self, rng):
-        theta = self.theta
-        c = 1.0 / _gammafun(1.0 + 1.0 / theta)
-        return (lambda m: c * rng.gamma(1.0 + 1.0 / theta, size=m) ** (1.0 / theta),
-                lambda x: -np.expm1(-((x / c) ** theta)),
-                lambda p: c * (-np.log1p(-p)) ** (1.0 / theta))
+    @property
+    def _exponent(self) -> float:
+        return 1.0 / self.theta
 
 
 @dataclass(frozen=True)
@@ -518,28 +536,31 @@ def fit_logistic_censored(Y, u, censor) -> CensoredFit:
                        bool(res.success), flags)
 
 
-def _hr_pair_terms(x, y, cx, cy, ux, uy, gamma):
-    """Censored bivariate Huesler-Reiss log likelihood contributions."""
-    a = np.sqrt(2.0 * gamma)
-    from scipy.special import log_ndtr, ndtr
-
-    def A(p, q):
-        return 0.5 * a + np.log(q / p) / a
-
+def _hr_pair_terms(x, y, cx, cy, ux, uy):
+    """Censored bivariate Huesler-Reiss log likelihood contributions, as a
+    function of gamma; the censoring classes and the log terms free of
+    gamma are built once.  A(p, q) = a/2 + log(q/p)/a takes log(q/p)."""
     both = (x > cx) & (y > cy)
     only_x = (x > cx) & ~(y > cy)
     only_y = ~(x > cx) & (y > cy)
-    ll = np.zeros(x.size)
-    if both.any():
-        arg = A(x[both], y[both])
+    log_both = np.log(y[both] / x[both]), 2.0 * np.log(x[both]), np.log(y[both])
+    censored = [(rows, -2.0 * np.log(v[rows]), np.log(c / v[rows]))
+                for rows, v, c in ((only_x, x, cy), (only_y, y, cx))]
+    log_u = np.log(uy / ux), np.log(ux / uy)
+
+    def terms(gamma):
+        a = np.sqrt(2.0 * gamma)
+        ll = np.zeros(x.size)
+        arg = 0.5 * a + log_both[0] / a
         ll[both] = (-0.5 * arg ** 2 - 0.5 * np.log(2.0 * np.pi)
-                    - np.log(a) - 2.0 * np.log(x[both]) - np.log(y[both]))
-    if only_x.any():
-        ll[only_x] = -2.0 * np.log(x[only_x]) + log_ndtr(A(x[only_x], cy))
-    if only_y.any():
-        ll[only_y] = -2.0 * np.log(y[only_y]) + log_ndtr(A(y[only_y], cx))
-    v_u = ndtr(A(ux, uy)) / ux + ndtr(A(uy, ux)) / uy
-    return ll - np.log(v_u)
+                    - np.log(a) - log_both[1] - log_both[2])
+        for rows, fixed, log_ratio in censored:
+            ll[rows] = fixed + log_ndtr(0.5 * a + log_ratio / a)
+        v_u = (ndtr(0.5 * a + log_u[0] / a) / ux
+               + ndtr(0.5 * a + log_u[1] / a) / uy)
+        return ll - np.log(v_u)
+
+    return terms
 
 
 def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
@@ -560,19 +581,18 @@ def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
     if Y.shape[1] != d or censor.size != d:
         raise ValueError("Y, u, censor dimensions must agree")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    pair_terms = {}
+    for (i, j) in pairs:
+        rows = (Y[:, i] / u[i] > 1.0) | (Y[:, j] / u[j] > 1.0)
+        pair_terms[i, j] = _hr_pair_terms(Y[rows, i], Y[rows, j], censor[i],
+                                          censor[j], u[i], u[j])
 
     def pair_nll(gamma: float, pair_subset) -> float:
         if gamma <= 1e-8:
             return np.inf
         total = 0.0
-        for (i, j) in pair_subset:
-            x, y = Y[:, i], Y[:, j]
-            rows = (x / u[i] > 1.0) | (y / u[j] > 1.0)
-            if not rows.any():
-                continue
-            ll = _hr_pair_terms(x[rows], y[rows], censor[i], censor[j],
-                                u[i], u[j], gamma)
-            total -= float(ll.sum())
+        for pair in pair_subset:
+            total -= float(pair_terms[pair](gamma).sum())
         return total
 
     def fit_subset(pair_subset) -> float:

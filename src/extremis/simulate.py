@@ -5,8 +5,10 @@ functional-specific weights (known up to proportionality), draw the
 generator vector conditionally on the pivot being the extreme coordinate,
 then scale the pivot-normalized angle by an independent unit Pareto radius.
 Each family in ``mgpd`` supplies its own pivot-block sampler.  Logistic
-and negative logistic generators are independent, so the
-conditional truncation is exact inverse-CDF sampling; the Huesler-Reiss
+and negative logistic generators are independent powers c T^p of unit
+exponentials, so the blocks are exact: the pivot's T is a gamma draw
+(rejection under a gamma envelope when the companions are capped above
+in T) and the companions are truncated exponentials.  The Huesler-Reiss
 family uses coordinatewise Gibbs for the truncated log-Gaussian angle
 (approximate, flagged) and is limited to the sum and max functionals.
 """

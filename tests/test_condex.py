@@ -200,6 +200,19 @@ def test_pinned_skewnormal_fit_takes_few_objective_calls(monkeypatch):
     assert 0 < len(calls) < 100
 
 
+def _per_point_derivs(law, z, extra):
+    """Per-point gradient (k, n) and Hessian (k, k, n) of ``law.fit_logpdf``
+    in (z, extra), from ``law.fit_derivs`` at one point at a time."""
+    k = 1 + len(extra)
+    g, h = np.empty((k, z.size)), np.empty((k, k, z.size))
+    for p in range(z.size):
+        g_z, h_z, g_sum, h_sum = law.fit_derivs(z[p:p + 1], extra)
+        g[0, p], g[1:, p] = g_z[0], g_sum
+        h[0, :, p] = h[:, 0, p] = h_z[:, 0]
+        h[1:, 1:, p] = h_sum
+    return g, h
+
+
 def _ref_pair_nll(y0, y, law, t):
     """The pair NLL with no fitting box, for finite differences."""
     z = (y - t[0] * y0) / y0 ** t[1]
@@ -234,7 +247,7 @@ def test_pair_score_and_information_match_finite_differences(
         event("phi/Phi below kappa w = -30")
     grad, hess = derivs(t)
     z = (y - alpha * y0) / y0 ** beta
-    g, h = law.fit_derivs(z, t[2:])
+    g, h = _per_point_derivs(law, z, t[2:])
     # per-pair term sizes: the chain rule in absolute values, with
     # |z_a| = y0^(1-beta) and |z_b| = |z log y0|
     k = t.size

@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from extremis.core import MarginSpec, derive_rng
-from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic,
-                           exponent_measure_v, fit_hr_exchangeable,
-                           fit_logistic_censored, pivot_weights)
+from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_factor,
+                           _subset_sums, exponent_measure_v,
+                           fit_hr_exchangeable, fit_logistic_censored,
+                           pivot_weights)
 from extremis.simulate import (RiskFunctional, composition_sample,
                                mixture_threshold_experiment,
                                sample_logistic_max_stable,
@@ -35,13 +38,111 @@ def test_min_functional_homogeneity_law():
 
 
 def test_min_functional_rejects_saturated_candidates_quietly():
-    # at this seed some companion cdf reaches 1, so log1p(-f) is -inf and
-    # the candidate is rejected; that must not warn
+    # the bench thresholds: here head factors 1 - e^(-x) round to 1 for
+    # large candidates and the truncated companion draws reach both ends
+    # of their range; neither may warn or leave a non-finite angle
     fn = RiskFunctional("min", np.array([1.0, 2.0, 1.5, 3.0, 1.2]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = composition_sample(Logistic(2.0), fn, 200_000, seed=1973162640)
     assert np.all(np.isfinite(out.samples))
+
+
+@pytest.mark.parametrize("kind", ["min", "max", "sum"])
+def test_near_independent_logistic_samples_quietly(kind):
+    # at beta = 1.01 the pivot's Gamma(0.0099) draws underflow to 0 about
+    # once in a thousand; the angles must stay finite and not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = composition_sample(Logistic(1.01), RiskFunctional(kind, np.ones(3)),
+                                 20_000, seed=1)
+    assert np.all(np.isfinite(out.samples))
+
+
+def _companion_cdf(p, a, i, kind, w):
+    """P(omega_i <= w | pivot) for an iid family with exponent p.
+
+    In T-space every companion weights the pivot density t^p e^(-t) by a
+    signed sum of exponentials e^(-c t): 1 - e^(-a t) for a head, e^(-a t)
+    for a tail, 1 under ``sum``; each term integrates to
+    Gamma(1 + p) (1 + c)^(-(1 + p)).  The heads' product expands by
+    inclusion-exclusion over the subset sums A_S.
+    """
+    q = 1.0 + p
+    head = kind != "sum" and (kind == "min") != (p > 0.0)
+    rest = np.delete(a, i)
+    if kind == "sum":
+        rates, signs = np.zeros(1), np.ones(1)
+    elif head:
+        rates, sizes = _subset_sums(rest)
+        signs = np.where(sizes % 2 == 0, 1.0, -1.0)
+    else:
+        rates, signs = np.array([rest.sum()]), np.ones(1)
+
+    def mass(c):
+        c = np.asarray(c, dtype=float)[..., None]
+        return np.sum(signs * (1.0 + c + rates) ** -q, axis=-1)
+
+    b = np.asarray(w, dtype=float) ** (1.0 / p)  # omega_i = (T_i / t)^p
+    if head:  # P(b t < T_i <= a_i t)
+        surv = (mass(b) - mass(a[i])) / (mass(0.0) - mass(a[i]))
+    else:
+        surv = mass(b) / mass(0.0 if kind == "sum" else a[i])
+    return surv if p < 0.0 else 1.0 - surv
+
+
+@pytest.mark.parametrize("model", [Logistic(2.0), NegLogistic(1.5)])
+@pytest.mark.parametrize("kind", ["min", "max", "sum"])
+def test_iid_companions_follow_their_exact_conditional_law(model, kind):
+    # every companion column of every pivot block against its closed form
+    u = np.array([1.0, 2.0, 1.5, 3.0])
+    p = model._exponent
+    rng = derive_rng(59)
+    pvalues = []
+    for j in range(u.size):
+        k = u / u[j]
+        a = np.delete(k, j) ** (1.0 / p)
+        omega = model.pivot_block(j, k, 20_000, rng, kind, [])
+        assert np.all(omega[:, j] == 1.0)
+        for c, i in enumerate(np.flatnonzero(np.arange(u.size) != j)):
+            col = omega[:, i]
+            if kind == "min":
+                assert np.all(col >= k[i] * (1.0 - 1e-12))
+            elif kind == "max":
+                assert np.all(col <= k[i] * (1.0 + 1e-12))
+            pvalues.append(kstest(col, lambda w: _companion_cdf(p, a, c, kind, w)).pvalue)
+        if (kind == "min") != (p > 0.0) and kind != "sum":
+            # heads jointly: max_i (T_i / t) / a_i <= r has probability
+            # sum_S (-1)^|S| (1 + r A_S)^(-(1 + p)), normalized at r = 1;
+            # this sees the pivot's law more sharply than any one column
+            sums, sizes = _subset_sums(a)
+            signs = np.where(sizes % 2 == 0, 1.0, -1.0)
+
+            def joint(r):
+                r = np.asarray(r, dtype=float)[..., None]
+                return (np.sum(signs * (1.0 + r * sums) ** -(1.0 + p), axis=-1)
+                        / np.sum(signs * (1.0 + sums) ** -(1.0 + p)))
+
+            ratio = np.delete(omega, j, axis=1) ** (1.0 / p) / a
+            pvalues.append(kstest(ratio.max(axis=1), joint).pvalue)
+    # a Bonferroni bound at the 0.1 % level over the columns and joint laws
+    assert min(pvalues) > 1e-3 / len(pvalues)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 1.0, 36.8, 745.2,
+                                    1e300, np.inf]),
+                   st.floats(0.0, 1e308)),
+       power=st.sampled_from([0, 1]))
+@example(x=0.0, power=1)
+def test_head_factor_is_a_probability(x, power):
+    f = _head_factor(np.array([x]), power)[0]
+    assert np.isfinite(f) and 0.0 <= f <= 1.0
+    if x == 0.0:
+        assert f == float(power)  # 1 - e^(-x) ~ x: limit 1 when divided by x
+    elif x < np.inf:
+        want = -np.expm1(-x) / x ** power
+        assert f == pytest.approx(want, rel=1e-15)
 
 
 def test_min_functional_neglogistic_law():
