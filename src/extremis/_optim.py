@@ -1,9 +1,11 @@
 """Shared optimization helpers: trust-region Newton with analytic derivatives,
-simplex start with quasi-Newton polish, numeric Hessian.
+a derivative-free fallback, numeric Hessian.
 
 The GPD and conditional-extremes fits pass analytic derivatives and take
-their covariance from the analytic information; ``numeric_hessian`` serves
-the one-parameter ``mgpd`` fits, and ``numeric_gradient`` the tests."""
+their covariance from the analytic information; the derivative-free path
+finishes a Newton run that fails, and serves the tests as a reference.
+``numeric_hessian`` serves the one-parameter ``mgpd`` fits, and
+``numeric_gradient`` the tests."""
 from __future__ import annotations
 
 import warnings
@@ -20,7 +22,7 @@ NEWTON_ITER = 200
 NEWTON_DECREMENT = 1e-12
 
 
-def minimize_nll(nll, x0, bounds=None, polish: bool = True, derivs=None,
+def minimize_nll(nll, x0, bounds=None, derivs=None,
                  flags: list[str] | None = None):
     """Minimize a negative log likelihood.
 
@@ -52,19 +54,18 @@ def minimize_nll(nll, x0, bounds=None, polish: bool = True, derivs=None,
                    options={"maxiter": ITER_BUDGET, "xatol": 1e-8,
                             "fatol": 1e-10, "maxfev": 2 * ITER_BUDGET})
     x, val, ok = res.x, res.fun, res.success
-    if polish:
-        try:
-            with warnings.catch_warnings():
-                # infinite nll values outside the domain trip the
-                # finite-difference gradient; the polish copes
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res2 = minimize(nll, x, method="L-BFGS-B", bounds=bounds,
-                                options={"maxiter": 1000})
-            if np.isfinite(res2.fun) and res2.fun <= val:
-                x, val = res2.x, res2.fun
-                ok = ok or res2.success
-        except (ValueError, FloatingPointError):
-            pass
+    try:
+        with warnings.catch_warnings():
+            # infinite nll values outside the domain trip the
+            # finite-difference gradient; the polish copes
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res2 = minimize(nll, x, method="L-BFGS-B", bounds=bounds,
+                            options={"maxiter": 1000})
+        if np.isfinite(res2.fun) and res2.fun <= val:
+            x, val = res2.x, res2.fun
+            ok = ok or res2.success
+    except (ValueError, FloatingPointError):
+        pass
     return np.asarray(x, dtype=float), float(val), bool(ok)
 
 

@@ -221,7 +221,8 @@ def cmd_fit_threshold(args) -> dict:
         "nu": fit.nu,
         "covariance": fit.cov,
         "loglik": fit.loglik,
-        "below_fraction": float(np.mean(y <= fit.predict(X))),
+        "below_fraction": float(np.mean(y <= fit.fitted(X, y))),
+        "flags": fit.flags,
     }
 
 
@@ -602,7 +603,7 @@ def cmd_task4(args) -> dict:
 def cmd_task1(args) -> dict:
     y, X, cov_names = _response_and_covariates(_load(args), args.response)
     ald = univariate.fit_ald(X, y, args.tau)
-    gpd_fit = univariate.fit_gpd_regression(X, y, ald.predict(X),
+    gpd_fit = univariate.fit_gpd_regression(X, y, ald.fitted(X, y),
                                             _regression_spec(args, cov_names))
     # conditional quantile above the threshold at the requested level
     p_exc = 1.0 - (1.0 - args.level) / (1.0 - args.tau)
@@ -611,15 +612,16 @@ def cmd_task1(args) -> dict:
                                                  args.seed + 1)
     Xp = X if args.predict is None else load_dataset(
         args.predict, ["empirical"] * len(cov_names)).values
-    (point,), _, _ = univariate.predictive_quantiles(
+    u_hat = ald.predict(Xp)
+    point, _ = univariate.predictive_quantiles(
         gpd_fit, gpd_fit.coefficients[None], Xp, p_exc, args.alpha,
-        [ald.predict(Xp)])
-    _, lo, hi = univariate.predictive_quantiles(
+        lambda rows: [u_hat[rows]])
+    lo, hi = univariate.predictive_quantiles(
         gpd_fit, coef_gpd, Xp, p_exc, args.alpha,
-        ald.predict_draws(Xp, coef_ald))
+        lambda rows: ald.predict_draws(Xp[rows], coef_ald))
     return {"table": {
         "point": list(point), "lower": list(lo), "upper": list(hi),
-    }, "level": args.level, "alpha": args.alpha,
+    }, "level": args.level, "alpha": args.alpha, "flags": ald.flags,
         "gpd": {"log_sigma": gpd_fit.beta_sigma, "xi": gpd_fit.beta_xi}}
 
 

@@ -70,7 +70,7 @@ def gpd_quantile(q, p):
     """Exact inverse of :func:`gpd_cdf` for q in (0, 1)."""
     sigma, xi = _as_params(p)
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    if ((q <= 0.0) | (q >= 1.0)).any():
         raise ValueError("quantile level outside (0, 1)")
     ell = -np.log1p(-q)
     small = np.abs(xi) < XI_ZERO

@@ -22,6 +22,8 @@ from .gpd import (RegressionSpec, _design, fit_gpd_regression, gpd_cdf,
 # bounds for (sigma, xi) drawn from a fit's Gaussian approximation
 SIGMA_MIN = 1e-8
 XI_MIN, XI_MAX = -0.99, 4.99
+# draws held at once by predictive_quantiles: 32 MB of float64
+BLOCK_FLOATS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -75,22 +77,33 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
 
     Each row of ``coef`` is one draw of ``fit.coefficients``.  Its scale and
     shape at the rows of ``X`` are clipped to sigma >= 1e-8 and xi in
-    [-0.99, 4.99]; its quantile is the next item of ``thresholds`` (one
-    threshold row per draw) plus the GPD excess quantile at level ``p``.
-    The design matrices are built once; the draws are evaluated one at a
-    time.  Returns ``(draws, lower, upper)``: the (n_draws, n_rows) draws
-    and their alpha/2 and 1 - alpha/2 quantiles over draws, each (n_rows,).
+    [-0.99, 4.99]; its quantile is its threshold row plus the GPD excess
+    quantile at level ``p`` (a scalar or one level per row).
+    ``thresholds(rows)`` returns, for a slice of the rows of ``X``, one
+    threshold row per draw.  The rows are evaluated in blocks of about
+    BLOCK_FLOATS draws in all, the draws one at a time within a block, so
+    the (n_draws, n_rows) draw matrix is never held.  Returns ``(lower,
+    upper)``: the alpha/2 and 1 - alpha/2 quantiles over draws, each
+    (n_rows,).
     """
     Xs = _design(X, fit.spec.sigma_columns)
     Xx = _design(X, fit.spec.xi_columns)
-    k = Xs.shape[1]
-    draws = np.empty((len(coef), Xs.shape[0]))
-    for i, (c, u) in enumerate(zip(coef, thresholds, strict=True)):
-        sigma = np.clip(np.exp(Xs @ c[:k]), SIGMA_MIN, None)
-        xi = np.clip(Xx @ c[k:], XI_MIN, XI_MAX)
-        draws[i] = u + gpd_quantile(p, (sigma, xi))
-    lower, upper = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
-    return draws, lower, upper
+    n, k = Xs.shape
+    p = np.asarray(p, dtype=float)
+    step = max(1, BLOCK_FLOATS // len(coef))
+    out = np.empty((2, n))
+    block = np.empty((len(coef), min(step, n)))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        b = block[:, :rows.stop - start]
+        q = p if p.ndim == 0 else p[rows]
+        for i, (c, u) in enumerate(zip(coef, thresholds(rows), strict=True)):
+            sigma = np.clip(np.exp(Xs[rows] @ c[:k]), SIGMA_MIN, None)
+            xi = np.clip(Xx[rows] @ c[k:], XI_MIN, XI_MAX)
+            b[i] = u + gpd_quantile(q, (sigma, xi))
+        out[:, rows] = np.quantile(b, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0,
+                                   overwrite_input=True)
+    return out[0], out[1]
 
 
 @dataclass
@@ -203,8 +216,10 @@ def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
                 dropped[mi] += 1
                 continue
             pt = np.clip(p[keep], 1e-12, 1.0 - 1e-12)
-            _, lowers, uppers = predictive_quantiles(
-                fit2, coef, Xe[it][keep], pt, alpha, repeat(ue[it][keep], n_draws))
+            ut = ue[it][keep]
+            lowers, uppers = predictive_quantiles(
+                fit2, coef, Xe[it][keep], pt, alpha,
+                lambda rows: repeat(ut[rows], n_draws))
             yt = ye[it][keep]
             s = _interval_scores(lowers, uppers, alpha, yt)
             scores_per[mi].append(float(s.sum()))

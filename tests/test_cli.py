@@ -75,6 +75,7 @@ def test_fit_gpd_and_threshold(pot_csv, capsys):
         "--tau", "0.9",
     ])
     assert abs(doc2["result"]["below_fraction"] - 0.9) < 0.02
+    assert doc2["result"]["flags"] == []
 
 
 def test_mgpd_prob_pipeline_identity(capsys, tmp_path):
@@ -312,6 +313,17 @@ def test_task1_preset(pot_csv, capsys):
     lo, hi = np.asarray(res["lower"]), np.asarray(res["upper"])
     assert np.all(lo <= hi)
     assert np.all(np.isfinite(point))
+    assert doc["result"]["flags"] == []
+
+
+def test_task1_reports_a_capped_threshold_fit(pot_csv, capsys, monkeypatch):
+    from extremis.univariate import ald
+    monkeypatch.setattr(ald, "PIVOT_CAP", 1)
+    argv = ["--input", pot_csv, "--response", "y", "--tau", "0.9"]
+    doc = _run_json(capsys, ["task1"] + argv + ["--n-draws", "20"])
+    assert doc["result"]["flags"] == ["ald-pivot-cap"]
+    doc = _run_json(capsys, ["fit-threshold"] + argv)
+    assert doc["result"]["flags"] == ["ald-pivot-cap"]
 
 
 def test_task4_preset(capsys, tmp_path):
@@ -337,23 +349,27 @@ def test_task4_preset(capsys, tmp_path):
 
 
 # task1 and task2 results on the pot fixture, recorded before the per-draw
-# loops moved into the univariate helpers and re-recorded once when the GPD
+# loops moved into the univariate helpers, re-recorded once when the GPD
 # fits moved to analytic-derivative Newton (each fit's NLL no higher than
-# before).  The full task1 table (4000 rows) is pinned by the SHA-256 of its
-# JSON text.  Refactors must reproduce them exactly, except task2's posterior
-# mean: task2 evaluates its return levels with numpy's array power, which can
-# differ from the scalar power in the last bit, so each level may move by up
-# to about 6e-13 relative.
+# before) and once for task1 when the ALD threshold fit became the exact
+# simplex (its check loss 1.7e-10 lower; the fit's basis rows lie on the
+# threshold by rule, AldParams.fitted, so the three of them that exceeded
+# the old threshold are no longer exceedances).  The full task1
+# table (4000 rows) is pinned by the SHA-256 of its JSON text.  Refactors
+# must reproduce them exactly, except task2's posterior mean: task2
+# evaluates its return levels with numpy's array power, which can differ
+# from the scalar power in the last bit, so each level may move by up to
+# about 6e-13 relative.
 PINNED_TASK1_ROWS = {
-    "lower": [87.20557033766099, 92.41935839347084, 92.8848486114679,
-              96.44435858073992],
-    "point": [90.49388660483365, 93.96172097696395, 96.16008245556046,
-              98.04138198948725],
-    "upper": [96.14255699742068, 98.90021851368797, 101.7821288697329,
-              102.98607413154406],
+    "lower": [86.66272602641718, 92.10060304039189, 92.35022492524843,
+              96.10196233838815],
+    "point": [89.75897993982389, 93.52735588406989, 95.42517579168376,
+              97.60701689740898],
+    "upper": [95.06010967366375, 98.25988580261128, 100.68989393885114,
+              102.36569920959477],
 }
 PINNED_TASK1_TABLE_SHA256 = (
-    "5754eddc8124b94402538da4e9b0a5926375c59c13e4557df17469dc55d9c3a7")
+    "e3104cd4ae64108321ba5a48c43912d0af82b124bc599531b4736ba8ce713a49")
 PINNED_TASK2 = {
     "fixed": {"loss_minimizer": 113.58810671794502,
               "mle_return_level": 101.41210450122357, "n_draws_used": 2000,

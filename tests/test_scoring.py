@@ -152,6 +152,16 @@ def test_cv_pinned_values_are_bit_identical():
     assert got == PINNED_CV
 
 
+def _reference_draws(coef, X, p, u):
+    """The (n_draws, n_rows) draw matrix of the one-row-in-the-scale,
+    one-row-in-the-shape regression, built draw by draw."""
+    from extremis.univariate.gpd import _design
+    Xd = _design(X, (0,))
+    return np.array([u + gpd_quantile(p, (np.clip(np.exp(Xd @ c[:2]), 1e-8, None),
+                                          np.clip(Xd @ c[2:], -0.99, 4.99)))
+                     for c in coef])
+
+
 def test_predictive_quantiles_clip_each_draw():
     from itertools import repeat
 
@@ -166,20 +176,77 @@ def test_predictive_quantiles_clip_each_draw():
                      [0.3, -0.2, 0.0, 1.0]])
     u = np.array([1.0, 2.0, 3.0, 4.0])
     p = 0.9
-    draws, lower, upper = predictive_quantiles(fit, coef, X, p, 0.5,
-                                               repeat(u, len(coef)))
-    assert draws.shape == (5, 4) and lower.shape == upper.shape == (4,)
-    for c, row in zip(coef, draws):
+    lower, upper = predictive_quantiles(fit, coef, X, p, 0.5,
+                                        lambda rows: repeat(u[rows], len(coef)))
+    assert lower.shape == upper.shape == (4,)
+    # each draw on its own: both quantiles of one value are that value
+    draws = []
+    for c in coef:
+        row, row2 = predictive_quantiles(fit, c[None], X, p, 0.5,
+                                         lambda rows: [u[rows]])
+        np.testing.assert_array_equal(row, row2)
         sigma = np.maximum(np.exp(c[0] + c[1] * X[:, 0]), 1e-8)
         xi = np.clip(c[2] + c[3] * X[:, 0], -0.99, 4.99)
         np.testing.assert_allclose(row, u + gpd_quantile(p, (sigma, xi)),
                                    rtol=1e-14)
+        draws.append(row)
     np.testing.assert_array_equal(lower, np.quantile(draws, 0.25, axis=0))
     np.testing.assert_array_equal(upper, np.quantile(draws, 0.75, axis=0))
     # the estimate as a one-row draw matrix gives the point prediction
-    (point,), _, _ = predictive_quantiles(fit, fit.coefficients[None], X, p,
-                                          0.5, [0.0])
+    point, _ = predictive_quantiles(fit, fit.coefficients[None], X, p, 0.5,
+                                    lambda rows: [0.0])
     sigma, xi = fit.predict(X)
     np.testing.assert_array_equal(point, gpd_quantile(p, (sigma, xi)))
     with pytest.raises(ValueError):
-        predictive_quantiles(fit, coef, X, p, 0.5, repeat(u, 2))
+        predictive_quantiles(fit, coef, X, p, 0.5, lambda rows: repeat(u[rows], 2))
+
+
+def _predictive_input(n_rows, n_draws, seed):
+    from extremis.univariate import GpdRegression
+    rng = derive_rng(seed)
+    fit = GpdRegression(np.array([0.2, 0.5]), np.array([0.1, 0.05]),
+                        RegressionSpec((0,), (0,)), None, 0.0, 0, True)
+    X = rng.uniform(-1.0, 1.0, size=(n_rows, 1))
+    coef = fit.coefficients + 0.1 * rng.standard_normal((n_draws, 4))
+    u = rng.uniform(0.0, 5.0, size=n_rows)
+    p = rng.uniform(0.5, 0.999, size=n_rows)
+    return fit, coef, X, p, u
+
+
+def test_predictive_quantiles_blocks_match_the_draw_matrix(monkeypatch):
+    from itertools import repeat
+
+    from extremis.univariate import predictive_quantiles, scoring
+    fit, coef, X, p, u = _predictive_input(103, 40, 11)
+    draws = _reference_draws(coef, X, p, u)
+    want = np.quantile(draws, [0.1, 0.9], axis=0)
+    # 7 rows per block: 15 blocks, the last one short
+    monkeypatch.setattr(scoring, "BLOCK_FLOATS", 7 * len(coef) + 3)
+    seen = []
+
+    def thresholds(rows):
+        seen.append((rows.start, rows.stop))
+        return repeat(u[rows], len(coef))
+
+    lower, upper = predictive_quantiles(fit, coef, X, p, 0.2, thresholds)
+    assert seen == [(s, min(s + 7, 103)) for s in range(0, 103, 7)]
+    np.testing.assert_array_equal(lower, want[0])
+    np.testing.assert_array_equal(upper, want[1])
+
+
+def test_predictive_quantiles_memory_stays_in_blocks():
+    import tracemalloc
+    from itertools import repeat
+
+    from extremis.univariate import predictive_quantiles
+    n_draws, n_rows = 1000, 20_000
+    fit, coef, X, p, u = _predictive_input(n_rows, n_draws, 12)
+    tracemalloc.start()
+    try:
+        predictive_quantiles(fit, coef, X, 0.99, 0.5,
+                             lambda rows: repeat(u[rows], n_draws))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole draw matrix alone would be 160 MB
+    assert peak < 64e6
