@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, condex, mgpd, simulate, taildep, univariate, validate
-from .core import (ClampCounter, Dataset, MarginSpec, column_index, derive_rng,
-                   load_dataset, make_dataset, read_csv, transform_margin)
+from .core import (ClampCounter, CsvFormatError, Dataset, MarginSpec, column_index,
+                   derive_rng, load_dataset, make_dataset, read_csv,
+                   transform_margin)
 from .mvnt import OrthantQuery, mvn_rect, mvt_rect
 
 
@@ -800,7 +801,7 @@ def run(argv=None) -> int:
         _emit(args, args.func(args), inputs)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"extremis {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CsvFormatError) else 1
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -293,28 +294,52 @@ def column_index(names, name: str) -> int:
     return names.index(name)
 
 
+class CsvFormatError(ValueError):
+    """An input CSV that is not a header plus rectangular numeric rows."""
+
+
+# np.loadtxt options for a CSV body: a quoted field is read as csv.reader
+# reads it, and "#" is a non-numeric entry, not a comment
+_CSV_BODY = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
+
+
 def read_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a UTF-8, comma-separated, header-first numeric CSV."""
+    """Read a UTF-8, comma-separated, header-first numeric CSV.
+
+    The header goes through ``csv``, the body through one ``np.loadtxt``
+    parse; empty lines are skipped.  Only a body that parse rejects is read
+    again, line by line, to name the fault.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+            with warnings.catch_warnings():  # a body without rows is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, **_CSV_BODY)
+        except ValueError as exc:
+            raise _csv_fault(path) from exc
+    if values.shape[0] == 0:
+        raise CsvFormatError(f"{path}: no data rows")
+    if values.shape[1] != len(header):
+        raise CsvFormatError(f"{path}: ragged rows")
+    return tuple(h.strip() for h in header), values
+
+
+def _csv_fault(path) -> CsvFormatError:
+    """Why ``np.loadtxt`` rejected the body of ``path``: the first line that
+    does not parse on its own, or else rows of differing lengths."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip("\r\n"):
                 continue
             try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
-    if values.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    return tuple(h.strip() for h in header), values
+                np.loadtxt([line], **_CSV_BODY)
+            except ValueError:
+                return CsvFormatError(f"{path}:{lineno}: non-numeric entry")
+    return CsvFormatError(f"{path}: ragged rows")
 
 
 def load_dataset(path, margins) -> Dataset:

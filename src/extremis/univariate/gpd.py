@@ -94,20 +94,19 @@ def gpd_logpdf(x, p):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gpd_loglik_sum(x, sigma, xi, work=None):
+def _gpd_loglik_sum(x, sigma, xi):
     """``gpd_logpdf(x, (sigma, xi)).sum(axis=-1)``, bit for bit.
 
     The same float operations run in the same order, in place in one
     buffer, so each sum is the same pairwise sum over a contiguous row; it
     is -inf where any point is off the support.  ``x`` is an (n,) array;
     ``sigma`` and ``xi`` are scalars or broadcast against it, e.g. (k, 1)
-    for k parameter pairs at once.  ``work`` is an optional float buffer of
-    the broadcast shape, reused across calls.  Any shape inside the seam
+    for k parameter pairs at once.  Any shape inside the seam
     |xi| < XI_ZERO takes the :func:`gpd_logpdf` path.
     """
     if (np.abs(xi) < XI_ZERO).any():
         return np.sum(gpd_logpdf(x, (sigma, xi)), axis=-1)
-    out = np.empty(np.broadcast(x, sigma, xi).shape) if work is None else work
+    out = np.empty(np.broadcast(x, sigma, xi).shape)
     np.divide(x, sigma, out=out)
     np.multiply(xi, out, out=out)  # w = xi x / sigma
     # Mask to -inf only when a point is off the support (or w is NaN).

@@ -1,13 +1,14 @@
 """Binomial-GPD return levels: closed form, covariate-averaged root, profile CI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from .gpd import XI_ZERO, GpdParams, _gpd_loglik_sum, fit_gpd_mle
+from .gpd import XI_HI, XI_LO, XI_ZERO, GpdParams, fit_gpd_mle, gpd_nll_derivs
 
 
 @dataclass(frozen=True)
@@ -126,105 +127,102 @@ class ProfileInterval:
     flags: list[str] = field(default_factory=list)
 
 
-def _sigma_of(q_excess: float, xi: np.ndarray, lam: float) -> np.ndarray:
-    """Scale implied by the return-level reparametrization q = u + sigma/xi (lam^xi - 1)."""
-    xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < XI_ZERO
-    denom = np.where(small, np.log(lam), np.expm1(xi * np.log(lam)) / np.where(small, 1.0, xi))
-    return q_excess / denom
+EXPAND_STEPS = 18  # bracket search: out to 2^17 steps above, q_hat / 2^18 below
+T_SERIES = 1e-2  # |t| below which phi's Bernoulli series replaces its closed forms
 
 
-XI_GRID = np.linspace(-0.95, 3.5, 160)  # shapes the profile maximizes over
+def _phi_derivs(t: float) -> tuple[float, float]:
+    """phi'(t), phi''(t) for phi(t) = log(expm1(t) / t)."""
+    if abs(t) < T_SERIES:
+        return 0.5 + t / 12.0 - t**3 / 720.0, 1.0 / 12.0 - t * t / 240.0
+    em = -math.expm1(-t)
+    return 1.0 / em - 1.0 / t, 1.0 / (t * t) - math.exp(-t) / (em * em)
 
 
-def _profile_loglik(x: np.ndarray, q_excess: np.ndarray, lam: float) -> np.ndarray:
-    """Log likelihood at each return level in ``q_excess``, maximized over XI_GRID.
+def _profile_terms(x: np.ndarray, q: float, log_lam: float, xi: float):
+    """(dF/dxi, d2F/dxi2, F, dF/dq at fixed xi) for F the GPD NLL of ``x`` at
+    return-level excess q = sigma/xi (lam^xi - 1), i.e. at eta = log sigma =
+    log q - log log lam - phi(xi log lam), chaining :func:`gpd_nll_derivs`'s
+    (eta, xi) derivatives; F is +inf and the rest NaN off the support."""
+    t = xi * log_lam
+    d1, d2 = _phi_derivs(t)
+    eta_x, eta_xx = -log_lam * d1, -log_lam * log_lam * d2
+    eta = math.log(q / log_lam * (t / math.expm1(t) if t else 1.0))
+    nll, score, info = gpd_nll_derivs(x, eta, xi)
+    (fe, fx), (fee, fex, fxx) = score.sum(axis=1), info.sum(axis=1)
+    return (fe * eta_x + fx, (fee * eta_x + 2.0 * fex) * eta_x + fxx + fe * eta_xx,
+            nll, fe / q)
 
-    One q row at a time: the (160, n) block of (sigma(q, xi), xi) pairs
-    goes through the likelihood kernel in one reused buffer.
-    """
-    sig = _sigma_of(q_excess[:, None], XI_GRID[None, :], lam)
-    ll = np.empty(sig.shape)
-    work = np.empty((XI_GRID.size, x.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, s in enumerate(sig):
-            ll[i] = _gpd_loglik_sum(x, s[:, None], XI_GRID[:, None], work)
-    return np.where(sig > 0.0, ll, -np.inf).max(axis=1)
+
+def _newton_in_bracket(fun, a: float, b: float, x: float, xtol: float):
+    """Root of ``fun`` in (a, b), where fun < 0 left of it (or NaN) and > 0
+    right of it, by Newton steps from ``x`` that bisect the shrinking bracket
+    when they would leave it.  ``fun`` returns (value, slope, *rest); gives
+    the root once a step is within ``xtol``, and ``rest`` at the last x."""
+    for _ in range(200):
+        g, dg, *rest = fun(x)
+        a, b = (a, x) if g > 0.0 else (x, b)
+        nxt = x - g / dg if dg > 0.0 else math.nan
+        if not a <= nxt <= b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - x) <= xtol:
+            return nxt, rest
+        x = nxt
+    raise RuntimeError("profile likelihood root search did not converge")
 
 
 def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
-                            level: float = 0.95, u: float = 0.0,
-                            grid_size: int = 400) -> ProfileInterval:
+                            level: float = 0.95, u: float = 0.0) -> ProfileInterval:
     """Profile-likelihood confidence interval for the T-year return level.
 
-    The GPD likelihood is reparametrized in (q, xi) with q the return level;
-    xi is profiled out on a grid of q spanning the MLE +/- 8 standard
-    errors (expanded adaptively), and the interval is the set where the
-    deviance drop stays within the chi-square(1) cutoff.  A side whose
-    cutoff is never bracketed is reported unbounded and flagged.
-
-    Each grid pass costs O(grid_size * 160 * n) time for n exceedances and
-    a 160-point xi grid, in O(160 * n) memory.
+    Its exact ends are the roots of dev(q) = chi2_1(level) / 2, dev the drop
+    of the profile log likelihood in the return-level excess q from the MLE
+    (Venzon & Moolgavkar 1988; Coles 2001, 4.3.3).  A profile point is a
+    bracketed Newton over xi in the MLE's box (XI_LO, XI_HI), cut below by
+    the support; each end is bracketed by steps doubling from the
+    delta-method SE, then solved by bracketed Newton on the envelope slope
+    dF/dq.  Cost per end: about ten profile points of a few O(n) passes
+    each, for n exceedances.  An end not bracketed within 2^17 steps above,
+    or above q_hat / 2^18 below, is flagged ``profile-flat`` and
+    ``upper-unbounded`` (the end is +inf) or ``lower-unbounded`` (the end
+    is the threshold ``u``).
     """
     x = np.asarray(exceedances, dtype=float).ravel()
     fit = fit_gpd_mle(x)
     lam = Ny * T * zeta_u
     sigma_hat, xi_hat = fit.params.sigma, fit.params.xi
     q_hat = gpd_return_level(0.0, sigma_hat, xi_hat, lam)
-    loglik_hat = fit.loglik
+    log_lam = math.log(lam)
     cutoff = 0.5 * chi2.ppf(level, df=1)
+    # first step: the delta-method SE, floored for a shape on its bound
+    grad = np.array([q_hat / sigma_hat, q_hat * log_lam * _phi_derivs(xi_hat * log_lam)[0]])
+    var = grad @ fit.cov @ grad if fit.cov is not None else 0.0
+    step = max(math.sqrt(var) if var > 0.0 else 0.25 * q_hat, 1e-3 * q_hat)
+    warm = [xi_hat]  # the shape maximizing the last profile point
 
-    # delta-method SE of q to set the initial grid span
-    if fit.cov is not None:
-        eps = 1e-6
-        g = np.array([(gpd_return_level(0.0, sigma_hat + a, xi_hat + b, lam)
-                       - gpd_return_level(0.0, sigma_hat - a, xi_hat - b, lam))
-                      / (2 * eps) for a, b in ((eps, 0.0), (0.0, eps))])
-        se_q = float(np.sqrt(max(g @ fit.cov @ g, 1e-12)))
-    else:
-        se_q = 0.25 * q_hat
+    def over_cutoff(q: float) -> tuple[float, float]:  # dev(q) - cutoff, slope
+        # a shape whose endpoint falls below max(x) gives NaN, left of the
+        # optimum, so the first one met cuts the bracket at the support
+        warm[0], (nll, slope) = _newton_in_bracket(
+            lambda xi: _profile_terms(x, q, log_lam, xi), XI_LO, XI_HI, warm[0], 1e-10)
+        return fit.loglik + nll - cutoff, slope
 
-    span = 8.0 * se_q
     flags: list[str] = []
-    first = last = None
-    for _ in range(8):
-        lo_q = max(q_hat - span, 1e-9)
-        qs = np.linspace(lo_q, q_hat + span, grid_size)
-        dev = loglik_hat - _profile_loglik(x, qs, lam)
-        inside = dev <= cutoff + 1e-9
-        if not inside.any():
-            span *= 2.0
-            continue
-        first = int(np.argmax(inside))
-        last = int(len(qs) - 1 - np.argmax(inside[::-1]))
-        hit_lower_floor = first == 0 and lo_q <= 1e-8
-        need_expand = (first == 0 and not hit_lower_floor) or last == len(qs) - 1
-        if not need_expand:
-            break
-        if span > 1e5 * max(se_q, 1.0):
-            flags.append("profile-flat")
-            break
-        span *= 2.0
-    if first is None:
-        raise RuntimeError("profile likelihood never reached the cutoff")
-    lower = _cross(qs, dev, cutoff, first, -1)
-    upper = _cross(qs, dev, cutoff, last, +1)
-    if first == 0 and "profile-flat" in flags:
-        flags.append("lower-unbounded")
-    if last == len(qs) - 1 and "profile-flat" in flags:
-        upper = np.inf
-        flags.append("upper-unbounded")
+
+    def end(side: int) -> float:
+        inside = q_hat
+        for k in range(EXPAND_STEPS):
+            q = q_hat + side * step * 2.0 ** k
+            if side < 0:
+                q = max(q, q_hat * 2.0 ** -(k + 1))  # halve toward the threshold
+            if over_cutoff(q)[0] > 0.0:  # rising away from the MLE on either side
+                return _newton_in_bracket(lambda s: [side * v for v in over_cutoff(s)],
+                                          *sorted((inside, q)), q, 1e-12 * q_hat)[0]
+            inside = q
+        flags.append("upper-unbounded" if side > 0 else "lower-unbounded")
+        return np.inf if side > 0 else 0.0
+
+    lower, upper = end(-1), end(+1)
+    if flags:
+        flags.insert(0, "profile-flat")
     return ProfileInterval(u + lower, u + upper, level, u + q_hat, flags)
-
-
-def _cross(qs: np.ndarray, dev: np.ndarray, cutoff: float, idx: int, direction: int) -> float:
-    """Linear interpolation of the deviance/cutoff crossing next to ``idx``."""
-    j = idx - 1 if direction < 0 else idx + 1
-    if j < 0 or j >= len(qs) or not np.isfinite(dev[j]):
-        return float(qs[idx])
-    d0, d1 = dev[idx], dev[j]
-    if not np.isfinite(d0) or d1 == d0:
-        return float(qs[idx])
-    w = (cutoff - d0) / (d1 - d0)
-    w = float(np.clip(w, 0.0, 1.0))
-    return float(qs[idx] + w * (qs[j] - qs[idx]))

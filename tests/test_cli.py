@@ -136,6 +136,17 @@ def test_cli_usage_and_computation_errors(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def test_malformed_csv_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("y,x\n1.0,2.0\n3.0\n", encoding="utf-8")
+    code = run(["return-level", "--input", str(bad), "--response", "y",
+                "--T", "200", "--ny", "300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"extremis return-level: error: {bad}: ragged rows\n"
+
+
 def test_unknown_margins_column_is_a_computation_error(gumbel3_csv, capsys):
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "zz=gumbel"])
     captured = capsys.readouterr()

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremis.core import (ClampCounter, Dataset, MarginSpec, _empirical_knots,
-                           derive_rng, empirical_cdf, load_dataset,
-                           rank_transform, transform_margin)
+from extremis import core
+from extremis.core import (ClampCounter, CsvFormatError, Dataset, MarginSpec,
+                           _empirical_knots, derive_rng, empirical_cdf,
+                           load_dataset, rank_transform, read_csv,
+                           transform_margin)
 
 PARAMETRIC = ["gumbel", "exponential", "laplace", "frechet", "pareto", "uniform"]
 
@@ -105,6 +107,43 @@ def test_dataset_validation_and_immutability(tmp_path):
     ds2 = load_dataset(p, ["uniform", "pareto"])
     assert ds2.names == ("a", "b")
     np.testing.assert_allclose(ds2.values, vals)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "{p}: empty file"),
+    ("a,b\n", "{p}: no data rows"),
+    ("a,b\n\n\r\n", "{p}: no data rows"),
+    ("a,b\n1,2\nx,3\n", "{p}:3: non-numeric entry"),
+    ("a,b\n1,2\n\n3,#\n", "{p}:4: non-numeric entry"),
+    ("a,b\n1,2\n3,\n", "{p}:3: non-numeric entry"),
+    ("a,b\n1,2\n3\n", "{p}: ragged rows"),
+    ("a,b\n1,2\n3,4,5\n", "{p}: ragged rows"),
+    ("a,b\n1\n2\n", "{p}: ragged rows"),
+    ("a,b\n1,2,3\n4,5,6\n", "{p}: ragged rows"),
+    ("a,b\n1\n2,x\n", "{p}:3: non-numeric entry"),
+])
+def test_read_csv_names_each_fault(tmp_path, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(CsvFormatError) as err:
+        read_csv(p)
+    assert str(err.value) == message.format(p=p)
+
+
+def test_read_csv_parses_once_and_exactly(tmp_path, monkeypatch):
+    # the line-by-line diagnosis runs only when the one body parse fails
+    monkeypatch.setattr(core, "_csv_fault", lambda path: pytest.fail("diagnosed"))
+    rng = derive_rng(3)
+    vals = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+    vals[0] = [5e-324, -0.0, 1e308]
+    rows = [",".join(repr(float(v)) for v in row) for row in vals[1:]]
+    p = tmp_path / "t.csv"
+    # a quoted field, padding, CRLF line ends and blank lines
+    p.write_text(' a ,b,"c"\r\n\r\n"5e-324", -0.0 ,1e308\r\n' + "\r\n".join(rows)
+                 + "\r\n\r\n", encoding="utf-8", newline="")
+    names, got = read_csv(p)
+    assert names == ("a", "b", "c")
+    assert np.array_equal(got.view(np.uint64), vals.view(np.uint64))
 
 
 def test_dataset_to_uniform_round_trip():
