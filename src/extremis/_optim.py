@@ -69,6 +69,10 @@ def minimize_nll(nll, x0, bounds=None, derivs=None,
     return np.asarray(x, dtype=float), float(val), bool(ok)
 
 
+class _NonFiniteStep(Exception):
+    """trust-krylov proposed a point with a NaN or infinite coordinate."""
+
+
 def _trust_newton(nll, x0, derivs):
     """(x, value, converged) of a trust-krylov run from a finite start.
 
@@ -78,29 +82,40 @@ def _trust_newton(nll, x0, derivs):
     model predicted no improvement (scipy's status 2, which happens once
     the predicted decrease drops below the float resolution of ``nll``)
     where the Hessian is positive definite and the Newton decrement is
-    below NEWTON_DECREMENT.
+    below NEWTON_DECREMENT.  The subproblem solver can return a NaN step
+    near such a point (with its RuntimeWarning, silenced here); the run
+    then stops at its last iterate, which is judged as a status-2 stop.
     """
     if not np.isfinite(nll(x0)):
         return x0, np.inf, False
     last = [None, None]
+    current = [x0]
 
     def at(x):
+        if not np.isfinite(x).all():
+            raise _NonFiniteStep
         if last[0] is None or not np.array_equal(last[0], x):
             last[0], last[1] = np.array(x), derivs(x)
         return last[1]
 
     try:
-        res = minimize(nll, x0, method="trust-krylov",
-                       jac=lambda x: at(x)[0], hess=lambda x: at(x)[1],
-                       options={"gtol": NEWTON_GTOL, "maxiter": NEWTON_ITER})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = minimize(nll, x0, method="trust-krylov",
+                           jac=lambda x: at(x)[0], hess=lambda x: at(x)[1],
+                           callback=lambda xk: current.__setitem__(0, np.array(xk)),
+                           options={"gtol": NEWTON_GTOL, "maxiter": NEWTON_ITER})
+        x, val, status = np.asarray(res.x, dtype=float), float(res.fun), res.status
+    except _NonFiniteStep:
+        x, status = current[0], 2
+        val = float(nll(x))
     except (ValueError, FloatingPointError, np.linalg.LinAlgError):
         return x0, np.inf, False
-    x, val = np.asarray(res.x, dtype=float), float(res.fun)
     if not np.isfinite(val):
         return x, val, False
     grad, hess = at(x)
-    ok = bool(np.isfinite(grad).all()) and res.status in (0, 2)
-    if ok and res.status == 2:
+    ok = bool(np.isfinite(grad).all()) and status in (0, 2)
+    if ok and status == 2:
         try:
             step = np.linalg.solve(np.linalg.cholesky(hess), grad)
             ok = bool(step @ step <= NEWTON_DECREMENT * max(1.0, abs(val)))

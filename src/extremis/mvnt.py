@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
-from scipy.stats import t as _tdist
+from scipy.special import gammaincinv, ndtr, ndtri, stdtr
 
 from .core import derive_rng
 
@@ -161,7 +160,7 @@ def _rect(q: OrthantQuery, n_points: int, seed: int):
     hi = q.upper - q.mu
     if q.dim == 1:
         sd = np.sqrt(max(q.sigma[0, 0], _JITTER))
-        cdf = _phi if q.df is None else (lambda x: _tdist.cdf(x, df=q.df))
+        cdf = _phi if q.df is None else (lambda x: stdtr(q.df, x))
         return float(cdf(hi[0] / sd) - cdf(lo[0] / sd)), 0.0
     L, a, b = _permuted_cholesky(q.sigma.copy(), lo.copy(), hi.copy())
     return _sov_batches(L, a, b, n_points, seed, df=q.df)

@@ -133,19 +133,24 @@ W_SERIES = 0.1
 _K = np.arange(20.0)
 _G1_SERIES = (-1.0) ** _K * (_K + 1.0) / (_K + 2.0)
 _G2_SERIES = (-1.0) ** _K * (_K + 1.0) * (_K + 2.0) / (_K + 3.0)
+_polyval = np.polynomial.polynomial.polyval
 
 
 def _g1_g2(w):
+    """g1(w) and g2(w): each point's series or closed form, never both."""
     series = np.abs(w) < W_SERIES
-    ws = np.where(series, w, 0.0)
-    g1 = np.polynomial.polynomial.polyval(ws, _G1_SERIES)
-    g2 = np.polynomial.polynomial.polyval(ws, _G2_SERIES)
-    if not series.all():
-        wd = np.where(series, 1.0, w)
-        inv = 1.0 / (1.0 + wd)
-        g1d = (np.log1p(wd) / wd - inv) / wd
-        g1 = np.where(series, g1, g1d)
-        g2 = np.where(series, g2, (2.0 * g1d - inv * inv) / wd)
+    if series.all():
+        return _polyval(w, _G1_SERIES), _polyval(w, _G2_SERIES)
+    g1, g2 = np.empty(w.shape), np.empty(w.shape)
+    ws = w[series]
+    g1[series] = _polyval(ws, _G1_SERIES)
+    g2[series] = _polyval(ws, _G2_SERIES)
+    closed = ~series
+    wd = w[closed]
+    inv = 1.0 / (1.0 + wd)
+    g1d = (np.log1p(wd) / wd - inv) / wd
+    g1[closed] = g1d
+    g2[closed] = (2.0 * g1d - inv * inv) / wd
     return g1, g2
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .gpd import XI_HI, XI_LO, XI_ZERO, GpdParams, fit_gpd_mle, gpd_nll_derivs
 
@@ -193,7 +193,7 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
     sigma_hat, xi_hat = fit.params.sigma, fit.params.xi
     q_hat = gpd_return_level(0.0, sigma_hat, xi_hat, lam)
     log_lam = math.log(lam)
-    cutoff = 0.5 * chi2.ppf(level, df=1)
+    cutoff = gammaincinv(0.5, level)  # chi2_1(level) / 2
     # first step: the delta-method SE, floored for a shape on its bound
     grad = np.array([q_hat / sigma_hat, q_hat * log_lam * _phi_derivs(xi_hat * log_lam)[0]])
     var = grad @ fit.cov @ grad if fit.cov is not None else 0.0

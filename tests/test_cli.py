@@ -2,11 +2,14 @@ import argparse
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extremis
 from extremis.cli import build_parser, run
 from extremis.core import MarginSpec, derive_rng
 from extremis.mgpd import Logistic, exponent_measure_v, xi_measure
@@ -989,3 +992,36 @@ PARSER_PIN = {
         {'func': 'cmd_task4'},
     ],
 }
+
+
+# In a fresh interpreter: the CLI import, then one call through each site
+# that once went through scipy.stats (the 1-D Student rectangle, the
+# chi-square p-value of the exchangeability test, the profile cutoff).
+_IMPORT_GRAPH_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import extremis.cli
+loaded = ["import", "scipy.stats" in sys.modules]
+from extremis.core import derive_rng
+from extremis.mvnt import OrthantQuery, mvt_rect
+from extremis.univariate import GpdParams, gpd_quantile, profile_return_level_ci
+from extremis.validate import ClusterSpec, exch_test
+mvt_rect(OrthantQuery([-1.0], [2.0], [0.0], [[1.0]], df=3.0))
+loaded += ["mvt_rect", "scipy.stats" in sys.modules]
+exch_test(derive_rng(1).standard_normal((60, 3)), ClusterSpec([[0, 1], [2]]), n_mc=1000)
+loaded += ["exch_test", "scipy.stats" in sys.modules]
+x = gpd_quantile(derive_rng(2).uniform(size=50), GpdParams(1.0, 0.1))
+profile_return_level_ci(x, 0.1, 10.0, 100.0)
+loaded += ["profile_return_level_ci", "scipy.stats" in sys.modules]
+print(loaded)
+"""
+
+
+def test_cli_import_graph_has_no_scipy_stats():
+    # scipy.stats costs about 0.65 s and 170 modules of CLI start-up; the
+    # library uses only the scipy.special kernels it wraps
+    src = str(Path(extremis.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == str(["import", False, "mvt_rect", False, "exch_test",
+                                        False, "profile_return_level_ci", False])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from extremis.core import derive_rng
 from extremis.univariate import (GpdParams, RegressionSpec, exceedance_fraction,
                                  fit_gpd_mle, fit_gpd_regression, gpd, gpd_cdf,
                                  gpd_logpdf, gpd_quantile)
-from extremis.univariate.gpd import XI_ZERO, _gpd_loglik_sum, gpd_nll_derivs
+from extremis.univariate.gpd import (W_SERIES, XI_ZERO, _G1_SERIES, _G2_SERIES, _g1_g2,
+                                    _gpd_loglik_sum, gpd_nll_derivs)
 
 
 def test_cdf_exponential_case():
@@ -365,3 +368,95 @@ def test_failed_newton_run_falls_back_and_flags(monkeypatch, failure):
     np.testing.assert_allclose(got.coefficients, want.coefficients, atol=1e-4)
     if failure == "iteration-budget":
         assert got.cov is not None
+
+
+def _g1_g2_both_forms(w):
+    """Both series at every point and the closed forms off the series band,
+    then a pick per point: the form ``_g1_g2`` splits."""
+    series = np.abs(w) < W_SERIES
+    ws = np.where(series, w, 0.0)
+    g1 = np.polynomial.polynomial.polyval(ws, _G1_SERIES)
+    g2 = np.polynomial.polynomial.polyval(ws, _G2_SERIES)
+    if not series.all():
+        wd = np.where(series, 1.0, w)
+        inv = 1.0 / (1.0 + wd)
+        g1d = (np.log1p(wd) / wd - inv) / wd
+        g1 = np.where(series, g1, g1d)
+        g2 = np.where(series, g2, (2.0 * g1d - inv * inv) / wd)
+    return g1, g2
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        np.testing.assert_array_equal(np.asarray(a).view(np.uint64),
+                                      np.asarray(b).view(np.uint64))
+
+
+def test_g1_g2_split_is_bit_identical_to_both_forms():
+    edge = np.nextafter(W_SERIES, 0.0)
+    points = np.array([0.0, -0.0, 1e-300, -1e-300, W_SERIES, -W_SERIES, edge, -edge,
+                       -0.99, 1e6])
+    rng = derive_rng(53)
+    cases = [points, points[:4], points[4:], np.asarray(0.05), np.asarray(3.0),
+             rng.uniform(-0.99, 3.0, 5000), rng.uniform(-0.1, 0.1, 500),
+             rng.uniform(-0.99, 3.0, (7, 40))]
+    for w in cases:
+        _same_bits(_g1_g2(w), _g1_g2_both_forms(w))
+
+
+def _nan_steps_from(monkeypatch, first):
+    """Counts trust-krylov subproblem solves; solve ``first`` and every one
+    after it returns a NaN step with the RuntimeWarning scipy's trlib
+    solver gives when it does so near a converged point."""
+    from scipy.optimize import _trustregion_krylov as krylov
+    real = krylov.get_trlib_quadratic_subproblem
+    solves = [0]
+
+    def factory(**kwargs):
+        make = real(**kwargs)
+
+        def subproblem(x, *args):
+            m = make(x, *args)
+            solve = m.solve
+
+            def counted(radius):
+                solves[0] += 1
+                if first is not None and solves[0] >= first:
+                    warnings.warn("invalid value encountered in multiply", RuntimeWarning)
+                    return np.full(np.shape(x), np.nan), False
+                return solve(radius)
+
+            m.solve = counted
+            return m
+        return subproblem
+
+    monkeypatch.setattr(krylov, "get_trlib_quadratic_subproblem", factory)
+    return solves
+
+
+def test_newton_run_ends_at_its_last_iterate_on_a_nan_step(monkeypatch):
+    # on this sample the run stops with scipy's status 2 at a converged
+    # point, but trlib returns a NaN step there instead in some processes;
+    # either way the fit must be the same, and nothing reaches stderr
+    x = gpd_quantile(derive_rng(28).uniform(size=8), GpdParams(1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solves = _nan_steps_from(monkeypatch, None)
+        want = fit_gpd_mle(x)
+        _nan_steps_from(monkeypatch, solves[0])
+        got = fit_gpd_mle(x)
+    assert want.flags == [] and got.flags == []
+    assert (got.params, got.loglik) == (want.params, want.loglik)
+    np.testing.assert_array_equal(got.cov, want.cov)
+
+
+def test_nan_step_far_from_the_optimum_falls_back_and_flags(monkeypatch):
+    x = gpd_quantile(derive_rng(28).uniform(size=8), GpdParams(1.0, 2.0))
+    want = fit_gpd_mle(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _nan_steps_from(monkeypatch, 2)
+        got = fit_gpd_mle(x)
+    assert got.flags == ["newton-fallback"]
+    assert got.loglik == pytest.approx(want.loglik, rel=1e-9)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import norm, t as tdist
 
+from extremis.core import derive_rng
 from extremis.mvnt import OrthantQuery, mvn_cdf, mvn_rect, mvt_cdf, mvt_rect
 
 INF = np.inf
@@ -36,6 +38,22 @@ def test_one_dimensional_exact():
     qt = OrthantQuery([-1.0], [2.0], [0.0], [[1.0]], df=3.0)
     pt, _ = mvt_rect(qt)
     assert pt == pytest.approx(tdist.cdf(2.0, 3) - tdist.cdf(-1.0, 3), rel=1e-9)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 3.0, 7.5, 30.0, 1e6])
+def test_student_cdf_kernel_is_scipy_t_cdf_bitwise(df):
+    # the 1-D Student rectangle calls the ufunc scipy.stats.t.cdf wraps
+    x = np.concatenate([derive_rng(41).standard_normal(2000) * 10.0,
+                        [-np.inf, -0.0, 0.0, np.inf, np.nan, 1e-300, -1e300]])
+    np.testing.assert_array_equal(_bits(stdtr(df, x)), _bits(tdist.cdf(x, df)))
+    lo, hi = x[:200:2], x[1:200:2]
+    for a, b in zip(lo, hi):
+        got, se = mvt_rect(OrthantQuery([min(a, b)], [max(a, b)], [0.0], [[1.0]], df=df))
+        assert got == tdist.cdf(max(a, b), df) - tdist.cdf(min(a, b), df) and se == 0.0
 
 
 def test_against_scipy_mvn():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincinv
 from scipy.stats import chi2
 
 from extremis.core import derive_rng
@@ -120,6 +121,15 @@ def test_pinned_values_are_bit_identical():
     x = gpd_quantile(rng.uniform(size=400), GpdParams(2.0, 0.15))
     ci = profile_return_level_ci(x, 0.1, 50.0, 100.0, u=3.0)
     assert (ci.lower, ci.upper, ci.estimate, ci.flags) == PINNED_PROFILE
+
+
+def test_profile_cutoff_is_half_the_scipy_chi2_quantile_bitwise():
+    # chi2.ppf(p, 1) is 2 gammaincinv(1/2, p), so halving it is exact
+    level = np.concatenate([derive_rng(47).uniform(size=2000),
+                            [0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0, -0.0, 1e-300,
+                             np.nextafter(1.0, 0.0), np.nan]])
+    np.testing.assert_array_equal(gammaincinv(0.5, level).view(np.uint64),
+                                  (0.5 * chi2.ppf(level, df=1)).view(np.uint64))
 
 
 def test_array_closed_form_matches_scalar_form():

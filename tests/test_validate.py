@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import kendalltau
+from scipy.special import chdtrc
+from scipy.stats import chi2, kendalltau
 
 from extremis.core import derive_rng
 from extremis.mgpd import Logistic
@@ -121,6 +122,35 @@ def test_exch_test_mc_chi2_agreement():
     Y = block_gauss(2000, blocks, 0.45, 0.05, rng)
     res = exch_test(Y, ClusterSpec(blocks), n_mc=4000, seed=4)
     assert abs(res.p_e - res.p_e_chi2) < 0.02
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 12, 40, 1770])
+def test_chi2_kernel_is_scipy_chi2_sf_bitwise(df):
+    # exch_test's p-value calls the ufunc scipy.stats.chi2.sf wraps
+    x = np.concatenate([derive_rng(43).exponential(size=2000) * 2.0 * df,
+                        [0.0, -0.0, np.inf, np.nan, 1e-300, 1e300]])
+    np.testing.assert_array_equal(chdtrc(df, x).view(np.uint64),
+                                  chi2.sf(x, df).view(np.uint64))
+
+
+def test_exch_test_chi2_p_value_is_scipy_chi2_sf():
+    rng = derive_rng(13)
+    blocks = ((0, 1, 2), (3, 4, 5))
+    res = exch_test(block_gauss(400, blocks, 0.45, 0.05, rng), ClusterSpec(blocks),
+                    n_mc=1000, seed=4)
+    assert res.df == 12 and res.p_e_chi2 == chi2.sf(res.e_n ** 2, res.df)
+
+
+def test_exch_test_chi2_p_value_is_nan_without_degrees_of_freedom():
+    # two columns: one pair and one class, so p - L = 0 and the projected
+    # statistic is exactly 0.  chi2.sf is NaN there; its kernel chdtrc(0, x)
+    # is NaN only at x = 0 and 0 for any x > 0, which would read as a
+    # rejection at every level, so the test keeps NaN by its own guard
+    Y = block_gauss(300, ((0, 1),), 0.5, 0.0, derive_rng(17))
+    for blocks in ([[0, 1]], [[0], [1]]):
+        res = exch_test(Y, ClusterSpec(blocks), n_mc=1000, seed=5)
+        assert res.df == 0 and res.e_n == 0.0 and np.isnan(res.p_e_chi2)
+    assert np.isnan(chi2.sf(1e-12, 0)) and chdtrc(0, 1e-12) == 0.0
 
 
 def test_subset_chi_cv_pinned_model_scores_zero():
