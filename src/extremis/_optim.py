@@ -1,127 +1,107 @@
-"""Shared optimization helpers: trust-region Newton with analytic derivatives,
-a derivative-free fallback, numeric Hessian.
-
-The GPD and conditional-extremes fits pass analytic derivatives and take
-their covariance from the analytic information; the derivative-free path
-finishes a Newton run that fails, and serves the tests as a reference.
-``numeric_hessian`` serves the one-parameter ``mgpd`` fits, and
-``numeric_gradient`` the tests."""
+"""Shared optimization helpers: a projected trust-region Newton on analytic
+derivatives for the GPD and conditional-extremes fits, the covariance from
+an observed information, and the numeric Hessian of the ``mgpd`` fits."""
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.optimize import minimize
 
-ITER_BUDGET = 10_000
-NEWTON_GTOL = 1e-8  # gradient norm at which the Newton run stops
+NEWTON_GTOL = 1e-8  # free-gradient norm at which the Newton run stops
 NEWTON_ITER = 200
 # Newton decrement g' H^-1 g (about twice the distance to the minimum),
-# relative to max(1, |nll|), below which a run that stopped because its
-# model predicted no float-resolvable improvement counts as converged
+# relative to max(1, |nll|), below which a run whose model predicts no
+# float-resolvable improvement counts as converged
 NEWTON_DECREMENT = 1e-12
+_EPS = np.finfo(float).eps
 
 
-def minimize_nll(nll, x0, bounds=None, derivs=None,
-                 flags: list[str] | None = None):
-    """Minimize a negative log likelihood.
+def minimize_nll(nll, x0, derivs, bounds=None):
+    """Minimize a negative log likelihood by projected trust-region Newton.
 
-    ``nll`` may return +inf outside its domain.  Returns (x, value,
-    converged).
+    ``nll`` may return +inf outside its domain; ``derivs`` maps x to the
+    gradient and Hessian of ``nll``; ``bounds`` lists (low, high) pairs,
+    None for an open side.  Returns (x, value, converged).
 
-    With ``derivs``, a callable x -> (gradient, Hessian) of ``nll``, a
-    trust-region Newton run (scipy's ``trust-krylov``) starts at ``x0``; a
-    trial point where ``nll`` is +inf only shrinks the trust region.  If
-    that run fails to converge to a finite value, the derivative-free path
-    below continues from its best point and ``"newton-fallback"`` is
-    appended to ``flags``.
-
-    Without ``derivs``: Nelder-Mead, then an L-BFGS-B polish within
-    ``bounds``.  Derivative-free refinement first avoids hand-coded
-    gradients near non-smooth regions; the polish sharpens the optimum when
-    the surface is smooth there.
+    Each iteration holds the coordinates that sit on a bound with the
+    gradient pointing out of the box (Bertsekas 1982), solves a
+    trust-region subproblem exactly in the others (:func:`_trust_step`),
+    and clips the trial point into the box; the predicted decrease is that
+    of the clipped step.  A trial point where ``nll`` is +inf or ``derivs``
+    is not finite only shrinks the region.  The run converged when the free
+    gradient norm is at most NEWTON_GTOL, or when the model predicts no
+    float-resolvable decrease where the free Hessian is positive definite
+    and the Newton decrement is at most NEWTON_DECREMENT max(1, |nll|).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if derivs is not None:
-        x, val, ok = _trust_newton(nll, x0, derivs)
-        if ok:
-            return x, val, True
-        if flags is not None:
-            flags.append("newton-fallback")
-        if np.isfinite(val):
-            x0 = x
-    res = minimize(nll, x0, method="Nelder-Mead",
-                   options={"maxiter": ITER_BUDGET, "xatol": 1e-8,
-                            "fatol": 1e-10, "maxfev": 2 * ITER_BUDGET})
-    x, val, ok = res.x, res.fun, res.success
-    try:
-        with warnings.catch_warnings():
-            # infinite nll values outside the domain trip the
-            # finite-difference gradient; the polish copes
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res2 = minimize(nll, x, method="L-BFGS-B", bounds=bounds,
-                            options={"maxiter": 1000})
-        if np.isfinite(res2.fun) and res2.fun <= val:
-            x, val = res2.x, res2.fun
-            ok = ok or res2.success
-    except (ValueError, FloatingPointError):
-        pass
-    return np.asarray(x, dtype=float), float(val), bool(ok)
+    k = np.size(x0)
+    lo, hi = np.array([(-np.inf if low is None else low, np.inf if high is None else high)
+                       for low, high in bounds or [(None, None)] * k], dtype=float).T
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f = nll(x)
+    g, hess = derivs(x) if np.isfinite(f) else (np.nan, np.nan)
+    radius = 1.0
+    for _ in range(NEWTON_ITER):
+        if not (np.isfinite(g).all() and np.isfinite(hess).all()):
+            break
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        g_free = g[free]
+        if np.linalg.norm(g_free) <= NEWTON_GTOL:
+            return x, float(f), True
+        w, V = np.linalg.eigh(hess[np.ix_(free, free)])
+        a = V.T @ g_free
+        step = np.zeros(k)
+        step[free] = V @ _trust_step(a, w, radius)
+        s = np.clip(x + step, lo, hi) - x
+        predicted = -(g @ s + 0.5 * s @ hess @ s)
+        scale = max(1.0, abs(f))
+        if predicted <= _EPS * scale:
+            if w[0] > 0.0 and a @ (a / w) <= NEWTON_DECREMENT * scale:
+                # converged; the last step, whose gain nll cannot resolve,
+                # still moves x nearer the optimum
+                f_new = nll(x + s)
+                return (x + s, float(f_new), True) if f_new <= f else (x, float(f), True)
+            radius *= 0.25
+            continue
+        f_new = nll(x + s)
+        if np.isfinite(f_new) and f - f_new > 0.15 * predicted:
+            g_new, hess_new = derivs(x + s)
+            if np.isfinite(g_new).all() and np.isfinite(hess_new).all():
+                if f - f_new > 0.75 * predicted and np.linalg.norm(step) > 0.99 * radius:
+                    radius *= 2.0
+                x, f, g, hess = x + s, f_new, g_new, hess_new
+                continue
+        radius *= 0.25
+    return x, float(f), False
 
 
-class _NonFiniteStep(Exception):
-    """trust-krylov proposed a point with a NaN or infinite coordinate."""
+def _trust_step(a, w, radius):
+    """argmin of a'p + p' diag(|w|) p / 2 over |p| <= radius, in the
+    Hessian's eigenbasis with eigenvalues ``w``.
 
-
-def _trust_newton(nll, x0, derivs):
-    """(x, value, converged) of a trust-krylov run from a finite start.
-
-    The gradient and Hessian at one point come from one ``derivs`` call.
-    The run converged when it ends at a finite value with a finite
-    gradient, and either met NEWTON_GTOL or stopped because its quadratic
-    model predicted no improvement (scipy's status 2, which happens once
-    the predicted decrease drops below the float resolution of ``nll``)
-    where the Hessian is positive definite and the Newton decrement is
-    below NEWTON_DECREMENT.  The subproblem solver can return a NaN step
-    near such a point (with its RuntimeWarning, silenced here); the run
-    then stops at its last iterate, which is judged as a status-2 stop.
+    Taking |w| (Greenstadt 1967) makes the model convex, so a direction of
+    negative curvature gets a Newton-sized descent step rather than one to
+    the edge of the region, which on the HT likelihoods can carry the run
+    into a worse local optimum.  p(lam) = -a / (|w| + lam), with lam = 0
+    for an interior minimum and otherwise the root of 1/|p(lam)| = 1/radius
+    in (0, |a| / radius], by Newton steps safeguarded by bisection (Moré &
+    Sorensen 1983).
     """
-    if not np.isfinite(nll(x0)):
-        return x0, np.inf, False
-    last = [None, None]
-    current = [x0]
-
-    def at(x):
-        if not np.isfinite(x).all():
-            raise _NonFiniteStep
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[0], last[1] = np.array(x), derivs(x)
-        return last[1]
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(nll, x0, method="trust-krylov",
-                           jac=lambda x: at(x)[0], hess=lambda x: at(x)[1],
-                           callback=lambda xk: current.__setitem__(0, np.array(xk)),
-                           options={"gtol": NEWTON_GTOL, "maxiter": NEWTON_ITER})
-        x, val, status = np.asarray(res.x, dtype=float), float(res.fun), res.status
-    except _NonFiniteStep:
-        x, status = current[0], 2
-        val = float(nll(x))
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-        return x0, np.inf, False
-    if not np.isfinite(val):
-        return x, val, False
-    grad, hess = at(x)
-    ok = bool(np.isfinite(grad).all()) and status in (0, 2)
-    if ok and status == 2:
-        try:
-            step = np.linalg.solve(np.linalg.cholesky(hess), grad)
-            ok = bool(step @ step <= NEWTON_DECREMENT * max(1.0, abs(val)))
-        except np.linalg.LinAlgError:
-            ok = False
-    return x, val, ok
+    w = np.abs(w)
+    if w.min() > 0.0:
+        p = -a / w
+        if p @ p <= radius * radius:
+            return p
+    lo, hi = 0.0, np.linalg.norm(a) / radius
+    lam = hi
+    while hi - lo > _EPS * hi:
+        d = w + lam
+        p = -a / d
+        norm = np.linalg.norm(p)
+        if abs(norm - radius) <= 1e-10 * radius:
+            return p
+        lo, hi = (lo, lam) if norm < radius else (lam, hi)
+        lam += (norm / radius - 1.0) * norm * norm / np.sum(p * p / d)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    return -a / (w + hi)
 
 
 def numeric_hessian(f, x, rel_step: float = 1e-5) -> np.ndarray:
@@ -163,14 +143,3 @@ def covariance_from_hessian(hess: np.ndarray, flags: list[str]) -> np.ndarray | 
         flags.append("hessian-degenerate")
         return None
     return np.linalg.inv(hess)
-
-
-def numeric_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = rel_step * np.maximum(np.abs(x), 1.0)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        ei = np.zeros(x.size)
-        ei[i] = h[i]
-        g[i] = (f(x + ei) - f(x - ei)) / (2.0 * h[i])
-    return g

@@ -42,6 +42,8 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -621,7 +623,7 @@ def cmd_task1(args) -> dict:
         gpd_fit, coef_gpd, Xp, p_exc, args.alpha,
         lambda rows: ald.predict_draws(Xp[rows], coef_ald))
     return {"table": {
-        "point": list(point), "lower": list(lo), "upper": list(hi),
+        "point": point, "lower": lo, "upper": hi,
     }, "level": args.level, "alpha": args.alpha, "flags": ald.flags,
         "gpd": {"log_sigma": gpd_fit.beta_sigma, "xi": gpd_fit.beta_xi}}
 

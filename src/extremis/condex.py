@@ -326,13 +326,12 @@ def _fit_pairs(y0, y, law, start, boundary_flag, name):
 
     Returns (parameters, loglik, covariance, standard errors, flags); the
     covariance and standard errors are None when the observed information
-    is degenerate.  The flags are ``newton-fallback`` when the Newton run
-    failed, ``boundary_flag`` at |alpha| = 1, then the covariance flags.
-    ``name`` says which fit failed to converge.
+    is degenerate.  The flags are ``boundary_flag`` at |alpha| = 1, then
+    the covariance flags.  ``name`` says which fit failed to converge.
     """
     nll, derivs, box = _pair_objective(y0, y, law)
     flags: list[str] = []
-    t, val, ok = minimize_nll(nll, start, bounds=box, derivs=derivs, flags=flags)
+    t, val, ok = minimize_nll(nll, start, derivs, bounds=box)
     if not ok:
         raise RuntimeError(f"{name} did not converge")
     if abs(abs(t[0]) - 1.0) < 1e-6:

@@ -570,7 +570,7 @@ def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
     contributes its bivariate censored log likelihood over rows exceeding
     the pairwise threshold.  The standard error comes from a leave-one-pair-
     out jackknife of the composite estimate (observed information when only
-    one pair exists).
+    one pair exists).  Raises ValueError when no row exceeds the thresholds.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     u = _check_u(u)
@@ -580,6 +580,9 @@ def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
     d = u.size
     if Y.shape[1] != d or censor.size != d:
         raise ValueError("Y, u, censor dimensions must agree")
+    n_rows = int(np.count_nonzero(np.max(Y / u, axis=1) > 1.0))
+    if n_rows == 0:
+        raise ValueError("no exceedance rows above the thresholds")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     pair_terms = {}
     for (i, j) in pairs:
@@ -617,9 +620,8 @@ def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
         npair = len(pairs)
         se = float(np.sqrt((npair - 1) / npair * np.sum((loo - loo.mean()) ** 2)))
         flags.append("composite-jackknife-se")
-    return CensoredFit(gamma_hat, se, -pair_nll(gamma_hat, pairs),
-                       int(np.count_nonzero(np.max(Y / u, axis=1) > 1.0)),
-                       0, True, flags)
+    return CensoredFit(gamma_hat, se, -pair_nll(gamma_hat, pairs), n_rows, 0, True,
+                       flags)
 
 
 def joint_exceedance_prob(model: MgpdModel, Y, u, s,

@@ -8,7 +8,7 @@ seam; the exponential limit branch engages below |xi| < 1e-8.
 (log sigma, xi) with its closed-form score and observed information per
 point, with power series where the closed forms cancel.  Every fit here
 (scalar, fixed shape, regression) minimizes one objective built on it by
-trust-region Newton, and takes its covariance from the analytic
+projected trust-region Newton, and takes its covariance from the analytic
 information.  Fitting constrains the shape to (-1, 5): below -1 the MLE is
 degenerate, 5 is a sanity cap.
 """
@@ -271,11 +271,12 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
     """Maximum likelihood GPD fit to nonnegative exceedances.
 
     The intercept-only case of :func:`fit_gpd_regression`'s objective,
-    minimized by trust-region Newton on the analytic derivatives.  Shape is
-    constrained to (-1, 5); ``fix_xi`` reduces to a one-parameter fit.  The
-    covariance is the inverse of the analytic observed information at the
-    optimum in (sigma, xi); it is omitted (with a flag) when that
-    information is degenerate.
+    minimized by projected trust-region Newton on the analytic derivatives
+    within |log sigma| <= 50 and XI_LO + 1e-6 <= xi <= XI_HI - 1e-6;
+    ``fix_xi`` reduces to a one-parameter fit.  The covariance is the
+    inverse of the analytic observed information at the optimum in
+    (sigma, xi); it is omitted (with a flag) when that information is
+    degenerate.  A run that does not converge raises RuntimeError.
     """
     x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < 5:
@@ -297,9 +298,8 @@ def fit_gpd_mle(exceedances, fix_xi: float | None = None) -> GpdFit:
     k = len(theta0)
     flags: list[str] = []
     theta, val, ok = minimize_nll(
-        nll, np.array(theta0),
-        bounds=[(-50.0, 50.0), (XI_LO + 1e-6, XI_HI - 1e-6)][:k],
-        derivs=derivs, flags=flags)
+        nll, np.array(theta0), derivs,
+        bounds=[(-50.0, 50.0), (XI_LO + 1e-6, XI_HI - 1e-6)][:k])
     if not ok:
         raise RuntimeError("GPD fit did not converge within budget")
     xi = float(theta[1]) if fix_xi is None else xi0
@@ -371,7 +371,9 @@ def fit_gpd_regression(X, y, u, spec: RegressionSpec) -> GpdRegression:
     Maximizes the exceedance log likelihood with log sigma(x) and xi(x)
     linear in the selected covariates by trust-region Newton, from the
     pooled fit; returns coefficients and the inverse of the analytic
-    observed information in them.
+    observed information in them.  Every row's shape must stay inside
+    (XI_LO, XI_HI), so a fit whose optimum lies on that wall does not
+    converge, and raises RuntimeError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -396,7 +398,7 @@ def fit_gpd_regression(X, y, u, spec: RegressionSpec) -> GpdRegression:
 
     nll, derivs = _objective(z, Xs, Xx)
     flags: list[str] = []
-    beta, val, ok = minimize_nll(nll, beta0, derivs=derivs, flags=flags)
+    beta, val, ok = minimize_nll(nll, beta0, derivs)
     if not ok:
         raise RuntimeError("GPD regression did not converge within budget")
     cov = covariance_from_hessian(derivs(beta)[1], flags)

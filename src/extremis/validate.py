@@ -277,9 +277,10 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     the cluster-structure column space and standardizes by the jackknife
     covariance, entry-averaged over block-permutation orbits.  Monte Carlo
     p-values draw from the implied Gaussian null; the chi-square p-value
-    uses the p - L degrees of freedom of the quadratic statistic, and is
-    NaN when p - L is 0.  ``jackknife`` takes a ``(tau, pseudo)`` pair
-    already computed by :func:`tau_jackknife` on ``Y``.
+    uses the p - L degrees of freedom of the quadratic statistic.  When
+    p - L is 0 every p-value is NaN, flagged ``no-degrees-of-freedom``.
+    ``jackknife`` takes a ``(tau, pseudo)`` pair already computed by
+    :func:`tau_jackknife` on ``Y``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
@@ -323,8 +324,13 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     p_e = float((1 + np.sum(e_null >= e_n)) / (n_mc + 1))
     p_m = float((1 + np.sum(m_null >= m_n)) / (n_mc + 1))
     df = len(pairs) - L
-    # with no degrees of freedom the test is undefined; chdtrc(0, x > 0) is 0
-    p_chi = float(chdtrc(df, e_n ** 2)) if df > 0 else math.nan
+    if df > 0:
+        p_chi = float(chdtrc(df, e_n ** 2))
+    else:
+        # the statistic and every null draw are 0, so the test is
+        # undefined; chdtrc(0, x > 0) is 0, and every draw ties at 0
+        flags.append("no-degrees-of-freedom")
+        p_e = p_m = p_chi = math.nan
     return ExchTestResult(e_n, m_n, p_e, p_m, p_chi, L, df, flags)
 
 

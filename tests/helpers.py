@@ -1,8 +1,12 @@
 """Shared test oracles: generator-draw Monte Carlo for the tail measures,
-an energy two-sample statistic, and small simulation utilities."""
+an energy two-sample statistic, a derivative-free minimizer and a
+finite-difference gradient, and small simulation utilities."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import gamma as gammafun
 
 from extremis.core import derive_rng
@@ -83,3 +87,35 @@ def energy_two_sample_pvalue(x, y, n_perm: int, rng) -> float:
         if stat(perm[:n], perm[n:]) >= observed:
             hits += 1
     return hits / (n_perm + 1)
+
+
+def derivative_free_minimum(nll, x0, bounds=None):
+    """(x, value, converged) of Nelder-Mead from ``x0``, then an L-BFGS-B
+    polish within ``bounds`` when it lowers the value: a reference for the
+    fits' Newton runs that uses no derivatives.  Nelder-Mead ignores
+    ``bounds``; a caller's ``nll`` is +inf outside its domain."""
+    res = minimize(nll, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                   options={"maxiter": 10_000, "maxfev": 20_000, "xatol": 1e-8,
+                            "fatol": 1e-10})
+    x, val, ok = res.x, res.fun, res.success
+    with warnings.catch_warnings():
+        # infinite values outside the domain trip the finite-difference
+        # gradient; the polish copes
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res2 = minimize(nll, x, method="L-BFGS-B", bounds=bounds,
+                        options={"maxiter": 1000})
+    if np.isfinite(res2.fun) and res2.fun <= val:
+        x, val, ok = res2.x, res2.fun, ok or res2.success
+    return np.asarray(x, dtype=float), float(val), bool(ok)
+
+
+def numeric_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    h = rel_step * np.maximum(np.abs(x), 1.0)
+    g = np.empty(x.size)
+    for i in range(x.size):
+        ei = np.zeros(x.size)
+        ei[i] = h[i]
+        g[i] = (f(x + ei) - f(x - ei)) / (2.0 * h[i])
+    return g

@@ -133,12 +133,14 @@ def test_cv_train_fraction():
 
 
 # cv_interval_score on a small seeded input, recorded before the per-draw
-# loop moved into predictive_quantiles and re-recorded once when the GPD fits
-# moved to analytic-derivative Newton (each fit's NLL no higher than before).
+# loop moved into predictive_quantiles and re-recorded when the GPD fits
+# moved to analytic-derivative Newton (each fit's NLL no higher than before)
+# and when they moved to the projected trust-region Newton (every fit's NLL
+# within one ulp of the one before: two lower, one higher by 5.7e-14).
 # Refactors must reproduce it exactly.
 PINNED_CV = [
-    ([78.89373743623274, 350.4034583199232], [0.7833333333333333, 0.0], 0, 0),
-    ([180.09670555493614, 243.79076563648624], [0.21666666666666667, 0.0], 0, 0),
+    ([78.89373743623274, 350.40345832313983], [0.7833333333333333, 0.0], 0, 0),
+    ([180.0967111537467, 243.79076563789977], [0.21666666666666667, 0.0], 0, 0),
 ]
 
 

@@ -145,11 +145,15 @@ def test_exch_test_chi2_p_value_is_nan_without_degrees_of_freedom():
     # two columns: one pair and one class, so p - L = 0 and the projected
     # statistic is exactly 0.  chi2.sf is NaN there; its kernel chdtrc(0, x)
     # is NaN only at x = 0 and 0 for any x > 0, which would read as a
-    # rejection at every level, so the test keeps NaN by its own guard
+    # rejection at every level, so the test keeps NaN by its own guard.
+    # Every Monte Carlo null draw ties the statistic at 0 as well, so the
+    # Monte Carlo p-values are NaN too, and the result says why
     Y = block_gauss(300, ((0, 1),), 0.5, 0.0, derive_rng(17))
     for blocks in ([[0, 1]], [[0], [1]]):
         res = exch_test(Y, ClusterSpec(blocks), n_mc=1000, seed=5)
         assert res.df == 0 and res.e_n == 0.0 and np.isnan(res.p_e_chi2)
+        assert np.isnan(res.p_e) and np.isnan(res.p_m)
+        assert res.flags == ["no-degrees-of-freedom"]
     assert np.isnan(chi2.sf(1e-12, 0)) and chdtrc(0, 1e-12) == 0.0
 
 
