@@ -1,6 +1,6 @@
-"""Shared optimization helpers: a projected trust-region Newton on analytic
-derivatives for the GPD and conditional-extremes fits, the covariance from
-an observed information, and the numeric Hessian of the ``mgpd`` fits."""
+"""The one optimizer of every fit, a projected trust-region Newton on analytic
+derivatives, and the covariance from an observed information; the tests'
+finite-difference reference ``numeric_hessian`` has no library caller."""
 from __future__ import annotations
 
 import numpy as np

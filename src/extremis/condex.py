@@ -26,6 +26,7 @@ the simulation estimator has no such restriction.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -341,6 +342,11 @@ def _fit_pairs(y0, y, law, start, boundary_flag, name):
     return t, -val, cov, se, flags
 
 
+def _slope_start(y0, y) -> float:
+    """The fits' starting alpha: y's slope on y0, clipped to [-0.9, 0.9]."""
+    return float(np.clip(np.cov(y0, y)[0, 1] / max(np.var(y0), 1e-12), -0.9, 0.9))
+
+
 def fit_ht_gaussian(L, j: int, threshold: float | None = None,
                     threshold_quantile: float | None = None) -> HtParams:
     """Per-companion Gaussian pseudo-likelihood fit conditioning on column j.
@@ -362,9 +368,7 @@ def fit_ht_gaussian(L, j: int, threshold: float | None = None,
     loglik = 0.0
     for c, k in enumerate(np.flatnonzero(np.arange(d) != j)):
         y = comps[:, c]
-        slope = float(np.clip(np.cov(y0, y)[0, 1] / max(np.var(y0), 1e-12),
-                              -0.9, 0.9))
-        start = np.array([slope, 0.2, 0.0, max(float(np.std(y)), 1e-3)])
+        start = np.array([_slope_start(y0, y), 0.2, 0.0, max(float(np.std(y)), 1e-3)])
         est[c], ll, _, se, fit_flags = _fit_pairs(
             y0, y, GaussianDiag, start, f"alpha-boundary:{k}",
             f"conditional fit for companion {k}")
@@ -392,9 +396,20 @@ def _fit_exchangeable(L, threshold, threshold_quantile, law) -> HtParams:
     sets = list(_conditioning_sets(L, u, range(d)))
     y0 = np.concatenate([np.tile(y0_j, d - 1) for y0_j, _, _ in sets])
     y = np.concatenate([comps.T.ravel() for _, comps, _ in sets])
-    t, loglik, cov, se, flags = _fit_pairs(
-        y0, y, law, np.array([0.3, 0.2, *law.fit_start]), "alpha-boundary",
-        "exchangeable conditional fit")
+    start = np.array([_slope_start(y0, y), 0.2, *law.fit_start])
+    fit = _fit_pairs(y0, y, law, start, "alpha-boundary", "exchangeable conditional fit")
+    t = fit[0]
+    if law is SkewNormal and abs(t[4]) < 1e-3:
+        # kappa = 0 at the Gaussian optimum is a stationary point of every
+        # skew-normal likelihood, with a singular information (Azzalini
+        # 1985), so Newton can stop there; the likelihood rises off it on
+        # the side of the residuals' skewness (Pewsey 2000): refit from there
+        w = ((y - t[0] * y0) / y0 ** t[1] - t[2]) / t[3]
+        with contextlib.suppress(RuntimeError):
+            refit = _fit_pairs(y0, y, law, np.array([*t[:4], np.sign(np.mean(w ** 3))]),
+                               "alpha-boundary", "exchangeable conditional refit")
+            fit = max(fit, refit, key=lambda f: f[1])
+    t, loglik, cov, se, flags = fit
     fitted, law_flags = law.from_fit(t[2:])
     alpha, beta = float(t[0]), float(t[1])
     pool, conds = _residual_pool(L, u, range(d), alpha, beta)

@@ -23,16 +23,16 @@ Conventions, fixed by Monte Carlo validation against generator draws:
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri, stdtr
+from scipy.special import erfcx, gammaln, log_ndtr, ndtr, ndtri, stdtr
 
-from ._optim import covariance_from_hessian, numeric_hessian
+from ._optim import covariance_from_hessian, minimize_nll
 from .mvnt import mvn_cdf, mvt_cdf
 
 LOGISTIC_DIM_CAP = 20
@@ -471,45 +471,85 @@ class CensoredFit:
     loglik: float
     n_rows: int
     n_dropped: int
-    converged: bool
     flags: list[str] = field(default_factory=list)
 
 
-def _logistic_censored_nll(Y, u, censor):
-    """Build the vectorized negative log likelihood for the logistic family."""
+def _censored_input(Y, u, censor):
+    """Checked (Y, u, censor) of a censored fit and the mask of the rows
+    with max_j Y_j/u_j > 1; ValueError for one column (no dependence to
+    fit) or when no row exceeds."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     u = _check_u(u)
+    if u.size < 2:
+        raise ValueError("a dependence fit needs at least two columns")
     censor = np.asarray(censor, dtype=float).ravel()
-    if censor.size == 1:
-        censor = np.full(u.size, censor[0])
+    censor = np.full(u.size, censor[0]) if censor.size == 1 else censor
     if Y.shape[1] != u.size or censor.size != u.size:
         raise ValueError("Y, u, censor dimensions must agree")
-    rows = np.max(Y / u, axis=1) > 1.0
-    Ye = Y[rows]
-    if Ye.shape[0] == 0:
+    rows = (Y / u > 1.0).any(axis=1)
+    if not rows.any():
         raise ValueError("no exceedance rows above the thresholds")
+    return Y, u, censor, rows
+
+
+def _fit_scalar(parts, start, low, high, name):
+    """(x, nll) minimizing ``parts``: x -> (nll, d/dx, d2/dx2) over [low,
+    high] by ``minimize_nll`` from ``start``, evaluating ``parts`` once per
+    x; RuntimeError naming the ``name`` fit when it does not converge."""
+    last = functools.lru_cache(maxsize=1)(lambda x: np.asarray(parts(x)))
+    x, val, ok = minimize_nll(lambda t: last(t[0])[0], [start],
+                              lambda t: (last(t[0])[1:2], last(t[0])[2:, None]), [(low, high)])
+    if not ok:
+        raise RuntimeError(f"{name} did not converge")
+    return float(x[0]), val
+
+
+def _scalar_se(info, flags):
+    cov = covariance_from_hessian(np.array([[info]]), flags)
+    return float(np.sqrt(cov[0, 0])) if cov is not None else None
+
+
+def _log_power_sum(log_y, beta):
+    """log T, T'/T and T''/T - (T'/T)^2 for T = sum_i y_i^-beta over the
+    first axis of ``log_y`` = log y, derivatives in beta."""
+    p = np.exp(-beta * log_y)
+    t = p.sum(axis=0)
+    d1 = -(p * log_y).sum(axis=0) / t
+    return np.log(t), d1, (p * (log_y + d1) ** 2).sum(axis=0) / t
+
+
+def _logistic_censored_nll(Y, u, censor):
+    """(beta -> (nll, d/dbeta, d2/dbeta2), rows used, rows dropped) of the
+    censored logistic likelihood sum_r [sum_(k<m) log(k beta - 1) - (beta +
+    1) sum log y_unc + (1/beta - m) log T] - (n/beta) log S, for m the
+    uncensored components of a row, T = sum_i y_i^-beta over the row
+    (censored ones at their censor level) and S = sum_j u_j^-beta; the
+    first sum is over k = 1..d-1, weighted by the rows with m > k."""
+    Y, u, censor, rows = _censored_input(Y, u, censor)
+    Ye = Y[rows]
     M = Ye > censor
     m_r = M.sum(axis=1)
-    dropped = int(np.count_nonzero(m_r == 0))
     keep = m_r > 0
     Ye, M, m_r = Ye[keep], M[keep], m_r[keep]
-    Yt = np.where(M, Ye, censor)
-    log_y_unc = np.where(M, np.log(Yt), 0.0).sum(axis=1)
-    d = u.size
+    log_yt = np.log(np.where(M, Ye, censor).T, order="C")  # (d, rows)
+    sum_log_unc = float(np.sum(log_yt[M.T]))
+    ks = np.arange(1, u.size)
+    n_above = np.count_nonzero(m_r[:, None] > ks, axis=0)
 
-    def nll(beta: float) -> float:
-        if beta <= 1.0 + 1e-9:
-            return np.inf
-        T = np.sum(Yt ** (-beta), axis=1)
-        # cumulative log prod_{k=1}^{m-1} (k beta - 1), indexed by m
-        ks = np.arange(1, d)
-        cum = np.concatenate([[0.0], np.cumsum(np.log(ks * beta - 1.0))])
-        ll = (cum[m_r - 1] - (beta + 1.0) * log_y_unc
-              + (1.0 / beta - m_r) * np.log(T))
-        v_u = np.sum(u ** (-beta)) ** (1.0 / beta)
-        return -float(ll.sum() - Ye.shape[0] * np.log(v_u))
+    def parts(beta):
+        kb = ks * beta - 1.0
+        ll = np.array([n_above @ np.log(kb) - (beta + 1.0) * sum_log_unc,
+                       n_above @ (ks / kb) - sum_log_unc, -n_above @ (ks / kb) ** 2])
+        b = 1.0 / beta
+        # (1/beta - m) log T per row, and the normalizer -(n/beta) log S
+        for log_y, m, weight in ((log_yt, m_r, 1.0), (np.log(u)[:, None], 0, -m_r.size)):
+            lt, lt1, lt2 = _log_power_sum(log_y, beta)
+            c = b - m
+            ll += weight * np.array([np.sum(c * lt), np.sum(c * lt1 - b * b * lt),
+                                     np.sum(c * lt2 - 2.0 * b * b * (lt1 - b * lt))])
+        return -ll
 
-    return nll, Ye.shape[0], dropped
+    return parts, m_r.size, int(np.count_nonzero(~keep))
 
 
 def fit_logistic_censored(Y, u, censor) -> CensoredFit:
@@ -519,46 +559,55 @@ def fit_logistic_censored(Y, u, censor) -> CensoredFit:
     the likelihood, components below their censor level contribute through
     partial derivatives of V evaluated at the censor level, and the density
     is normalized by V(u).  Fully censored rows are dropped and counted.
+    beta is fitted by Newton on the closed-form derivatives in [1 + 1e-6,
+    50]; its standard error is the observed information's.
     """
-    nll, n_rows, dropped = _logistic_censored_nll(Y, u, censor)
-    res = minimize_scalar(nll, bounds=(1.0 + 1e-6, 50.0), method="bounded",
-                          options={"xatol": 1e-10, "maxiter": 500})
-    if not res.success:
-        raise RuntimeError("censored logistic fit did not converge")
-    beta = float(res.x)
-    flags: list[str] = []
-    if beta > 49.0:
-        flags.append("beta-at-upper-bound")
-    hess = numeric_hessian(lambda t: nll(t[0]), np.array([beta]))
-    cov = covariance_from_hessian(hess, flags)
-    se = float(np.sqrt(cov[0, 0])) if cov is not None else None
-    return CensoredFit(beta, se, -float(res.fun), n_rows, dropped,
-                       bool(res.success), flags)
+    parts, n_rows, dropped = _logistic_censored_nll(Y, u, censor)
+    beta, val = _fit_scalar(parts, 2.0, 1.0 + 1e-6, 50.0, "censored logistic fit")
+    flags = ["beta-at-upper-bound"] if beta > 49.0 else []
+    return CensoredFit(beta, _scalar_se(parts(beta)[2], flags), -val, n_rows, dropped, flags)
 
 
 def _hr_pair_terms(x, y, cx, cy, ux, uy):
-    """Censored bivariate Huesler-Reiss log likelihood contributions, as a
-    function of gamma; the censoring classes and the log terms free of
-    gamma are built once.  A(p, q) = a/2 + log(q/p)/a takes log(q/p)."""
-    both = (x > cx) & (y > cy)
-    only_x = (x > cx) & ~(y > cy)
-    only_y = ~(x > cx) & (y > cy)
-    log_both = np.log(y[both] / x[both]), 2.0 * np.log(x[both]), np.log(y[both])
-    censored = [(rows, -2.0 * np.log(v[rows]), np.log(c / v[rows]))
-                for rows, v, c in ((only_x, x, cy), (only_y, y, cx))]
-    log_u = np.log(uy / ux), np.log(ux / uy)
+    """theta -> (nll, d/dtheta, d2/dtheta2) of the censored bivariate
+    Huesler-Reiss likelihood of columns x and y, over the rows exceeding
+    (ux, uy), in theta = log gamma; the censoring classes and the log terms
+    free of gamma are built once.
 
-    def terms(gamma):
-        a = np.sqrt(2.0 * gamma)
-        ll = np.zeros(x.size)
-        arg = 0.5 * a + log_both[0] / a
-        ll[both] = (-0.5 * arg ** 2 - 0.5 * np.log(2.0 * np.pi)
-                    - np.log(a) - log_both[1] - log_both[2])
-        for rows, fixed, log_ratio in censored:
-            ll[rows] = fixed + log_ndtr(0.5 * a + log_ratio / a)
-        v_u = (ndtr(0.5 * a + log_u[0] / a) / ux
-               + ndtr(0.5 * a + log_u[1] / a) / uy)
-        return ll - np.log(v_u)
+    Every argument is A = a/2 + L/a in a = sqrt(2 gamma), so da/dtheta =
+    a/2, d2a/dtheta2 = a/4, dA/da = 1/2 - L/a^2 and d2A/da2 = 2L/a^3.  A
+    censored term log Phi(A) has derivative r = phi(A)/Phi(A), whose own
+    derivative is -r (A + r); r is taken as sqrt(2/pi) / erfcx(-A/sqrt(2)),
+    as in ``condex.skewnorm_logpdf_derivs``.
+    """
+    rows = (x / ux > 1.0) | (y / uy > 1.0)
+    x, y = x[rows], y[rows]
+    ox, oy = x > cx, y > cy
+    both, only_x, only_y = ox & oy, ox & ~oy, ~ox & oy
+    n_both = int(np.count_nonzero(both))
+    l_both = np.log(y[both] / x[both])
+    l_cens = np.concatenate([np.log(cy / x[only_x]), np.log(cx / y[only_y])])
+    fixed = -(2.0 * np.sum(np.log(x[ox])) + np.sum(np.log(y[oy])) + np.sum(np.log(y[only_y]))
+              + 0.5 * np.log(2.0 * np.pi) * n_both)
+    l_u, w_u = np.log([uy / ux, ux / uy]), np.array([1.0 / ux, 1.0 / uy])
+
+    def terms(theta):
+        a = np.sqrt(2.0 * np.exp(theta))
+
+        def arg(L):
+            return 0.5 * a + L / a, 0.5 - L / a ** 2, 2.0 * L / a ** 3
+
+        A, A1, A2 = arg(l_both)  # uncensored: -A^2/2 - log a
+        ll = np.array([fixed - 0.5 * A @ A - n_both * np.log(a),
+                       -A @ A1 - n_both / a, -(A1 @ A1 + A @ A2) + n_both / a ** 2])
+        A, A1, A2 = arg(l_cens)  # censored: log Phi(A)
+        r = np.sqrt(2.0 / np.pi) / erfcx(-A / np.sqrt(2.0))
+        ll += [np.sum(log_ndtr(A)), r @ A1, -(r * (A + r)) @ A1 ** 2 + r @ A2]
+        A, A1, A2 = arg(l_u)  # the normalizer -log V(u) on every row
+        phi = w_u * np.exp(-0.5 * A * A) / np.sqrt(2.0 * np.pi)
+        v, v1, v2 = ndtr(A) @ w_u, phi @ A1, phi @ (A2 - A * A1 ** 2)
+        ll -= x.size * np.array([np.log(v), v1 / v, v2 / v - (v1 / v) ** 2])
+        return -ll[0], -0.5 * a * ll[1], -0.25 * a * (a * ll[2] + ll[1])
 
     return terms
 
@@ -568,60 +617,34 @@ def fit_hr_exchangeable(Y, u, censor) -> CensoredFit:
 
     All variable pairs share a single semivariogram entry gamma; each pair
     contributes its bivariate censored log likelihood over rows exceeding
-    the pairwise threshold.  The standard error comes from a leave-one-pair-
-    out jackknife of the composite estimate (observed information when only
-    one pair exists).  Raises ValueError when no row exceeds the thresholds.
+    the pairwise threshold.  log gamma is fitted by Newton on the
+    closed-form derivatives in [log 1e-4, log 100].  The standard error
+    comes from a leave-one-pair-out jackknife of the composite estimate
+    (Varin, Reid & Firth 2011), each refit started at the full estimate;
+    with one pair it is the observed information's, in gamma.  Raises
+    ValueError when no row exceeds the thresholds.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    u = _check_u(u)
-    censor = np.asarray(censor, dtype=float).ravel()
-    if censor.size == 1:
-        censor = np.full(u.size, censor[0])
-    d = u.size
-    if Y.shape[1] != d or censor.size != d:
-        raise ValueError("Y, u, censor dimensions must agree")
-    n_rows = int(np.count_nonzero(np.max(Y / u, axis=1) > 1.0))
-    if n_rows == 0:
-        raise ValueError("no exceedance rows above the thresholds")
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    pair_terms = {}
-    for (i, j) in pairs:
-        rows = (Y[:, i] / u[i] > 1.0) | (Y[:, j] / u[j] > 1.0)
-        pair_terms[i, j] = _hr_pair_terms(Y[rows, i], Y[rows, j], censor[i],
-                                          censor[j], u[i], u[j])
+    Y, u, censor, rows = _censored_input(Y, u, censor)
+    pair_terms = [_hr_pair_terms(Y[:, i], Y[:, j], censor[i], censor[j], u[i], u[j])
+                  for i in range(u.size) for j in range(i + 1, u.size)]
 
-    def pair_nll(gamma: float, pair_subset) -> float:
-        if gamma <= 1e-8:
-            return np.inf
-        total = 0.0
-        for pair in pair_subset:
-            total -= float(pair_terms[pair](gamma).sum())
-        return total
+    def fit(drop, start):  # log gamma, leaving out pair number ``drop``
+        def parts(theta):
+            return np.sum([f(theta) for k, f in enumerate(pair_terms) if k != drop], axis=0)
+        return _fit_scalar(parts, start, np.log(1e-4), np.log(100.0), "composite Huesler-Reiss fit")
 
-    def fit_subset(pair_subset) -> float:
-        res = minimize_scalar(lambda g: pair_nll(np.exp(g), pair_subset),
-                              bounds=(np.log(1e-4), np.log(100.0)),
-                              method="bounded",
-                              options={"xatol": 1e-10, "maxiter": 500})
-        if not res.success:
-            raise RuntimeError("composite Huesler-Reiss fit did not converge")
-        return float(np.exp(res.x))
-
-    gamma_hat = fit_subset(pairs)
+    theta, val = fit(None, 0.0)
+    gamma_hat = float(np.exp(theta))
+    npair = len(pair_terms)
     flags: list[str] = []
-    if len(pairs) == 1:
-        hess = numeric_hessian(lambda t: pair_nll(t[0], pairs), np.array([gamma_hat]))
-        cov = covariance_from_hessian(hess, flags)
-        se = float(np.sqrt(cov[0, 0])) if cov is not None else None
+    if npair == 1:
+        _, g, h = pair_terms[0](theta)
+        se = _scalar_se((h - g) / gamma_hat ** 2, flags)
     else:
-        # leave-one-pair-out jackknife of the composite estimator
-        loo = np.array([fit_subset([p for p in pairs if p != drop])
-                        for drop in pairs])
-        npair = len(pairs)
+        loo = np.exp([fit(drop, theta)[0] for drop in range(npair)])
         se = float(np.sqrt((npair - 1) / npair * np.sum((loo - loo.mean()) ** 2)))
         flags.append("composite-jackknife-se")
-    return CensoredFit(gamma_hat, se, -pair_nll(gamma_hat, pairs), n_rows, 0, True,
-                       flags)
+    return CensoredFit(gamma_hat, se, -val, int(np.count_nonzero(rows)), 0, flags)
 
 
 def joint_exceedance_prob(model: MgpdModel, Y, u, s,

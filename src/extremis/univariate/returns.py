@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincinv
 
 from .gpd import XI_HI, XI_LO, XI_ZERO, GpdParams, fit_gpd_mle, gpd_nll_derivs
@@ -68,12 +67,12 @@ def solve_return_level(models, T: float, m: int,
     """Root of the covariate-averaged return-level equation.
 
     With B per-covariate binomial-GPD models F_i, finds z solving
-    ``mean_i survival_i(z) = p*`` by bracketing and bisection on the log
-    scale.  The default target ``p* = 1/(m T)`` is the per-observation
-    exceedance probability of a T-year level with m observations per year
-    and reproduces :func:`return_level_closed` exactly when B = 1.  With
-    ``annual_max=True`` the target instead solves
-    ``[mean_i F_i(z)]^m = 1 - 1/T`` exactly.
+    ``mean_i survival_i(z) = p*`` by bisection, to a width ``tol``, between
+    the highest threshold and an end found by doubling (or by halving
+    toward the largest finite endpoint).  The default target ``p* = 1/(m
+    T)``, the per-observation exceedance probability of a T-year level with
+    m observations per year, reproduces :func:`return_level_closed` when
+    B = 1.  ``annual_max=True`` solves ``[mean_i F_i(z)]^m = 1 - 1/T``.
     """
     models = list(models)
     if not models:
@@ -111,11 +110,11 @@ def solve_return_level(models, T: float, m: int,
     else:
         raise RuntimeError("bracket expansion failure")
 
-    def h(z: float) -> float:
-        s = mean_surv(z)
-        return np.log(max(s, 1e-300)) - np.log(target)
-
-    return float(brentq(h, lo, hi, xtol=tol))
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        lo, hi = (mid, hi) if mean_surv(mid) > target else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return float(mid)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as gammafun
 
 from extremis.core import derive_rng
@@ -107,6 +107,16 @@ def derivative_free_minimum(nll, x0, bounds=None):
     if np.isfinite(res2.fun) and res2.fun <= val:
         x, val, ok = res2.x, res2.fun, ok or res2.success
     return np.asarray(x, dtype=float), float(val), bool(ok)
+
+
+def bounded_scalar_minimum(nll, low: float, high: float):
+    """(x, value) of scipy's bounded Brent search for the minimum of a
+    scalar ``nll`` on [low, high]: a derivative-free reference for the
+    one-parameter Newton fits."""
+    res = minimize_scalar(nll, bounds=(low, high), method="bounded",
+                          options={"xatol": 1e-10, "maxiter": 500})
+    assert res.success
+    return float(res.x), float(res.fun)
 
 
 def numeric_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -1064,15 +1064,20 @@ PARSER_PIN = {
 
 # In a fresh interpreter: the CLI import, then one call through each site
 # that once went through scipy.stats (the 1-D Student rectangle, the
-# chi-square p-value of the exchangeability test, the profile cutoff).
+# chi-square p-value of the exchangeability test, the profile cutoff), then
+# the sites that once went through scipy.optimize (both censored mgpd fits
+# and the covariate-averaged return level).
 _IMPORT_GRAPH_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import extremis.cli
-loaded = ["import", "scipy.stats" in sys.modules]
+loaded = ["import", "scipy.stats" in sys.modules, "scipy.optimize" in sys.modules]
+import numpy as np
 from extremis.core import derive_rng
+from extremis.mgpd import fit_hr_exchangeable, fit_logistic_censored
 from extremis.mvnt import OrthantQuery, mvt_rect
-from extremis.univariate import GpdParams, gpd_quantile, profile_return_level_ci
+from extremis.univariate import (BinGpdModel, GpdParams, gpd_quantile,
+                                 profile_return_level_ci, solve_return_level)
 from extremis.validate import ClusterSpec, exch_test
 mvt_rect(OrthantQuery([-1.0], [2.0], [0.0], [[1.0]], df=3.0))
 loaded += ["mvt_rect", "scipy.stats" in sys.modules]
@@ -1081,15 +1086,24 @@ loaded += ["exch_test", "scipy.stats" in sys.modules]
 x = gpd_quantile(derive_rng(2).uniform(size=50), GpdParams(1.0, 0.1))
 profile_return_level_ci(x, 0.1, 10.0, 100.0)
 loaded += ["profile_return_level_ci", "scipy.stats" in sys.modules]
+f = -1.0 / np.log(derive_rng(3).uniform(size=(400, 4)))
+y = np.maximum(0.5 * f[:, :1], 0.5 * f[:, 1:])  # unit Frechet, dependent
+u = np.quantile(y, 0.9, axis=0)
+fit_logistic_censored(y, u, u)
+fit_hr_exchangeable(y, u, u)
+solve_return_level([BinGpdModel(100.0, 0.05, GpdParams(10.0, 0.1))], 200.0, 300)
+loaded += ["mgpd fits, solve_return_level", "scipy.optimize" in sys.modules,
+           "scipy.stats" in sys.modules]
 print(loaded)
 """
 
 
 def test_cli_import_graph_has_no_scipy_stats():
-    # scipy.stats costs about 0.65 s and 170 modules of CLI start-up; the
-    # library uses only the scipy.special kernels it wraps
+    # scipy.stats costs about 0.65 s and 170 modules of CLI start-up, and
+    # scipy.optimize about 0.2 s more; the library imports only scipy.special
     src = str(Path(extremis.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, src],
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == str(["import", False, "mvt_rect", False, "exch_test",
-                                        False, "profile_return_level_ci", False])
+    assert out.splitlines()[-1] == str(["import", False, False, "mvt_rect", False,
+                                        "exch_test", False, "profile_return_level_ci", False,
+                                        "mgpd fits, solve_return_level", False, False])

@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
-from helpers import mc_intensity
+from helpers import bounded_scalar_minimum, mc_intensity, numeric_gradient
+from extremis._optim import numeric_hessian
+from extremis.core import derive_rng
 from extremis.mgpd import (ExtremalStudent, HuslerReiss, Logistic,
-                           NegLogistic, _logistic_xi_equal, exponent_measure_v,
+                           NegLogistic, _hr_pair_terms, _logistic_censored_nll,
+                           _logistic_xi_equal, exponent_measure_v,
+                           fit_hr_exchangeable, fit_logistic_censored,
                            joint_exceedance_prob, model_chi, pivot_weights,
                            xi_measure)
 from extremis.simulate import RiskFunctional, composition_sample
@@ -255,3 +264,122 @@ def test_pinned_values_are_bit_identical():
         assert out.samples.tolist() == samples
         assert out.pivot.tolist() == pivot
         assert out.flags == flags
+
+
+def _max_linear(seed, n, d, a):
+    """n rows of max(a F_0, (1 - a) F_j), j = 1..d, for iid unit Frechet
+    F: unit Frechet margins, dependence rising with a."""
+    F = -1.0 / np.log(derive_rng(seed, 7).uniform(size=(n, d + 1)))
+    return np.maximum(a * F[:, :1], (1.0 - a) * F[:, 1:])
+
+
+def _ref_logistic_nll(Y, u, censor, beta):
+    """The censored logistic NLL row by row: sum_(k<m) log(k beta - 1) -
+    (beta + 1) sum log y_unc + (1/beta - m) log T per row, less the
+    normalizer n log V(u)."""
+    Ye = Y[np.max(Y / u, axis=1) > 1.0]
+    M = Ye > censor
+    Ye, M = Ye[M.any(axis=1)], M[M.any(axis=1)]
+    m = M.sum(axis=1)
+    Yt = np.where(M, Ye, censor)
+    cum = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, u.size) * beta - 1.0))])
+    ll = (cum[m - 1] - (beta + 1.0) * np.where(M, np.log(Yt), 0.0).sum(axis=1)
+          + (1.0 / beta - m) * np.log(np.sum(Yt ** -beta, axis=1)))
+    return -(ll.sum() - Ye.shape[0] / beta * np.log(np.sum(u ** -beta)))
+
+
+def _ref_hr_pair_nll(x, y, cx, cy, ux, uy, theta):
+    """One pair's censored Huesler-Reiss NLL row by row, at gamma = e^theta."""
+    a = np.sqrt(2.0 * np.exp(theta))
+
+    def arg(p, q):
+        return 0.5 * a + np.log(q / p) / a
+    ox, oy = x > cx, y > cy
+    ll = np.where(ox & oy, -0.5 * arg(x, y) ** 2 - 0.5 * np.log(2.0 * np.pi) - np.log(a)
+                  - 2.0 * np.log(x) - np.log(y), 0.0)
+    ll += np.where(ox & ~oy, -2.0 * np.log(x) + log_ndtr(arg(x, cy)), 0.0)
+    ll += np.where(~ox & oy, -2.0 * np.log(y) + log_ndtr(arg(y, cx)), 0.0)
+    return -(ll.sum() - x.size * np.log(ndtr(arg(ux, uy)) / ux + ndtr(arg(uy, ux)) / uy))
+
+
+def _ref_hr_nll(Y, u, censor, theta):
+    total = 0.0
+    for i, j in itertools.combinations(range(u.size), 2):
+        rows = (Y[:, i] / u[i] > 1.0) | (Y[:, j] / u[j] > 1.0)
+        total += _ref_hr_pair_nll(Y[rows, i], Y[rows, j], censor[i], censor[j],
+                                  u[i], u[j], theta)
+    return total
+
+
+def _fit_input(seed, n, d, a, q, cq):
+    Y = _max_linear(seed, n, d, a)
+    return Y, np.quantile(Y, q, axis=0), np.quantile(Y, cq, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(200, 800), d=st.integers(2, 4),
+       a=st.floats(0.05, 0.95), q=st.floats(0.7, 0.95), cq=st.floats(0.3, 0.7),
+       beta=st.one_of(st.floats(1.0 + 1e-3, 1.05), st.floats(1.05, 20.0)))
+def test_logistic_censored_derivatives_match_finite_differences(seed, n, d, a, q, cq, beta):
+    Y, u, censor = _fit_input(seed, n, d, a, q, cq)
+    parts, _, _ = _logistic_censored_nll(Y, u, censor)
+    t = np.array([beta])
+    f = lambda b: _ref_logistic_nll(Y, u, censor, b[0])  # noqa: E731
+    value, grad, hess = parts(beta)
+    assert value == pytest.approx(f(t), rel=1e-12)
+    scale = abs(f(t)) / (beta - 1.0) ** 2  # the curvature of log(beta - 1)
+    assert abs(grad - numeric_gradient(f, t)[0]) <= 1e-6 * scale
+    step = 1e-3 * (beta - 1.0) / beta  # a thousandth of the distance to the pole
+    assert abs(hess - numeric_hessian(f, t, step)[0, 0]) <= 1e-4 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(100, 600), a=st.floats(0.05, 0.95),
+       q=st.floats(0.6, 0.9), cq=st.floats(0.2, 0.6), theta=st.floats(-9.0, 4.5))
+def test_hr_pair_derivatives_match_finite_differences(seed, n, a, q, cq, theta):
+    Y, u, censor = _fit_input(seed, n, 2, a, q, cq)
+    # one row of each censoring class at least: both above, only x, only y
+    Y = np.vstack([Y, [2.0 * u[0], 2.0 * u[1]], [2.0 * u[0], 0.5 * censor[1]],
+                   [0.5 * censor[0], 2.0 * u[1]]])
+    rows = (Y[:, 0] / u[0] > 1.0) | (Y[:, 1] / u[1] > 1.0)
+    x, y = Y[rows, 0], Y[rows, 1]
+    terms = _hr_pair_terms(x, y, censor[0], censor[1], u[0], u[1])
+    f = lambda t: _ref_hr_pair_nll(x, y, censor[0], censor[1], u[0], u[1], t[0])  # noqa: E731
+    t = np.array([theta])
+    value, grad, hess = terms(theta)
+    assert value == pytest.approx(f(t), rel=1e-12)
+    scale = abs(f(t)) + 1.0
+    assert abs(grad - numeric_gradient(f, t)[0]) <= 1e-6 * scale
+    assert abs(hess - numeric_hessian(f, t)[0, 0]) <= 1e-4 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(400, 3000), d=st.integers(2, 4),
+       a=st.floats(0.1, 0.9), q=st.floats(0.8, 0.97), cq=st.floats(0.4, 0.8))
+def test_censored_fits_match_a_bounded_brent_reference(seed, n, d, a, q, cq):
+    Y, u, censor = _fit_input(seed, n, d, a, q, cq)
+    for fit, nll, low, high, to_estimate in (
+            (fit_logistic_censored, _ref_logistic_nll, 1.0 + 1e-6, 50.0, float),
+            (fit_hr_exchangeable, _ref_hr_nll, np.log(1e-4), np.log(100.0), np.exp)):
+        got = fit(Y, u, censor)
+        x, value = bounded_scalar_minimum(lambda t: nll(Y, u, censor, t), low, high)
+        assert got.estimate == pytest.approx(to_estimate(x), rel=1e-7)
+        assert got.loglik >= -value - 1e-9 * abs(value)
+
+
+def test_single_pair_hr_se_is_the_observed_information_in_gamma():
+    Y, u, censor = _fit_input(3, 2000, 2, 0.5, 0.9, 0.6)
+    fit = fit_hr_exchangeable(Y, u, censor)
+    f = lambda g: _ref_hr_nll(Y, u, censor, np.log(g[0]))  # noqa: E731
+    info = numeric_hessian(f, np.array([fit.estimate]), 1e-4)[0, 0]
+    assert fit.flags == []
+    assert fit.se == pytest.approx(info ** -0.5, rel=1e-4)
+
+
+def test_censored_fits_reject_one_column_or_no_exceedances():
+    Y = np.tile([0.0, 1.0, 2.0], (200, 4)).reshape(-1, 4)[:200]
+    for fit in (fit_logistic_censored, fit_hr_exchangeable):
+        with pytest.raises(ValueError, match="no exceedance rows"):
+            fit(Y, np.full(4, 2.0), 1.0)
+        with pytest.raises(ValueError, match="at least two columns"):
+            fit(_max_linear(0, 100, 1, 0.5), [2.0], 1.0)
