@@ -430,8 +430,7 @@ def cmd_simulate(args) -> dict:
         _atomic_write(args.out_samples, header + "\n" + body + "\n")
     freq = np.bincount(out.pivot, minlength=u.size) / args.n
     return {"n": args.n, "functional": args.functional,
-            "pivot_frequencies": freq, "flags": out.flags,
-            "samples_file": args.out_samples}
+            "pivot_frequencies": freq, "samples_file": args.out_samples}
 
 
 def cmd_mixture_experiment(args) -> dict:

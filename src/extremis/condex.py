@@ -616,8 +616,7 @@ def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
 
 def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
                       exchangeable: bool = True, paper_literal: bool = False,
-                      seed: int = 0,
-                      max_assignments: int = 1_000_000) -> HtProbability:
+                      seed: int = 0) -> HtProbability:
     """Unequal-level joint tail probability with permutation averaging.
 
     Variables in the first group must exceed s1, those in the second s2
@@ -650,8 +649,7 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     d = params.dim
     if sorted(np.concatenate([g1, g2]).tolist()) != list(range(d)):
         raise ValueError("groups must partition the cluster variables")
-    assignments, flags = label_assignments(d, g2, exchangeable, seed,
-                                           max_assignments)
+    assignments, flags = label_assignments(d, g2, exchangeable, seed)
 
     root1, root2 = _entry_roots(params, s1), _entry_roots(params, s2)
     log_probs = []

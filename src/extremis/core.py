@@ -28,6 +28,9 @@ import numpy as np
 PROB_FLOOR = 1e-15
 PROB_CEIL = 1.0 - 1e-15
 
+# exchangeable label assignments enumerated before a seeded subsample
+MAX_ASSIGNMENTS = 1_000_000
+
 MARGIN_KINDS = ("gumbel", "exponential", "laplace", "frechet", "pareto",
                 "uniform", "empirical")
 
@@ -385,12 +388,15 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def label_assignments(d: int, group, exchangeable: bool, seed: int,
-                      max_assignments: int) -> tuple[list[np.ndarray], list[str]]:
+                      max_assignments: int | None = None
+                      ) -> tuple[list[np.ndarray], list[str]]:
     """Column sets carrying a group's label under permutation averaging, and
     flags: ``group`` alone when not exchangeable or holding no or all ``d``
     columns; else every subset of its size in lexicographic order, or past
-    ``max_assignments`` that many sorted draws from ``derive_rng(seed)``,
-    flagged ``assignment-subsample``."""
+    ``max_assignments`` (default ``MAX_ASSIGNMENTS``) that many sorted draws
+    from ``derive_rng(seed)``, flagged ``assignment-subsample``."""
+    if max_assignments is None:
+        max_assignments = MAX_ASSIGNMENTS
     group = np.asarray(group, dtype=int)
     m = group.size
     if not exchangeable or m in (0, d):

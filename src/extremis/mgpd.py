@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, gammaln, log_ndtr, ndtr, ndtri, stdtr
+from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from ._optim import covariance_from_hessian, minimize_nll
 from .mvnt import mvn_cdf, mvt_cdf
 
 LOGISTIC_DIM_CAP = 20
-GIBBS_SWEEPS = 50
 
 
 class MgpdModel:
@@ -70,8 +69,8 @@ class MgpdModel:
         w, ses = self.pivot_weights(u, direction, n_points, seed)
         return float(w.sum()), float(np.sqrt(np.sum(ses ** 2)))
 
-    def pivot_block(self, j: int, k: np.ndarray, n: int, rng, kind: str,
-                    flags: list[str]) -> np.ndarray:
+    def pivot_block(self, j: int, k: np.ndarray, n: int, rng,
+                    kind: str) -> np.ndarray:
         """(n, D) angles omega = Z/Z_j given that pivot j is the scaled
         extreme for the functional ``kind``; ``k`` is u / u_j."""
         raise NotImplementedError
@@ -91,7 +90,7 @@ class _IidFamily(MgpdModel):
     ``_head_pivots``) and T_i is a truncated exponential.
     """
 
-    def pivot_block(self, j, k, n, rng, kind, flags):
+    def pivot_block(self, j, k, n, rng, kind):
         p = self._exponent
         d = k.size
         others = np.flatnonzero(np.arange(d) != j)
@@ -258,15 +257,16 @@ class HuslerReiss(_QmcFamily):
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gamma must be a square matrix")
+        if g.shape[0] < 2:
+            raise ValueError("Huesler-Reiss gamma must cover at least two variables")
         if not np.allclose(g, g.T, atol=1e-10):
             raise ValueError("gamma must be symmetric")
         if np.any(np.abs(np.diag(g)) > 1e-12):
             raise ValueError("gamma must have a zero diagonal")
-        if g.shape[0] > 1 and np.any(g[~np.eye(g.shape[0], dtype=bool)] <= 0.0):
+        if np.any(g[~np.eye(g.shape[0], dtype=bool)] <= 0.0):
             raise ValueError("off-diagonal gamma entries must be positive")
         for j in range(g.shape[0]):
-            s = _hr_sigma_minus_j(g, j)
-            if np.linalg.eigvalsh(s).min() < -1e-8:
+            if np.linalg.eigvalsh(_hr_pivot_law(g, j)[1]).min() < -1e-8:
                 raise ValueError("gamma is not conditionally negative definite")
         object.__setattr__(self, "gamma", g)
 
@@ -280,33 +280,40 @@ class HuslerReiss(_QmcFamily):
         return self.gamma.shape[0]
 
     def _pivot_probability(self, u, j, idx, direction, n_points, seed):
-        g = self.gamma
-        gj = g[idx, j]
-        cov = _hr_sigma_minus_j(g, j)
-        if direction == "min":
-            x = np.log(u[j]) - np.log(u[idx]) - gj
-        else:
-            x = np.log(u[idx]) - np.log(u[j]) + gj
-        if u.size == 2:
-            return float(ndtr(x[0] / np.sqrt(max(cov[0, 0], 1e-300)))), 0.0
-        return mvn_cdf(x, np.zeros(u.size - 1), cov, n_points, seed)
+        mean, cov = _hr_pivot_law(self.gamma, j)
+        log_k = np.log(u[idx]) - np.log(u[j])
+        if direction == "min":  # P(w >= log k) = P(-w <= -log k)
+            return mvn_cdf(-log_k, -mean, cov, n_points, seed)
+        return mvn_cdf(log_k, mean, cov, n_points, seed)
 
-    def pivot_block(self, j, k, n, rng, kind, flags):
-        """Log-Gaussian angles: exact for sum, Gibbs-truncated for max."""
-        g = self.gamma
-        d = g.shape[0]
+    def pivot_block(self, j, k, n, rng, kind):
+        """Log-Gaussian angles, exact: ``sum`` draws pivot j's law once, and
+        ``max`` keeps the draws with w <= log k by plain rejection (Devroye
+        1986, ch. II.3).  Pivot j is drawn with probability
+        (p_j / u_j) / V(u) and accepts with probability p_j, so the expected
+        proposals over all pivots are n sum_j (1 / u_j) / V(u) <= n D."""
+        d = k.size
         idx = [i for i in range(d) if i != j]
-        mean = -g[idx, j]
-        cov = _hr_sigma_minus_j(g, j) + 1e-12 * np.eye(d - 1)
-        chol = np.linalg.cholesky(cov)
+        mean, cov = _hr_pivot_law(self.gamma, j)
+        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(d - 1))
         omega = np.empty((n, d))
         omega[:, j] = 1.0
         if kind == "sum":
             w = mean + rng.standard_normal((n, d - 1)) @ chol.T
         else:
-            w = _gibbs_truncated_normal(mean, cov, np.log(k[idx]), n, rng)
-            if "hr-gibbs-approximate" not in flags:
-                flags.append("hr-gibbs-approximate")
+            upper = np.log(k[idx])
+            w = np.empty((n, d - 1))
+            filled = drawn = 0
+            while filled < n:
+                # size the batch from the acceptance rate so far, capped
+                # to bound the memory
+                need = (n - filled) * (drawn + 1) / (filled + 1)
+                size = min(max(math.ceil(1.1 * need), 256), 1 << 16)
+                cand = mean + rng.standard_normal((size, d - 1)) @ chol.T
+                keep = cand[np.all(cand <= upper, axis=1)][:n - filled]
+                w[filled:filled + len(keep)] = keep
+                filled += len(keep)
+                drawn += size
         omega[:, idx] = np.exp(w)
         return omega
 
@@ -348,33 +355,15 @@ class ExtremalStudent(_QmcFamily):
             x, loc = -ratio, -sj
         else:
             x, loc = ratio, sj
-        if u.size == 2:
-            return float(stdtr(nu + 1.0, (x[0] - loc[0]) / np.sqrt(max(shape[0, 0], 1e-300)))), 0.0
         return mvt_cdf(x, loc, shape, nu + 1.0, n_points, seed)
 
 
-def _hr_sigma_minus_j(gamma: np.ndarray, j: int) -> np.ndarray:
+def _hr_pivot_law(gamma: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of pivot j's Gaussian angle w = log(Z_i / Z_j),
+    i != j: mean -Gamma_ij, covariance Gamma_ij + Gamma_kj - Gamma_ik."""
     idx = [i for i in range(gamma.shape[0]) if i != j]
     gj = gamma[idx, j]
-    return gj[:, None] + gj[None, :] - gamma[np.ix_(idx, idx)]
-
-
-def _gibbs_truncated_normal(mean, cov, upper, n, rng):
-    """Coordinatewise Gibbs for N(mean, cov) truncated to w <= upper."""
-    d = mean.size
-    prec = np.linalg.inv(cov)
-    cond_sd = 1.0 / np.sqrt(np.diag(prec))
-    w = np.minimum(mean, upper - 0.1 * np.abs(upper) - 0.1)
-    w = np.tile(w, (n, 1))
-    for _ in range(GIBBS_SWEEPS):
-        for i in range(d):
-            # conditional mean given the other coordinates
-            resid = (w - mean) @ prec[:, i] - (w[:, i] - mean[i]) * prec[i, i]
-            mu_i = mean[i] - resid / prec[i, i]
-            cap = ndtr((upper[i] - mu_i) / cond_sd[i])
-            u = rng.random(n) * np.maximum(cap, 1e-300)
-            w[:, i] = mu_i + cond_sd[i] * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-    return w
+    return -gj, gj[:, None] + gj[None, :] - gamma[np.ix_(idx, idx)]
 
 
 def check_model(model) -> MgpdModel:

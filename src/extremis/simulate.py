@@ -9,12 +9,13 @@ and negative logistic generators are independent powers c T^p of unit
 exponentials, so the blocks are exact: the pivot's T is a gamma draw
 (rejection under a gamma envelope when the companions are capped above
 in T) and the companions are truncated exponentials.  The Huesler-Reiss
-family uses coordinatewise Gibbs for the truncated log-Gaussian angle
-(approximate, flagged) and is limited to the sum and max functionals.
+family draws its log-Gaussian angle exactly for the sum and max
+functionals (max by plain rejection, at most n D proposals expected for
+n samples in D dimensions) and does not sample the min functional.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,33 +47,29 @@ class CompositionSample:
     samples: np.ndarray
     pivot: np.ndarray
     radius: np.ndarray
-    flags: list[str] = field(default_factory=list)
 
 
 def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
-                       seed: int, weights=None) -> CompositionSample:
+                       seed: int) -> CompositionSample:
     """Composition sampling of standard R-Pareto vectors.
 
     Draws the pivot index with probability proportional to the
     functional-specific weights, the generator conditionally on the pivot
     being the scaled extreme, and an independent Pareto(1) radius; every
-    sample satisfies omega_pivot = 1 and radius >= 1.  ``weights``
-    overrides the pivot weights (any positive scaling leaves the law
-    unchanged).
+    sample satisfies omega_pivot = 1 and radius >= 1.
     """
     if functional.kind not in check_model(model).sample_kinds:
         raise ValueError(model.sample_error)
+    if n < 1:
+        raise ValueError(f"sample size n must be at least 1 (got {n})")
     u = _check_u(functional.u, model.dim)
     d = u.size
     rng = derive_rng(seed)
-    flags: list[str] = []
-    if weights is None:
-        if functional.kind == "sum":
-            weights = np.ones(d)
-        else:
-            weights = pivot_weights(model, u, functional.kind, seed=seed)
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != d or np.any(weights < 0.0) or weights.sum() <= 0.0:
+    if functional.kind == "sum":
+        weights = np.ones(d)
+    else:
+        weights = pivot_weights(model, u, functional.kind, seed=seed)
+    if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ValueError("invalid pivot weights")
     pivot = rng.choice(d, size=n, p=weights / weights.sum())
     omega = np.empty((n, d))
@@ -81,10 +78,9 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
         nj = int(rows.sum())
         if nj == 0:
             continue
-        omega[rows] = model.pivot_block(j, u / u[j], nj, rng,
-                                        functional.kind, flags)
+        omega[rows] = model.pivot_block(j, u / u[j], nj, rng, functional.kind)
     radius = 1.0 / (1.0 - rng.random(n))
-    return CompositionSample(radius[:, None] * omega, pivot, radius, flags)
+    return CompositionSample(radius[:, None] * omega, pivot, radius)
 
 
 def simulate_mgpd_dataset(model: MgpdModel, margin, n: int,

@@ -122,8 +122,8 @@ def directional_extrapolate(E, group2, omega: float, t: float | None = None,
                             target: float | None = None,
                             threshold: float | None = None,
                             threshold_quantile: float | None = None,
-                            exchangeable: bool = True, seed: int = 0,
-                            max_assignments: int = 1_000_000) -> DirectionalExtrapolation:
+                            exchangeable: bool = True,
+                            seed: int = 0) -> DirectionalExtrapolation:
     """Directional joint-tail extrapolation with permutation averaging.
 
     Components in the second group are scaled by ``omega`` in (0, 1]; the
@@ -131,7 +131,7 @@ def directional_extrapolate(E, group2, omega: float, t: float | None = None,
     group and 1 elsewhere.  Under exchangeability the extrapolated
     probability is averaged over every assignment of the omega-weight to a
     subset of matching size (a seeded random subsample once the
-    combination count exceeds ``max_assignments``).  The threshold is a
+    combination count exceeds ``core.MAX_ASSIGNMENTS``).  The threshold is a
     raw value (``threshold``) or an empirical quantile level of the
     structure variable (``threshold_quantile``), and the target is either
     an increment ``t`` above the threshold or an absolute ``target``
@@ -148,8 +148,7 @@ def directional_extrapolate(E, group2, omega: float, t: float | None = None,
     group2 = np.asarray(sorted(group2), dtype=int)
     if np.any(group2 < 0) or np.any(group2 >= d) or np.unique(group2).size != group2.size:
         raise ValueError("group2 must be distinct column indices")
-    assignments, flags = label_assignments(d, group2, exchangeable, seed,
-                                           max_assignments)
+    assignments, flags = label_assignments(d, group2, exchangeable, seed)
 
     log_probs = np.empty(len(assignments))
     etas = np.empty(len(assignments))

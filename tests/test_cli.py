@@ -169,6 +169,26 @@ def test_simulate_sum_checks_u_against_model_dimension(capsys):
             in captured.err)
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_simulate_rejects_a_sample_size_below_one(n, capsys):
+    code = run(["simulate", "--family", "hr", "--functional", "max", "--dim", "3",
+                "--n", n])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"extremis simulate: error: sample size n must be "
+                            f"at least 1 (got {n})\n")
+
+
+def test_simulate_hr_rejects_one_variable(capsys):
+    code = run(["simulate", "--family", "hr", "--dim", "1", "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("extremis simulate: error: Huesler-Reiss gamma must "
+                            "cover at least two variables\n")
+
+
 def test_model_select_names_an_unknown_fitter(gumbel3_csv, capsys):
     code = run(["model-select", "--input", gumbel3_csv, "--fitters", "nope"])
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from scipy.stats import skewnorm
 
 from helpers import derivative_free_minimum, energy_two_sample_pvalue, numeric_gradient
 from test_gpd import _close
-from extremis import condex
+from extremis import condex, core
 from extremis._optim import minimize_nll, numeric_hessian
 from extremis.condex import (KAPPA_CAP, GaussianDiag, HtParams, SkewNormal,
                              _entry_roots, _pair_objective, _root_v_vector,
@@ -558,7 +558,7 @@ def test_residual_energy_homogeneity():
     assert passes >= 0.95 * reps
 
 
-def test_two_level_assignment_subsample_is_seeded():
+def test_two_level_assignment_subsample_is_seeded(monkeypatch):
     from scipy.special import logsumexp
     rng = derive_rng(41)
     n, d = 600, 4
@@ -570,8 +570,8 @@ def test_two_level_assignment_subsample_is_seeded():
     s1, s2 = 6.0, 4.5
     full = ht_prob_two_level(p, ([0, 1], [2, 3]), s1, s2)
     assert full.n_used == 6 and full.flags == []
-    out = ht_prob_two_level(p, ([0, 1], [2, 3]), s1, s2, seed=8,
-                            max_assignments=3)
+    monkeypatch.setattr(core, "MAX_ASSIGNMENTS", 3)
+    out = ht_prob_two_level(p, ([0, 1], [2, 3]), s1, s2, seed=8)
     assert out.n_used == 3
     assert out.flags == ["assignment-subsample"]
     # the subsample is three sorted draws of C(4, 2) subsets from the seed's
@@ -640,17 +640,19 @@ PINNED_CONDEX = {
 }
 
 
-def test_condex_estimators_pinned_values():
+def test_condex_estimators_pinned_values(monkeypatch):
     p = pinned_pool()
     g = ([0, 1], [2, 3])
+    with monkeypatch.context() as m:
+        m.setattr(core, "MAX_ASSIGNMENTS", 3)
+        subsample = ht_prob_two_level(p, g, 6.0, 4.5, seed=8)
     got = {
         "analytic": ht_prob_analytic(p, 6.0),
         "analytic-literal": ht_prob_analytic(p, 6.0, paper_literal=True),
         "two-level": ht_prob_two_level(p, g, 6.0, 4.5),
         "two-level-literal": ht_prob_two_level(p, g, 6.0, 4.5, paper_literal=True),
         "two-level-fixed": ht_prob_two_level(p, g, 6.0, 4.5, exchangeable=False),
-        "two-level-subsample": ht_prob_two_level(p, g, 6.0, 4.5, seed=8,
-                                                 max_assignments=3),
+        "two-level-subsample": subsample,
         "two-level-lone-g1": ht_prob_two_level(p, ([0], [1, 2, 3]), 6.0, 4.5),
         "two-level-empty-g2": ht_prob_two_level(p, ([0, 1, 2, 3], []), 6.0, 4.5),
         "equal-levels": ht_prob_two_level(p, g, 6.0, 6.0),

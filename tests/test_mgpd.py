@@ -170,6 +170,8 @@ def test_hr_model_validation():
         HuslerReiss(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
         HuslerReiss(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="at least two variables"):
+        HuslerReiss(np.zeros((1, 1)))
     with pytest.raises(ValueError):
         ExtremalStudent(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0)
     with pytest.raises(ValueError):
@@ -198,7 +200,9 @@ def test_joint_exceedance_prob_composition():
 # d = 3.  Refactors of the family code must reproduce them exactly; a
 # change here is a numeric change that needs explaining.  The two iid
 # entries were re-recorded when the pivot blocks moved to the T-space
-# sampler, whose law test_simulate checks against its closed form.
+# sampler, whose law test_simulate checks against its closed form; the
+# ("hr", "max") samples when the Gibbs sweeps gave way to exact rejection,
+# checked by test_simulate's Huesler-Reiss max exactness test.
 PINNED_MEASURES = {
     "logistic": {
         "xi": (0.1878165342097027, 0.0),
@@ -227,25 +231,25 @@ PINNED_SAMPLES = {
          [0.9587742716625196, 1.2004664554682598, 1.3257437893270316],
          [4.005918365888873, 5.114550696132923, 2.1542216479614504],
          [6.2003978649551845, 20.13045162912511, 43.97457124466422]],
-        [1, 2, 2, 0], []),
+        [1, 2, 2, 0]),
     ("neglogistic", "max"): (
         [[1.298759744087214, 2.118672596981736, 1.0129165365815065],
          [2.5639134978481093, 0.8269662102915051, 1.1582728788074834],
          [1.285688718890768, 1.2673785371295028, 1.618279908809434],
          [2.4738740736563174, 1.0944829891376138, 0.08622235985247778]],
-        [0, 0, 0, 0], []),
+        [0, 0, 0, 0]),
     ("hr", "sum"): (
         [[2.965976856971457, 1.3354080890267572, 0.6206388413741465],
          [1.7663146969537247, 1.3798981162580044, 0.1353079357429771],
          [3.370333649558563, 1.1600498409911697, 0.9201947173616987],
          [4.7178622708326206, 5.058561457050257, 2.9775377089989017]],
-        [0, 1, 1, 0], []),
+        [0, 1, 1, 0]),
     ("hr", "max"): (
-        [[2.3553722265991777, 1.661996076055978, 1.388510983848753],
-         [1.933290782993951, 0.5067612441110033, 0.7879773519736915],
-         [3.4360690096273423, 4.860026474127741, 1.914526009961372],
-         [15.647773623900248, 14.241170881547363, 5.894972730994302]],
-        [0, 0, 0, 0], ["hr-gibbs-approximate"]),
+        [[2.6618419866255496, 1.1984737211606034, 0.5569977805515411],
+         [6.518629876691043, 6.9893710231575055, 4.11403834080748],
+         [3.464486449286453, 4.4346559073260785, 0.3749760570362099],
+         [2.631086934090149, 3.1511753083515424, 1.6483592514576733]],
+        [0, 0, 0, 0]),
 }
 
 
@@ -258,12 +262,11 @@ def test_pinned_values_are_bit_identical():
         for direction in ("min", "max"):
             got = pivot_weights(model, U_D3, direction, **kw)
             assert got.tolist() == want[direction]
-    for (name, kind), (samples, pivot, flags) in PINNED_SAMPLES.items():
+    for (name, kind), (samples, pivot) in PINNED_SAMPLES.items():
         out = composition_sample(MODELS_D3[name], RiskFunctional(kind, U_D3),
                                  4, seed=11)
         assert out.samples.tolist() == samples
         assert out.pivot.tolist() == pivot
-        assert out.flags == flags
 
 
 def _max_linear(seed, n, d, a):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from extremis import core
 from extremis.core import derive_rng, rank_transform
 from extremis.mgpd import Logistic, model_chi
 from extremis.simulate import sample_logistic_max_stable
@@ -137,12 +138,12 @@ def test_directional_exchangeable_assignments_agree():
     assert probs.std() / probs.mean() < 0.10
 
 
-def test_directional_validation_and_subsample_cap():
+def test_directional_validation_and_subsample_cap(monkeypatch):
     rng = derive_rng(23)
     E = rng.exponential(size=(3000, 14))
+    monkeypatch.setattr(core, "MAX_ASSIGNMENTS", 100)
     out = directional_extrapolate(E, list(range(7)), omega=0.6, t=1.0,
-                                  threshold_quantile=0.95, seed=3,
-                                  max_assignments=100)
+                                  threshold_quantile=0.95, seed=3)
     assert out.n_assignments == 100
     assert "assignment-subsample" in out.flags
     with pytest.raises(ValueError):
