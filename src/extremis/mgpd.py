@@ -149,9 +149,12 @@ def _head_factor(x, power):
 
 class _QmcFamily(MgpdModel):
     """Families whose pivot terms are Gaussian or Student orthant
-    probabilities, estimated by quasi-Monte Carlo above two dimensions;
-    ``_pivot_probability`` gives pivot j's (p, standard error), and its
-    weight is p / u_j."""
+    probabilities; ``_pivot_probability`` gives pivot j's (p, standard
+    error), and its weight is p / u_j.  A term is exact, with zero error, in
+    one dimension and, for Huesler-Reiss, whenever pivot j's covariance is
+    one factor (every exchangeable gamma, and a trivariate gamma whose 2 x 2
+    pivot covariance has its off-diagonal in (0, min diagonal); see
+    ``mvnt.mvn_cdf``); any other is estimated by quasi-Monte Carlo."""
 
     def pivot_weights(self, u, direction, n_points, seed):
         d = u.size
@@ -429,8 +432,10 @@ def xi_measure(model: MgpdModel, u, n_points: int = 100_000, seed: int = 0,
     """Joint-exceedance measure Xi(u): intensity of {min_j Y_j/u_j > 1}.
 
     Gaussian/Student CDF terms are estimated by quasi-Monte Carlo with the
-    given budget; ``return_se`` also reports the aggregated standard error
-    (zero for the closed-form families).
+    given budget, except the exact one-factor Huesler-Reiss terms (every
+    exchangeable model; see ``_QmcFamily``), which ignore
+    ``n_points`` and ``seed``; ``return_se`` also reports the aggregated
+    standard error (zero for the closed-form families and exact terms).
     """
     u = _check_u(u, check_model(model).dim)
     val, se = model.xi(u, n_points, seed)

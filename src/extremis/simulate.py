@@ -42,7 +42,11 @@ class RiskFunctional:
 
 @dataclass
 class CompositionSample:
-    """Samples Y = R * omega with pivot indices and radii."""
+    """Samples Y = R * omega with pivot indices and radii.
+
+    The rows are pivot-normalized (omega_pivot = 1, R >= 1); for ``min`` and
+    ``max``, ``samples * u[pivot][:, None]`` has the law on {r(Y / u) > 1}.
+    """
 
     samples: np.ndarray
     pivot: np.ndarray
@@ -56,7 +60,11 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
     Draws the pivot index with probability proportional to the
     functional-specific weights, the generator conditionally on the pivot
     being the scaled extreme, and an independent Pareto(1) radius; every
-    sample satisfies omega_pivot = 1 and radius >= 1.
+    sample satisfies omega_pivot = 1 and radius >= 1.  The samples are on
+    the pivot's scale: for ``min`` and ``max`` with unequal thresholds,
+    multiplying each row by ``u[pivot]`` gives the limit measure restricted
+    to {r(Y / u) > 1} (r the min or max) and normalized, so those rows have
+    r(Y / u) >= 1 while the returned ones need not.
     """
     if functional.kind not in check_model(model).sample_kinds:
         raise ValueError(model.sample_error)

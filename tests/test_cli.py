@@ -1114,16 +1114,24 @@ fit_hr_exchangeable(y, u, u)
 solve_return_level([BinGpdModel(100.0, 0.05, GpdParams(10.0, 0.1))], 200.0, 300)
 loaded += ["mgpd fits, solve_return_level", "scipy.optimize" in sys.modules,
            "scipy.stats" in sys.modules]
+from extremis.mgpd import HuslerReiss, exponent_measure_v, xi_measure
+hr = HuslerReiss.exchangeable(5, 1.8)
+xi_measure(hr, [1.0, 2.0, 1.5, 3.0, 1.2])
+exponent_measure_v(hr, np.ones(5))
+loaded += ["one-factor Xi, V"] + [m in sys.modules for m in
+                                  ("scipy.stats", "scipy.optimize", "scipy.integrate")]
 print(loaded)
 """
 
 
 def test_cli_import_graph_has_no_scipy_stats():
     # scipy.stats costs about 0.65 s and 170 modules of CLI start-up, and
-    # scipy.optimize about 0.2 s more; the library imports only scipy.special
+    # scipy.optimize about 0.2 s more; the library imports only scipy.special,
+    # and the one-factor orthant rule needs no quadrature module either
     src = str(Path(extremis.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == str(["import", False, False, "mvt_rect", False,
                                         "exch_test", False, "profile_return_level_ci", False,
-                                        "mgpd fits, solve_return_level", False, False])
+                                        "mgpd fits, solve_return_level", False, False,
+                                        "one-factor Xi, V", False, False, False])

@@ -202,7 +202,9 @@ def test_joint_exceedance_prob_composition():
 # entries were re-recorded when the pivot blocks moved to the T-space
 # sampler, whose law test_simulate checks against its closed form; the
 # ("hr", "max") samples when the Gibbs sweeps gave way to exact rejection,
-# checked by test_simulate's Huesler-Reiss max exactness test.
+# checked by test_simulate's Huesler-Reiss max exactness test; the "hr"
+# measures when its 2 x 2 one-factor pivot terms became exact, checked
+# against a 200-node rule and scipy's bivariate normal CDF.
 PINNED_MEASURES = {
     "logistic": {
         "xi": (0.1878165342097027, 0.0),
@@ -215,10 +217,10 @@ PINNED_MEASURES = {
         "min": [0.018541695293241612, 0.04565500914843628, 0.11241581890861675],
         "max": [0.8759602354857895, 0.21652364897228532, 0.03480216320791184]},
     "hr": {
-        "xi": (0.18082587097205605, 1.4715596727668423e-05),
-        "v": (1.1215987242733874, 3.144544689996458e-05),
-        "min": [0.020702932394410595, 0.04453943996070723, 0.11558349861693824],
-        "max": [0.862307647802384, 0.196795980167508, 0.06249509630349545]},
+        "xi": (0.18083013860768996, 0.0),
+        "v": (1.1216305384665746, 0.0),
+        "min": [0.020698576720207848, 0.044537444296750835, 0.11559411759073127],
+        "max": [0.8623360042313974, 0.196795679116112, 0.062498855119065104]},
     "es": {
         "xi": (0.06125898061514107, 9.087465536507818e-05),
         "v": (1.3719090089455563, 0.00026431153960160053),
