@@ -1,6 +1,6 @@
 """The one optimizer of every fit, a projected trust-region Newton on analytic
-derivatives, and the covariance from an observed information; the tests'
-finite-difference reference ``numeric_hessian`` has no library caller."""
+derivatives, the mode finder of the 1-D quadratures, and the covariance from an
+observed information; the tests' ``numeric_hessian`` has no library caller."""
 from __future__ import annotations
 
 import numpy as np
@@ -102,6 +102,23 @@ def _trust_step(a, w, radius):
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
     return -a / (w + hi)
+
+
+def concave_mode(derivs, lo, hi, t):
+    """The mode t of a strictly concave function whose slope is >= 0 at
+    ``lo`` and <= 0 at ``hi``, and the curvature there, by Newton steps from
+    ``t`` on ``derivs``: t -> (slope, curvature); each narrows the bracket,
+    and one that leaves it is replaced by a bisection."""
+    for _ in range(100):  # Newton takes about a dozen steps; bisection, 60
+        slope, curvature = derivs(t)
+        lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+        step = t - slope / curvature
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-14 * (1.0 + abs(t)):
+            break
+        t = step
+    return t, curvature
 
 
 def numeric_hessian(f, x, rel_step: float = 1e-5) -> np.ndarray:

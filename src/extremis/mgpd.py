@@ -8,7 +8,8 @@ pairwise composite fit for the exchangeable Huesler-Reiss family.
 
 Every family is a :class:`MgpdModel`: it supplies its own pivot weights
 (the per-pivot terms of Xi and V), any closed forms for Xi and V, and the
-pivot-block sampler used by composition sampling (``simulate``).
+pivot-block sampler used by composition sampling (``simulate``).  The
+logistic families' weights are exact Gamma mixtures (see ``_IidFamily``).
 
 Conventions, fixed by Monte Carlo validation against generator draws:
 
@@ -25,17 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
-from ._optim import covariance_from_hessian, minimize_nll
+from ._optim import concave_mode, covariance_from_hessian, minimize_nll
 from .mvnt import mvn_cdf, mvt_cdf
-
-LOGISTIC_DIM_CAP = 20
 
 
 class MgpdModel:
@@ -80,15 +78,31 @@ class _IidFamily(MgpdModel):
     """Families with iid generators Z = c T^p, T ~ Exp(1), for one exponent
     ``_exponent`` = p; the scale c cancels from every angle Z_i / Z_j.
 
-    Composition sampling runs in T-space and is exact.  Given pivot j the
-    pivot's T is size-biased, t ~ Gamma(1 + p), and a companion's event
-    Z_i >= k_i Z_j (``min``) or Z_i <= k_i Z_j (``max``) is a *tail*
-    T_i >= a_i t or a *head* T_i <= a_i t, with a_i = k_i^(1/p); under
-    ``sum`` every companion is a tail with a_i = 0.  Tails weight the pivot
-    density by e^(-a_i t), so t is Gamma(1 + p) / (1 + sum a_i) and
-    T_i - a_i t is Exp(1); heads weight it by 1 - e^(-a_i t) (see
-    ``_head_pivots``) and T_i is a truncated exponential.
+    Given pivot j, let q = 1 + p and a_i = (u_i / u_j)^(1/p).  The pivot's
+    T = t is size-biased, Gamma(q).  By the sign of p, a companion's event
+    Z_i >= (u_i / u_j) Z_j (``min``) or Z_i <= (u_i / u_j) Z_j (``max``) is
+    a *tail* T_i >= a_i t, of probability e^(-a_i t), or a *head* T_i <=
+    a_i t, of probability 1 - e^(-a_i t).  Pivot j's weight is
+    E prod_i P_i(T) / u_j over T ~ Gamma(q).  As x^(-q) = Gamma(q)^(-1)
+    int t^(q-1) e^(-t x) dt, that is (1 + sum a_i)^(-q) / u_j for tails;
+    for heads it is the alternating power-set sum of such terms, taken
+    instead as one integral (``_head_log_mass``).  Composition sampling
+    draws t from this weighted Gamma(q) (``_head_pivots`` for heads), a
+    tail's T_i - a_i t as Exp(1) and a head's T_i as a truncated
+    exponential; under ``sum`` every companion is a tail with a_i = 0.
     """
+
+    def pivot_weights(self, u, direction, n_points, seed):
+        p = self._exponent
+        q = 1.0 + p
+        tail = (direction == "min") == (p > 0.0) or u.size == 1
+        log_mass = np.empty(u.size)
+        for j in range(u.size):
+            # in logs, an a_i that overflows or underflows gives no NaN
+            log_a = np.log(np.delete(u, j) / u[j]) / p
+            log_mass[j] = (-q * np.logaddexp.reduce(log_a, initial=0.0) if tail
+                           else _head_log_mass(q, log_a))
+        return np.exp(log_mass) / u, np.zeros(u.size)
 
     def pivot_block(self, j, k, n, rng, kind):
         p = self._exponent
@@ -111,6 +125,45 @@ class _IidFamily(MgpdModel):
             with np.errstate(over="ignore", divide="ignore"):
                 omega[:, i] = (ti / t) ** p
         return omega
+
+
+def _head_log_mass(q, log_a):
+    """log E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q), q > 0, from log a.
+
+    In s = log t, Gamma(q) times the mean integrates e^g(s), g = q s - e^s +
+    sum_i log(1 - e^(-x_i)), x_i = a_i e^s.  With f(x) = x / (e^x - 1) in
+    [1 - x/2, 1], g' = q - e^s + sum_i f(x_i) and g'' = -e^s + sum_i [f (1 -
+    f) - f x_i] < 0, so the mode of m companions lies in [log((q + m) / (1
+    + sum a_i / 2)), log(q + m)].  The integrand is analytic in |Im s| <
+    pi/2, where the trapezoid rule converges exponentially (Trefethen &
+    Weideman 2014): step min(0.45 (-g'')^(-1/2), 0.2) from the mode out to
+    where g is 40 below its maximum.
+    """
+
+    def derivs(s):
+        x = np.exp(np.clip(s + log_a, -700.0, 700.0))
+        f = x * np.exp(-x) / -np.expm1(-x)
+        return q - np.exp(s) + f.sum(), -np.exp(s) + np.sum(f * (1.0 - f) - f * x)
+
+    def g(s):
+        lx = np.add.outer(s, log_a)
+        # below x = e^-700, log(1 - e^-x) is log x to double precision, and
+        # above e^700 it is 0
+        head = np.log(-np.expm1(-np.exp(np.clip(lx, -700.0, 700.0))))
+        return q * s - np.exp(s) + np.sum(head + np.minimum(lx + 700.0, 0.0), axis=-1)
+
+    hi = np.log(q + log_a.size)
+    lo = hi - np.logaddexp.reduce(log_a, initial=np.log(2.0)) + np.log(2.0)
+    mode, curvature = concave_mode(derivs, lo, hi, hi)
+    h = min(0.45 / np.sqrt(-curvature), 0.2)
+    top = g(mode)
+    n_lo = n_hi = 16
+    while g(mode - n_lo * h) > top - 40.0:
+        n_lo *= 2
+    while g(mode + n_hi * h) > top - 40.0:
+        n_hi *= 2
+    nodes = g(mode + h * np.arange(-n_lo, n_hi + 1))
+    return top + np.log(h * np.sum(np.exp(nodes - top))) - gammaln(q)
 
 
 def _head_pivots(p, a, n, rng):
@@ -152,9 +205,8 @@ class _QmcFamily(MgpdModel):
     probabilities; ``_pivot_probability`` gives pivot j's (p, standard
     error), and its weight is p / u_j.  A term is exact, with zero error, in
     one dimension and, for Huesler-Reiss, whenever pivot j's covariance is
-    one factor (every exchangeable gamma, and a trivariate gamma whose 2 x 2
-    pivot covariance has its off-diagonal in (0, min diagonal); see
-    ``mvnt.mvn_cdf``); any other is estimated by quasi-Monte Carlo."""
+    one factor with loadings at most 2 (every exchangeable gamma; see
+    ``mvnt._one_factor``); any other is estimated by quasi-Monte Carlo."""
 
     def pivot_weights(self, u, direction, n_points, seed):
         d = u.size
@@ -178,25 +230,6 @@ class Logistic(_IidFamily):
         if not self.beta > 1.0:
             raise ValueError("logistic beta must exceed 1")
 
-    def pivot_weights(self, u, direction, n_points, seed):
-        beta = self.beta
-        d = u.size
-        if direction == "max":
-            s = np.sum(u ** (-beta))
-            return u ** (-beta) * s ** (1.0 / beta - 1.0), np.zeros(d)
-        if d > LOGISTIC_DIM_CAP:
-            raise ValueError(
-                f"logistic power-set sum capped at D={LOGISTIC_DIM_CAP}; use the "
-                "Monte Carlo fallback via composition sampling for larger D")
-        psis = np.empty(d)
-        for j in range(d):
-            a = (u / u[j]) ** (-beta)
-            mask = np.arange(d) != j
-            sums, sizes = _subset_sums(a[mask])
-            vals = (1.0 + sums) ** (1.0 / beta - 1.0)
-            psis[j] = _alternating_fsum(vals, sizes) / u[j]
-        return psis, np.zeros(d)
-
     def v(self, u, n_points, seed):
         return float(np.sum(u ** (-self.beta)) ** (1.0 / self.beta)), 0.0
 
@@ -215,31 +248,8 @@ class NegLogistic(_IidFamily):
         if not self.theta > 0.0:
             raise ValueError("negative logistic theta must be positive")
 
-    def pivot_weights(self, u, direction, n_points, seed):
-        theta = self.theta
-        d = u.size
-        if direction == "min":
-            s = np.sum(u ** theta)
-            return u ** theta * s ** (-1.0 / theta - 1.0), np.zeros(d)
-        ut = u ** theta
-        phis = np.empty(d)
-        for j in range(d):
-            mask = np.arange(d) != j
-            sums, sizes = _subset_sums(ut[mask])
-            vals = (ut[j] + sums) ** (-1.0 / theta - 1.0)
-            phis[j] = ut[j] * _alternating_fsum(vals, sizes)
-        return phis, np.zeros(d)
-
     def xi(self, u, n_points, seed):
         return float(np.sum(u ** self.theta) ** (-1.0 / self.theta)), 0.0
-
-    def v(self, u, n_points, seed):
-        # inclusion-exclusion over nonempty subsets
-        sums, sizes = _subset_sums(u ** self.theta)
-        vals = np.zeros_like(sums)
-        vals[1:] = sums[1:] ** (-1.0 / self.theta)
-        signed_sizes = sizes[1:] - 1  # (-1)^(|s|+1) = (-1)^(|s|-1)
-        return float(_alternating_fsum(vals[1:], signed_sizes)), 0.0
 
     @property
     def _exponent(self) -> float:
@@ -386,38 +396,6 @@ def _check_u(u, dim: int | None = None) -> np.ndarray:
     return u
 
 
-def _subset_sums(a: np.ndarray):
-    """All subset sums of ``a`` with subset sizes, by iterative doubling."""
-    sums = np.zeros(1)
-    sizes = np.zeros(1, dtype=np.int64)
-    for v in a:
-        sums = np.concatenate([sums, sums + v])
-        sizes = np.concatenate([sizes, sizes + 1])
-    return sums, sizes
-
-
-def _alternating_fsum(values: np.ndarray, sizes: np.ndarray) -> float:
-    """Compensated alternating sum with a grouped-reordering cross-check."""
-    signed = np.where(sizes % 2 == 0, values, -values)
-    direct = math.fsum(signed)
-    grouped = math.fsum(
-        ((-1.0) ** s) * math.fsum(values[sizes == s])
-        for s in range(int(sizes.max()) + 1))
-    scale = max(abs(direct), abs(grouped), 1e-300)
-    if abs(direct - grouped) > 1e-8 * scale:
-        warnings.warn("alternating-sum cancellation detected in the logistic "
-                      "measure; results may lose precision", RuntimeWarning)
-    return direct
-
-
-def _logistic_xi_equal(d: int, beta: float, u: float) -> float:
-    """Equal-threshold shortcut: (D/u) sum_k C(D-1,k)(-1)^k (1+k)^(1/beta-1)."""
-    ks = np.arange(d)
-    terms = np.array([math.comb(d - 1, int(k)) * (1.0 + k) ** (1.0 / beta - 1.0)
-                      for k in ks])
-    return d / u * _alternating_fsum(terms, ks)
-
-
 def pivot_weights(model: MgpdModel, u, direction: str,
                   n_points: int = 100_000, seed: int = 0) -> np.ndarray:
     """Unnormalized pivot weights: the j-th term of Xi(u) (``min``) or V(u) (``max``)."""
@@ -431,11 +409,12 @@ def xi_measure(model: MgpdModel, u, n_points: int = 100_000, seed: int = 0,
                return_se: bool = False):
     """Joint-exceedance measure Xi(u): intensity of {min_j Y_j/u_j > 1}.
 
-    Gaussian/Student CDF terms are estimated by quasi-Monte Carlo with the
-    given budget, except the exact one-factor Huesler-Reiss terms (every
-    exchangeable model; see ``_QmcFamily``), which ignore
-    ``n_points`` and ``seed``; ``return_se`` also reports the aggregated
-    standard error (zero for the closed-form families and exact terms).
+    Exact for the logistic families in any dimension.  Gaussian/Student CDF
+    terms are estimated by quasi-Monte Carlo with the given budget, except
+    the exact one-factor Huesler-Reiss terms (every exchangeable model; see
+    ``_QmcFamily``), which ignore ``n_points`` and ``seed``; ``return_se``
+    also reports the aggregated standard error (zero for the logistic
+    families and exact terms).
     """
     u = _check_u(u, check_model(model).dim)
     val, se = model.xi(u, n_points, seed)

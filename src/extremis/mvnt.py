@@ -8,11 +8,11 @@ mixes a chi-square scale inside the same loop.  Estimates are deterministic
 given the seed; the standard error comes from the random lattice shifts.
 
 ``mvn_cdf`` is exact, with zero reported error, when the covariance is one
-factor, diag(delta) + c 11' with c > 0 and delta > 0 (as every pivot term of
-an exchangeable Huesler-Reiss model is, and most trivariate ones): the
-orthant probability is then the one-dimensional integral of phi(t) prod_i
-Phi(a_i - s_i t) (Dunnett & Sobel 1955; Genz & Bretz 2009, ch. 2), taken by
-a Gauss-Hermite rule centred on the integrand's mode.
+factor, diag(delta) + c 11' with 0 < c <= 4 min(delta) (as every pivot term
+of an exchangeable Huesler-Reiss model is): the orthant probability is then
+the one-dimensional integral of phi(t) prod_i Phi(a_i - s_i t), s_i =
+sqrt(c / delta_i) <= 2 (Dunnett & Sobel 1955; Genz & Bretz 2009, ch. 2),
+taken by a Gauss-Hermite rule centred on the integrand's mode.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, gammaincinv, log_ndtr, logsumexp, ndtr, ndtri, stdtr
 
+from ._optim import concave_mode
 from .core import derive_rng
 
 _JITTER = 1e-10
@@ -247,14 +248,17 @@ _RULE = _hermite_rule(80)
 
 def _one_factor(sigma):
     """(c, delta) when ``sigma`` is diag(delta) + c 11' exactly, in two or
-    more dimensions, with c > 0 and every delta_i > 0; None otherwise."""
+    more dimensions, with 0 < c <= 4 delta_i for every i; None otherwise.
+    ``_RULE`` is good to a few ulps while every loading sqrt(c / delta_i) is
+    at most 2; the factors Phi(a_i - s_i t) steepen as s_i grows, and at
+    s_i = 3 the rule is off by up to 5e-7."""
     d = sigma.shape[0]
     if d < 2:
         return None
     off = sigma[~np.eye(d, dtype=bool)]
     c = off[0]
     delta = np.diag(sigma) - c
-    if c > 0.0 and np.all(off == c) and np.all(delta > 0.0):
+    if c > 0.0 and np.all(off == c) and np.all(delta >= 0.25 * c):
         return c, delta
     return None
 
@@ -269,12 +273,11 @@ def _one_factor_log_cdf(a, s, rule=_RULE):
 
     h(t) = -t^2/2 + sum_i log Phi(a_i - s_i t) is strictly concave, and its
     slope h'(t) = -t - sum_i s_i r(a_i - s_i t), r = phi/Phi, falls from
-    above 0 at -sum_i s_i r(a_i) to at most 0 at t = 0; the mode t* is found
-    in that bracket by Newton steps, bisecting any that leave it.  With
-    sigma = (-h''(t*))^(-1/2) the integral is sigma times the normal
-    expectation of exp(h(t* + sigma z) + z^2/2), which ``rule`` takes in log
-    space; centring on the mode keeps far-tail probabilities exact to
-    relative precision.
+    above 0 at -sum_i s_i r(a_i) to at most 0 at t = 0; ``concave_mode``
+    finds the mode t* in that bracket.  With sigma = (-h''(t*))^(-1/2) the
+    integral is sigma times the normal expectation of exp(h(t* + sigma z) +
+    z^2/2), which ``rule`` takes in log space; centring on the mode keeps
+    far-tail probabilities exact to relative precision.
     """
     if np.any(a == -np.inf):
         return -np.inf
@@ -282,23 +285,13 @@ def _one_factor_log_cdf(a, s, rule=_RULE):
     a, s = a[finite], s[finite]
     if a.size == 0:
         return 0.0
-    lo, hi = -s @ _mills(a), 0.0
-    t = hi
-    for _ in range(100):  # Newton takes at most about 11 steps; bisection, 60
+
+    def derivs(t):
         x = a - s * t
         r = _mills(x)
-        slope = -t - s @ r
-        curvature = -1.0 - (s * s) @ (r * (x + r))
-        if slope > 0.0:
-            lo = t
-        else:
-            hi = t
-        step = t - slope / curvature
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - t) <= 1e-14 * (1.0 + abs(t)):
-            break
-        t = step
+        return -t - s @ r, -1.0 - (s * s) @ (r * (x + r))
+
+    t, curvature = concave_mode(derivs, -s @ _mills(a), 0.0, 0.0)
     sd = 1.0 / np.sqrt(-curvature)
     z, log_w = rule
     tk = t + sd * z

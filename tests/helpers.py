@@ -1,8 +1,10 @@
 """Shared test oracles: generator-draw Monte Carlo for the tail measures,
-an energy two-sample statistic, a derivative-free minimizer and a
-finite-difference gradient, and small simulation utilities."""
+the power-set sums of the logistic families' pivot weights, an energy
+two-sample statistic, a derivative-free minimizer and a finite-difference
+gradient, and small simulation utilities."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -62,6 +64,34 @@ def mc_intensity(model, u, n: int, seed: int, kind: str = "min",
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, np.sqrt(var / n)
+
+
+def subset_sums(a: np.ndarray):
+    """All 2^len(a) subset sums of ``a`` with the subset sizes, by
+    iterative doubling."""
+    sums = np.zeros(1)
+    sizes = np.zeros(1, dtype=np.int64)
+    for v in a:
+        sums = np.concatenate([sums, sums + v])
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sums, sizes
+
+
+def power_set_head_sum(a: np.ndarray, q: float) -> tuple[float, float]:
+    """sum over the subsets S of ``a`` of (-1)^|S| (1 + sum_S a)^(-q), the
+    head mass of an iid family's pivot by inclusion-exclusion, summed
+    exactly (math.fsum) over the rounded terms; also the sum of the terms'
+    magnitudes, which bounds the cancellation the rounding can leave."""
+    sums, sizes = subset_sums(a)
+    terms = np.where(sizes % 2 == 0, 1.0, -1.0) * (1.0 + sums) ** -q
+    return math.fsum(terms), math.fsum(np.abs(terms))
+
+
+def logistic_xi_equal(d: int, beta: float, u: float) -> float:
+    """Logistic Xi at d equal thresholds u: the power set grouped by subset
+    size, (d/u) sum_k C(d-1, k) (-1)^k (1 + k)^(1/beta - 1)."""
+    return d / u * math.fsum((-1) ** k * math.comb(d - 1, k) * (1.0 + k) ** (1.0 / beta - 1.0)
+                             for k in range(d))
 
 
 def energy_two_sample_pvalue(x, y, n_perm: int, rng) -> float:

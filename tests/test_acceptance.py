@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from scipy.stats import t as tdist, ttest_rel
 
-from helpers import mc_intensity
+from helpers import logistic_xi_equal, mc_intensity
 from extremis.condex import (fit_ht_exchangeable_gaussian,
                              fit_ht_exchangeable_skewnormal, fit_ht_gaussian,
                              ht_prob_analytic, ht_prob_simulation)
 from extremis.core import MarginSpec, derive_rng
 from extremis.mgpd import (ExtremalStudent, HuslerReiss, Logistic,
-                           NegLogistic, _logistic_xi_equal, exponent_measure_v,
+                           NegLogistic, exponent_measure_v,
                            fit_hr_exchangeable, fit_logistic_censored,
                            pivot_weights, xi_measure)
 from extremis.mvnt import OrthantQuery, mvn_rect, mvt_rect
@@ -96,7 +96,7 @@ def test_02_exact_identities():
             assert abs(got - d ** (-1.0 / theta) / 1.7) < 1e-12
         for beta in (1.5, 2.0, 5.0):
             assert abs(xi_measure(Logistic(beta), np.full(d, 1.3))
-                       - _logistic_xi_equal(d, beta, 1.3)) < 1e-12
+                       - logistic_xi_equal(d, beta, 1.3)) < 1e-12
     u2 = np.array([1.0, 2.0])
     lhs = 1.0 / u2[0] + 1.0 / u2[1]
     for model in (Logistic(2.0), NegLogistic(1.0), hr_matrix(0.5, 2),

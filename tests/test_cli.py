@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -227,6 +228,51 @@ def test_simulate_command_writes_csv(capsys, tmp_path):
     assert np.all(data.min(axis=1) >= 1.0 - 1e-9)
     freq = doc["result"]["pivot_frequencies"]
     assert sum(freq) == pytest.approx(1.0)
+
+
+# One simulate command in a child whose address space is capped at 1 GiB, so
+# that a runaway allocation fails there as MemoryError instead of bringing
+# in the machine's out-of-memory killer; it prints the result payload and
+# the model's pivot weights for the command's functional.
+_SIMULATE_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from extremis.cli import build_parser, run
+from extremis.mgpd import FAMILIES, pivot_weights
+argv = sys.argv[2:]
+code = run(argv)
+if code == 0:
+    args = build_parser().parse_args(argv)
+    family = FAMILIES[args.family]
+    model = family.model(getattr(args, family.parameter), args.dim)
+    u = [float(v) for v in args.u.split(",")] if args.u else [1.0] * args.dim
+    print(json.dumps(pivot_weights(model, u, args.functional).tolist()))
+sys.exit(code)
+"""
+
+U9 = "0.0812,8.4263,8.7382,9.5756,0.8449,0.2578,0.052,2.3973,3.7414"
+
+
+@pytest.mark.parametrize("argv", [
+    "--family neglogistic --functional max --dim 50",
+    "--family logistic --functional min --dim 21",
+    f"--family logistic --beta 2.115459131160021 --functional min --dim 9 --u {U9}",
+])
+def test_simulate_iid_families_in_many_dimensions(argv):
+    # the power-set pivot weights ran out of memory at --dim 50, were capped
+    # at 20 dimensions, and lost every digit of the smallest 9-d weight
+    src = str(Path(extremis.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SIMULATE_CHILD, src, "simulate",
+                          *shlex.split(argv), "--n", "1000"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    doc, _, weights_line = out.stdout.strip().rpartition("\n")
+    freq = np.array(json.loads(doc)["result"]["pivot_frequencies"])
+    weights = np.array(json.loads(weights_line))
+    assert freq.sum() == pytest.approx(1.0)
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
 
 
 def test_cluster_and_exch_test_commands(capsys, tmp_path):

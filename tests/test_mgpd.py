@@ -1,19 +1,22 @@
 import itertools
+import time
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
-from helpers import bounded_scalar_minimum, mc_intensity, numeric_gradient
+from helpers import (bounded_scalar_minimum, logistic_xi_equal, mc_intensity,
+                     numeric_gradient, power_set_head_sum)
 from extremis._optim import numeric_hessian
 from extremis.core import derive_rng
 from extremis.mgpd import (ExtremalStudent, HuslerReiss, Logistic,
                            NegLogistic, _hr_pair_terms, _logistic_censored_nll,
-                           _logistic_xi_equal, exponent_measure_v,
+                           exponent_measure_v,
                            fit_hr_exchangeable, fit_logistic_censored,
                            joint_exceedance_prob, model_chi, pivot_weights,
                            xi_measure)
@@ -48,7 +51,7 @@ def test_logistic_equal_u_shortcut_matches_power_set():
     for d in range(2, 11):
         for beta in (1.5, 2.0, 5.0):
             general = xi_measure(Logistic(beta), np.full(d, 1.3))
-            assert _logistic_xi_equal(d, beta, 1.3) == pytest.approx(general, rel=1e-12, abs=1e-12)
+            assert logistic_xi_equal(d, beta, 1.3) == pytest.approx(general, rel=1e-12, abs=1e-12)
 
 
 def test_neglogistic_equal_u_reduction():
@@ -144,9 +147,117 @@ def test_pivot_weights_sum_to_measures():
             exponent_measure_v(model, u), rel=1e-10)
 
 
-def test_logistic_dimension_cap():
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        xi_measure(Logistic(2.0), np.ones(21))
+def _mp_head_log_mass(q, log_a):
+    """log E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q) at 30 digits: a
+    trapezoid in s = log t, whose integrand is log-concave and analytic in
+    |Im s| < pi/2, at step min(0.2, sigma / 3) about a mode found by pattern
+    search, out to 60 below the maximum on each side."""
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        q = mp.mpf(q)
+        a = [mp.exp(mp.mpf(v)) for v in log_a]
+
+        def g(s):
+            t = mp.exp(s)
+            return q * s - t + mp.fsum(mp.log(-mp.expm1(-ai * t)) for ai in a)
+
+        mode, step = mp.log(q + len(a)), mp.mpf(1)
+        top = g(mode)
+        while step > 1e-4:
+            for trial in (mode - step, mode + step):
+                value = g(trial)
+                if value > top:
+                    mode, top = trial, value
+                    break
+            else:
+                step /= 2
+        delta = mp.mpf(1e-6)
+        sigma = mp.sqrt(delta ** 2 / (2 * top - g(mode - delta) - g(mode + delta)))
+        h = min(mp.mpf(0.2), sigma / 3)
+        total = mp.mpf(1)
+        for sign in (-1, 1):
+            k = 1
+            while True:
+                value = g(mode + sign * k * h) - top
+                total += mp.exp(value)
+                if value < -60:
+                    break
+                k += 1
+        return top + mp.log(total * h) - mp.loggamma(q)
+
+
+IID_FAMILY = st.one_of(
+    st.floats(-4.0, np.log10(49.0)).map(lambda x: Logistic(1.0 + 10.0 ** x)),
+    st.floats(np.log10(0.05), np.log10(20.0)).map(lambda x: NegLogistic(10.0 ** x)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(model=IID_FAMILY, log10_u=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=40),
+       pivot=st.integers(0, 39))
+@example(model=Logistic(2.115459131160021),
+         log10_u=np.log10([0.0812, 8.4263, 8.7382, 9.5756, 0.8449, 0.2578, 0.052,
+                           2.3973, 3.7414]).tolist(), pivot=6)
+@example(model=Logistic(1.0001), log10_u=[4.0, -4.0, -4.0, 4.0], pivot=0)
+def test_iid_pivot_weights_match_a_high_precision_integral(model, log10_u, pivot):
+    # both directions, up to 40 dimensions and threshold ratios of 1e+-8;
+    # weights below the smallest normal double may underflow
+    u = 10.0 ** np.array(log10_u)
+    j = pivot % u.size
+    p = model._exponent
+    for direction in ("min", "max"):
+        w = pivot_weights(model, u, direction)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        with mpmath.workdps(30):
+            log_a = [mpmath.log(float(x)) / p for x in np.delete(u, j) / u[j]]
+            if (direction == "min") == (p > 0.0):
+                ref = -(1 + p) * mpmath.log(1 + mpmath.fsum(mpmath.exp(x) for x in log_a))
+            else:
+                ref = _mp_head_log_mass(1 + p, log_a)
+            ref = float(mpmath.exp(ref) / u[j])
+        if ref > 1e-300:
+            assert w[j] > 0.0 and abs(w[j] / ref - 1.0) <= 1e-12
+        else:
+            assert w[j] <= 1e-299
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_iid_measures_match_the_power_set_sums(d):
+    # the head direction's totals, logistic Xi and negative logistic V,
+    # against inclusion-exclusion; that sum's rounding is the tolerance
+    rng = derive_rng(41, d)
+    for _ in range(6):
+        u = np.exp(rng.uniform(-1.5, 1.5, d))
+        for model, measure in ((Logistic(1.0 + rng.exponential(2.0)), xi_measure),
+                               (NegLogistic(rng.exponential(2.0)), exponent_measure_v)):
+            p = model._exponent
+            sums = [power_set_head_sum((np.delete(u, j) / u[j]) ** (1.0 / p), 1.0 + p)
+                    for j in range(d)]
+            want = sum(total / uj for (total, _), uj in zip(sums, u))
+            scale = sum(size / uj for (_, size), uj in zip(sums, u))
+            assert abs(measure(model, u) - want) <= 1e-13 * want + 4e-16 * scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_iid_measures_in_200_dimensions():
+    # the power set had 2^199 terms per pivot; the Gamma mixtures scale
+    # linearly in the dimension per pivot
+    u = np.exp(derive_rng(200).uniform(-1.0, 1.0, 200))
+    for model in (Logistic(2.0), NegLogistic(1.3)):
+        calls = [lambda: xi_measure(model, u), lambda: exponent_measure_v(model, u),
+                 lambda: pivot_weights(model, u, "min"), lambda: pivot_weights(model, u, "max")]
+        for call in calls:
+            best = np.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                value = call()
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.25
+            assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0.0)
+        assert pivot_weights(model, u, "min").sum() == pytest.approx(xi_measure(model, u), rel=1e-14)
+        assert pivot_weights(model, u, "max").sum() == pytest.approx(
+            exponent_measure_v(model, u), rel=1e-12)
 
 
 def test_logistic_censored_density_integrates_to_v():
@@ -204,18 +315,21 @@ def test_joint_exceedance_prob_composition():
 # ("hr", "max") samples when the Gibbs sweeps gave way to exact rejection,
 # checked by test_simulate's Huesler-Reiss max exactness test; the "hr"
 # measures when its 2 x 2 one-factor pivot terms became exact, checked
-# against a 200-node rule and scipy's bivariate normal CDF.
+# against a 200-node rule and scipy's bivariate normal CDF; and the iid
+# measures when their pivot weights became Gamma mixtures, each within
+# 3e-16 of a 40-digit power-set sum (the old logistic "min" weight 0 was
+# off by 9e-15).
 PINNED_MEASURES = {
     "logistic": {
-        "xi": (0.1878165342097027, 0.0),
+        "xi": (0.18781653420970262, 0.0),
         "v": (1.14564392373896, 0.0),
-        "min": [0.008301869798721828, 0.0473974969860555, 0.13211716742492538],
+        "min": [0.008301869798721752, 0.047397496986055485, 0.13211716742492538],
         "max": [0.8728715609439696, 0.2182178902359924, 0.0545544725589981]},
     "neglogistic": {
         "xi": (0.17661252335029468, 0.0),
-        "v": (1.1272860476659865, 0.0),
-        "min": [0.018541695293241612, 0.04565500914843628, 0.11241581890861675],
-        "max": [0.8759602354857895, 0.21652364897228532, 0.03480216320791184]},
+        "v": (1.1272860476659863, 0.0),
+        "min": [0.018541695293241615, 0.04565500914843628, 0.11241581890861677],
+        "max": [0.8759602354857893, 0.21652364897228524, 0.034802163207911845]},
     "hr": {
         "xi": (0.18083013860768996, 0.0),
         "v": (1.1216305384665746, 0.0),

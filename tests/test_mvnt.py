@@ -205,6 +205,24 @@ def test_one_factor_unequal_delta_matches_scipy_bivariate():
         assert se == 0.0 and p == pytest.approx(ref, rel=1e-12)
 
 
+def test_one_factor_rule_needs_loadings_of_at_most_two():
+    from scipy.stats import multivariate_normal
+
+    def check(x, mu, sigma):
+        p, se = mvn_cdf(x, mu, sigma)
+        ref = multivariate_normal(mu, sigma, abseps=1e-14, releps=1e-14).cdf(x)
+        assert abs(p - ref) <= 1e-12 * ref or (se > 0.0 and abs(p - ref) <= 4.0 * se)
+        return se
+
+    # pivot 0's max term of a trivariate Huesler-Reiss model at u = (1,
+    # 1.3, 0.8) has loadings s = (3, 2.45), where the rule is off by 1.4e-8
+    gamma = np.array([[0.0, 2.0, 2.1], [2.0, 0.0, 0.5], [2.1, 0.5, 0.0]])
+    mean, cov = _hr_pivot_law(gamma, 0)
+    check(np.log([1.3, 0.8]), mean, cov)
+    # c = 4 min(delta), loadings s = (2, 0.5): still exact
+    assert check(np.array([0.3, -0.5]), np.zeros(2), np.array([[1.25, 1.0], [1.0, 5.0]])) == 0.0
+
+
 def test_one_factor_deep_tail_keeps_relative_precision():
     # a rule centred at 0 misses a term this far out entirely
     from scipy.integrate import quad

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from helpers import subset_sums
 from extremis.core import MarginSpec, derive_rng
 from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_factor,
-                           _subset_sums, exponent_measure_v,
-                           fit_hr_exchangeable, fit_logistic_censored,
-                           pivot_weights, xi_measure)
+                           exponent_measure_v, fit_hr_exchangeable,
+                           fit_logistic_censored, pivot_weights, xi_measure)
 from extremis.simulate import (RiskFunctional, composition_sample,
                                mixture_threshold_experiment,
                                sample_logistic_max_stable,
@@ -74,7 +74,7 @@ def _companion_cdf(p, a, i, kind, w):
     if kind == "sum":
         rates, signs = np.zeros(1), np.ones(1)
     elif head:
-        rates, sizes = _subset_sums(rest)
+        rates, sizes = subset_sums(rest)
         signs = np.where(sizes % 2 == 0, 1.0, -1.0)
     else:
         rates, signs = np.array([rest.sum()]), np.ones(1)
@@ -115,7 +115,7 @@ def test_iid_companions_follow_their_exact_conditional_law(model, kind):
             # heads jointly: max_i (T_i / t) / a_i <= r has probability
             # sum_S (-1)^|S| (1 + r A_S)^(-(1 + p)), normalized at r = 1;
             # this sees the pivot's law more sharply than any one column
-            sums, sizes = _subset_sums(a)
+            sums, sizes = subset_sums(a)
             signs = np.where(sizes % 2 == 0, 1.0, -1.0)
 
             def joint(r):
