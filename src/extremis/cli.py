@@ -421,7 +421,7 @@ def cmd_mvn_tail(args) -> dict:
 def cmd_simulate(args) -> dict:
     model = _dependence_model(args.family, args)
     u = np.array([float(v) for v in args.u.split(",")]) if args.u else np.ones(args.dim)
-    fn = simulate.RiskFunctional(args.functional, u)
+    fn = simulate.RiskFunctional(args.functional, mgpd._check_u(u, args.dim))
     out = simulate.composition_sample(model, fn, args.n, args.seed)
     if args.out_samples:
         header = ",".join(f"y{j+1}" for j in range(u.size))

@@ -85,11 +85,11 @@ class _IidFamily(MgpdModel):
     a_i t, of probability 1 - e^(-a_i t).  Pivot j's weight is
     E prod_i P_i(T) / u_j over T ~ Gamma(q).  As x^(-q) = Gamma(q)^(-1)
     int t^(q-1) e^(-t x) dt, that is (1 + sum a_i)^(-q) / u_j for tails;
-    for heads it is the alternating power-set sum of such terms, taken
-    instead as one integral (``_head_log_mass``).  Composition sampling
-    draws t from this weighted Gamma(q) (``_head_pivots`` for heads), a
-    tail's T_i - a_i t as Exp(1) and a head's T_i as a truncated
-    exponential; under ``sum`` every companion is a tail with a_i = 0.
+    for heads it is the alternating power-set sum of such terms, taken as
+    one integral of a log-concave density in log t (``_head_law``).  t is
+    drawn from this weighted Gamma(q) (heads by rejection under tangents of
+    that density), a tail's T_i - a_i t as Exp(1) and a head's T_i as a
+    truncated exponential; under ``sum`` every companion is a tail, a_i = 0.
     """
 
     def pivot_weights(self, u, direction, n_points, seed):
@@ -108,10 +108,12 @@ class _IidFamily(MgpdModel):
         p = self._exponent
         d = k.size
         others = np.flatnonzero(np.arange(d) != j)
-        a = k[others] ** (1.0 / p) if kind != "sum" else np.zeros(d - 1)
+        log_a = np.log(k[others]) / p
+        with np.errstate(over="ignore"):  # an infinite a_i is its exact limit below
+            a = np.exp(log_a) if kind != "sum" else np.zeros(d - 1)
         tail = kind == "sum" or (kind == "min") == (p > 0.0)
         t = (rng.gamma(1.0 + p, size=n) / (1.0 + a.sum()) if tail
-             else _head_pivots(p, a, n, rng))
+             else _head_pivots(p, log_a, n, rng))
         omega = np.empty((n, d))
         omega[:, j] = 1.0
         for i, ai in zip(others, a):
@@ -127,18 +129,13 @@ class _IidFamily(MgpdModel):
         return omega
 
 
-def _head_log_mass(q, log_a):
-    """log E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q), q > 0, from log a.
-
-    In s = log t, Gamma(q) times the mean integrates e^g(s), g = q s - e^s +
-    sum_i log(1 - e^(-x_i)), x_i = a_i e^s.  With f(x) = x / (e^x - 1) in
-    [1 - x/2, 1], g' = q - e^s + sum_i f(x_i) and g'' = -e^s + sum_i [f (1 -
-    f) - f x_i] < 0, so the mode of m companions lies in [log((q + m) / (1
-    + sum a_i / 2)), log(q + m)].  The integrand is analytic in |Im s| <
-    pi/2, where the trapezoid rule converges exponentially (Trefethen &
-    Weideman 2014): step min(0.45 (-g'')^(-1/2), 0.2) from the mode out to
-    where g is 40 below its maximum.
-    """
+def _head_law(q, log_a):
+    """(g, s -> (g', g''), mode, g'' there) of the head mass, from log a: in
+    s = log t, Gamma(q) E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q), q > 0,
+    integrates e^g(s), g = q s - e^s + sum_i log(1 - e^(-x_i)), x_i = a_i
+    e^s.  With f(x) = x / (e^x - 1) in [1 - x/2, 1], g' = q - e^s + sum_i
+    f(x_i) and g'' = -e^s + sum_i [f (1 - f) - f x_i] < 0, so the mode of m
+    companions lies in [log((q + m) / (1 + sum a_i / 2)), log(q + m)]."""
 
     def derivs(s):
         x = np.exp(np.clip(s + log_a, -700.0, 700.0))
@@ -154,7 +151,15 @@ def _head_log_mass(q, log_a):
 
     hi = np.log(q + log_a.size)
     lo = hi - np.logaddexp.reduce(log_a, initial=np.log(2.0)) + np.log(2.0)
-    mode, curvature = concave_mode(derivs, lo, hi, hi)
+    return g, derivs, *concave_mode(derivs, lo, hi, hi)
+
+
+def _head_log_mass(q, log_a):
+    """log E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q), from log a.  e^g is
+    analytic in |Im s| < pi/2, where the trapezoid rule converges fast
+    (Trefethen & Weideman 2014): step min(0.45 (-g'')^(-1/2), 0.2) from the
+    mode out to where g is 40 below its maximum."""
+    g, _, mode, curvature = _head_law(q, log_a)
     h = min(0.45 / np.sqrt(-curvature), 0.2)
     top = g(mode)
     n_lo = n_hi = 16
@@ -166,38 +171,48 @@ def _head_log_mass(q, log_a):
     return top + np.log(h * np.sum(np.exp(nodes - top))) - gammaln(q)
 
 
-def _head_pivots(p, a, n, rng):
-    """n draws of t with density proportional to t^p e^(-t) prod_i
-    (1 - e^(-a_i t)), by rejection from Gamma(1 + p + m) under the envelope
-    1 - e^(-x) <= x on the m smallest a_i and <= 1 on the rest (Devroye
-    1986, ch. II.3 and IX.3).  m minimizes the envelope's log mass
-    sum_(i<m) log a_(i) + lgamma(1 + p + m)."""
-    a = np.sort(a)
-    mass = (np.concatenate([[0.0], np.cumsum(np.log(a))])
-            + gammaln(1.0 + p + np.arange(a.size + 1)))
-    m = int(np.argmin(mass))
-    t = np.empty(n)
-    filled = 0
+def _head_pivots(p, log_a, n, rng):
+    """n draws of t with density proportional to t^p e^(-t) prod_i (1 -
+    e^(-a_i t)), from log a: s = log t, of log-density g, by rejection under
+    min(max g, tangents at s_l and s_r) (Devroye 1986, ch. VII.2).  g = max
+    g - 1 at the knots s_l < mode < s_r, so 1/e or more of the candidates
+    are kept in any dimension.  The knots lie in [low, mode] and [mode,
+    log(q + m) + 2], as g' >= 1/4 where every x_i <= 1 and e^s <= 1/4, and
+    g' <= (q + m)(1 - e) above log(q + m) + 1.  g holds (size, m) arrays."""
+    g, derivs, mode, _ = _head_law(1.0 + p, log_a)
+    top = g(mode)
+    low, high = min(-log_a.max(), np.log(0.25)) - 4.0, np.log(1.0 + p + log_a.size) + 2.0
+    # each knot is the mode of a concave function of slope +-(g - top + 1)
+    s_l, slope_l = concave_mode(lambda s: (top - 1.0 - g(s), -derivs(s)[0]), low, mode, low)
+    s_r, slope_r = concave_mode(lambda s: (g(s) - top + 1.0, derivs(s)[0]), mode, high, high)
+    # over e^top, the envelope's mass is c_l, z_r - z_l and c_r on its pieces
+    c_l, c_r, g_l, g_r = -1.0 / slope_l, -1.0 / slope_r, g(s_l), g(s_r)
+    z_l, z_r = s_l + (top - g_l) * c_l, s_r - (top - g_r) * c_r
+    total = z_r - z_l + c_l + c_r
+
+    def candidates(size):
+        w = (1.0 - rng.random(size)) * total  # in (0, total]: log never sees 0
+        s = z_l + w - c_l
+        left, right = w < c_l, w > total - c_r
+        s[left] = z_l + c_l * np.log(w[left] / c_l)
+        s[right] = z_r - c_r * np.log((w[right] - total + c_r) / c_r)
+        cover = np.minimum(top, np.minimum(g_l + (s - s_l) / c_l, g_r - (s - s_r) / c_r))
+        return s[rng.random(size) < np.exp(g(s) - cover)]
+
+    return np.exp(_rejection_sample(n, candidates, max((1 << 20) // log_a.size, 256)))
+
+
+def _rejection_sample(n, candidates, cap):
+    """The first n draws kept by ``candidates``: size -> the kept ones of
+    that many proposals, in batches sized from the share kept so far and
+    capped at ``cap`` to bound the memory."""
+    kept, filled, drawn = [], 0, 0
     while filled < n:
-        size = max(2 * (n - filled), 256)
-        cand = rng.gamma(1.0 + p + m, size=size)
-        prob = np.ones(size)
-        for rank, ai in enumerate(a):  # one column at a time bounds the memory
-            prob *= _head_factor(ai * cand, rank < m)
-        keep = cand[rng.random(size) < prob][:n - filled]
-        t[filled:filled + keep.size] = keep
-        filled += keep.size
-    return t
-
-
-def _head_factor(x, power):
-    """Acceptance factor (1 - e^(-x)) / x^power of a head companion at
-    x = a_i t, for power 0 or 1; it lies in [0, 1], with limit 1 at x = 0
-    for power 1."""
-    f = -np.expm1(-x)
-    if power:
-        f = np.divide(f, x, out=np.ones_like(f), where=x > 0.0)
-    return f
+        size = min(max(math.ceil(1.1 * ((n - filled) * (drawn + 1) / (filled + 1))), 256), cap)
+        kept.append(candidates(size)[:n - filled])
+        filled += len(kept[-1])
+        drawn += size
+    return np.concatenate(kept)
 
 
 class _QmcFamily(MgpdModel):
@@ -315,18 +330,12 @@ class HuslerReiss(_QmcFamily):
             w = mean + rng.standard_normal((n, d - 1)) @ chol.T
         else:
             upper = np.log(k[idx])
-            w = np.empty((n, d - 1))
-            filled = drawn = 0
-            while filled < n:
-                # size the batch from the acceptance rate so far, capped
-                # to bound the memory
-                need = (n - filled) * (drawn + 1) / (filled + 1)
-                size = min(max(math.ceil(1.1 * need), 256), 1 << 16)
+
+            def candidates(size):
                 cand = mean + rng.standard_normal((size, d - 1)) @ chol.T
-                keep = cand[np.all(cand <= upper, axis=1)][:n - filled]
-                w[filled:filled + len(keep)] = keep
-                filled += len(keep)
-                drawn += size
+                return cand[np.all(cand <= upper, axis=1)]
+
+            w = _rejection_sample(n, candidates, 1 << 16)
         omega[:, idx] = np.exp(w)
         return omega
 

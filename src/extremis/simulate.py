@@ -7,8 +7,9 @@ then scale the pivot-normalized angle by an independent unit Pareto radius.
 Each family in ``mgpd`` supplies its own pivot-block sampler.  Logistic
 and negative logistic generators are independent powers c T^p of unit
 exponentials, so the blocks are exact: the pivot's T is a gamma draw
-(rejection under a gamma envelope when the companions are capped above
-in T) and the companions are truncated exponentials.  The Huesler-Reiss
+(when the companions cap T, log T by rejection under tangents of its
+concave log-density, at least 1/e kept in any dimension) and the
+companions are truncated exponentials.  The Huesler-Reiss
 family draws its log-Gaussian angle exactly for the sum and max
 functionals (max by plain rejection, at most n D proposals expected for
 n samples in D dimensions) and does not sample the min functional.

@@ -160,8 +160,9 @@ def test_unknown_margins_column_is_a_computation_error(gumbel3_csv, capsys):
             in captured.err)
 
 
-def test_simulate_sum_checks_u_against_model_dimension(capsys):
-    code = run(["simulate", "--family", "hr", "--dim", "3", "--u", "1,1",
+@pytest.mark.parametrize("family", ["hr", "logistic", "neglogistic"])
+def test_simulate_sum_checks_u_against_model_dimension(family, capsys):
+    code = run(["simulate", "--family", family, "--dim", "3", "--u", "1,1",
                 "--functional", "sum", "--n", "10"])
     captured = capsys.readouterr()
     assert code == 1

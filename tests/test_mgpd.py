@@ -343,16 +343,16 @@ PINNED_MEASURES = {
 }
 PINNED_SAMPLES = {
     ("logistic", "min"): (
-        [[1.4490084299541806, 2.1542512485762786, 16.96057013987901],
-         [0.9587742716625196, 1.2004664554682598, 1.3257437893270316],
-         [4.005918365888873, 5.114550696132923, 2.1542216479614504],
-         [6.2003978649551845, 20.13045162912511, 43.97457124466422]],
+        [[2.043233634398895, 2.4386864850228283, 5.3416514993954625],
+         [1.932705955670512, 2.298575518146255, 1.6052986593205536],
+         [0.9700699473019523, 1.7974495874636027, 1.1793677791278026],
+         [2.2553230622087126, 10.095593440396021, 9.253469714297557]],
         [1, 2, 2, 0]),
     ("neglogistic", "max"): (
-        [[1.298759744087214, 2.118672596981736, 1.0129165365815065],
-         [2.5639134978481093, 0.8269662102915051, 1.1582728788074834],
-         [1.285688718890768, 1.2673785371295028, 1.618279908809434],
-         [2.4738740736563174, 1.0944829891376138, 0.08622235985247778]],
+        [[1.1631591917670367, 0.16085151466915468, 0.16124329688245556],
+         [9.573160823327346, 18.033105343932053, 0.9578046677886385],
+         [1.7744277811997395, 0.3598232462644512, 0.4908766924408335],
+         [8.108283439151146, 0.36540839166151295, 0.757254862777835]],
         [0, 0, 0, 0]),
     ("hr", "sum"): (
         [[2.965976856971457, 1.3354080890267572, 0.6206388413741465],

@@ -2,13 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from scipy.special import gammainc
 from scipy.stats import kstest
 
 from helpers import subset_sums
 from extremis.core import MarginSpec, derive_rng
-from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_factor,
+from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_pivots,
                            exponent_measure_v, fit_hr_exchangeable,
                            fit_logistic_censored, pivot_weights, xi_measure)
 from extremis.simulate import (RiskFunctional, composition_sample,
@@ -37,14 +36,19 @@ def test_min_functional_homogeneity_law():
         assert pc == pytest.approx(1.0 / c, abs=3.0 * se)
 
 
-def test_min_functional_rejects_saturated_candidates_quietly():
-    # the bench thresholds: here head factors 1 - e^(-x) round to 1 for
-    # large candidates and the truncated companion draws reach both ends
-    # of their range; neither may warn or leave a non-finite angle
-    fn = RiskFunctional("min", np.array([1.0, 2.0, 1.5, 3.0, 1.2]))
+@pytest.mark.parametrize("model, u, n", [
+    # the bench thresholds: here 1 - e^(-a_i t) rounds to 1 for large t
+    # and the truncated companion draws reach both ends of their range
+    (Logistic(2.0), [1.0, 2.0, 1.5, 3.0, 1.2], 200_000),
+    # a_i = (u_i / u_j)^(-beta) overflows to inf for pivot 1
+    (Logistic(50.0), [1e-4, 1e4, 1.0, 3.0], 2000),
+], ids=["bench-u", "a-overflows"])
+def test_min_functional_rejects_saturated_candidates_quietly(model, u, n):
+    # neither may warn or leave a non-finite angle
+    fn = RiskFunctional("min", np.array(u))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = composition_sample(Logistic(2.0), fn, 200_000, seed=1973162640)
+        out = composition_sample(model, fn, n, seed=1973162640)
     assert np.all(np.isfinite(out.samples))
 
 
@@ -129,20 +133,64 @@ def test_iid_companions_follow_their_exact_conditional_law(model, kind):
     assert min(pvalues) > 1e-3 / len(pvalues)
 
 
-@settings(max_examples=300, deadline=None)
-@given(x=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 1.0, 36.8, 745.2,
-                                    1e300, np.inf]),
-                   st.floats(0.0, 1e308)),
-       power=st.sampled_from([0, 1]))
-@example(x=0.0, power=1)
-def test_head_factor_is_a_probability(x, power):
-    f = _head_factor(np.array([x]), power)[0]
-    assert np.isfinite(f) and 0.0 <= f <= 1.0
-    if x == 0.0:
-        assert f == float(power)  # 1 - e^(-x) ~ x: limit 1 when divided by x
-    elif x < np.inf:
-        want = -np.expm1(-x) / x ** power
-        assert f == pytest.approx(want, rel=1e-15)
+@pytest.mark.parametrize("model, u", [
+    (Logistic(2.0), [1.0, 2.0, 1.5, 3.0, 1.2]),
+    (NegLogistic(1.0), [1.0, 2.0, 1.5, 3.0, 1.2]),
+    (NegLogistic(1.5), [1.0, 2.0, 1.5, 3.0]),
+    (Logistic(1.01), [1.0, 2.0, 1.5, 3.0, 1.2]),
+])
+def test_head_pivots_follow_their_exact_law(model, u):
+    # the pivot's t has density proportional to t^p e^(-t) prod_i (1 -
+    # e^(-a_i t)) = sum_S (-1)^|S| t^p e^(-(1 + A_S) t), so its CDF at x is
+    # sum_S (-1)^|S| (1 + A_S)^(-q) P(Gamma(q) <= (1 + A_S) x), normalized
+    # at x = inf; the power set is exact enough here for d <= 7
+    u = np.array(u)
+    p = model._exponent
+    q = 1.0 + p
+    rng = derive_rng(83)
+    pvalues = []
+    for j in range(u.size):
+        log_a = np.log(np.delete(u, j) / u[j]) / p
+        sums, sizes = subset_sums(np.exp(log_a))
+        rates = 1.0 + sums
+        coef = np.where(sizes % 2 == 0, 1.0, -1.0) * rates ** -q
+
+        def cdf(x):
+            return gammainc(q, np.multiply.outer(x, rates)) @ coef / coef.sum()
+
+        t = _head_pivots(p, log_a, 200_000, rng)
+        pvalues.append(kstest(t, cdf).pvalue)
+    # a Bonferroni bound at the 0.1 % level over the pivots
+    assert min(pvalues) > 1e-3 / len(pvalues)
+
+
+class _CountingRng:
+    """Forwards every ``Generator`` method and sums the sizes of the draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("model, kind", [(Logistic(2.0), "min"), (NegLogistic(1.0), "max")])
+def test_head_pivot_blocks_draw_a_dimension_free_number_of_variates(model, kind):
+    # d - 1 companions per row, and a pivot rejection that keeps at least
+    # 1/e of its candidates whatever d
+    d, n = 200, 2000
+    rng = _CountingRng(derive_rng(97))
+    omega = model.pivot_block(0, np.ones(d), n, rng, kind)
+    assert np.all(np.isfinite(omega))
+    assert rng.drawn <= (d + 9) * n
 
 
 def test_min_functional_neglogistic_law():
