@@ -617,7 +617,7 @@ def cmd_task1(args) -> dict:
     u_hat = ald.predict(Xp)
     point, _ = univariate.predictive_quantiles(
         gpd_fit, gpd_fit.coefficients[None], Xp, p_exc, args.alpha,
-        lambda rows: [u_hat[rows]])
+        lambda rows: u_hat[rows, None])
     lo, hi = univariate.predictive_quantiles(
         gpd_fit, coef_gpd, Xp, p_exc, args.alpha,
         lambda rows: ald.predict_draws(Xp[rows], coef_ald))

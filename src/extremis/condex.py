@@ -21,8 +21,11 @@ The root-finding estimators bisect each pool entry once per target level
 monotone in z in floating point, so the bisected root of a row minimum is
 bit for bit the row maximum of the entries' roots.
 
-Positive dependence (alpha >= 0) is assumed by the root-finding estimators;
-the simulation estimator has no such restriction.
+With alpha < 0, each row's set of conditioner values that carry every
+companion above v is an interval, not a half-line: ``ht_prob_analytic``
+bisects its two ends at the row minimum (``_interval_v_vector``).  The
+two-level estimator and ``ht_root_v`` assume alpha >= 0; the simulation
+estimator has no such restriction.
 """
 from __future__ import annotations
 
@@ -513,15 +516,65 @@ def _entry_roots(params: HtParams, v: float) -> np.ndarray:
     return roots
 
 
-def _log_mean_tail(level: np.ndarray, v: float, paper_literal: bool) -> float:
+def _log_mean_tail(level: np.ndarray, v: float, paper_literal: bool,
+                   upper: np.ndarray | None = None) -> float:
     """log mean over rows of exp(-(level - v)) P(Y0 > v), or of exp(-level)
-    when ``paper_literal``; +inf levels add 0."""
+    when ``paper_literal``; +inf levels add 0.  With ``upper``, a row whose
+    conditioner must fall in [level, upper] has its term times
+    1 - exp(-(upper - level))."""
     finite = np.isfinite(level)
     if not finite.any():
         return -np.inf
+    log_terms = -level[finite] if paper_literal else -(level[finite] - v)
+    if upper is not None:
+        with np.errstate(divide="ignore"):
+            log_terms = log_terms + np.log(-np.expm1(level[finite] - upper[finite]))
     if paper_literal:
-        return float(logsumexp(-level[finite]) - np.log(level.size))
-    return float(_log_tail(v) + logsumexp(-(level[finite] - v)) - np.log(level.size))
+        return float(logsumexp(log_terms) - np.log(level.size))
+    return float(_log_tail(v) + logsumexp(log_terms) - np.log(level.size))
+
+
+def _interval_v_vector(zmin, alpha: float, beta: float,
+                       v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ends [a, b] of {y in [v, v + 500] : alpha y + y^beta z >= v} for
+    alpha < 0, both +inf where the set is empty.
+
+    With z <= 0 the left side is negative, below v.  With z > 0,
+    h(y) = alpha y + y^beta z is concave with its peak at
+    y* = (-alpha / (beta z))^(1 / (beta - 1)) for 0 < beta < 1, decreasing
+    for beta <= 0 and linear for beta = 1; so the set is one interval.  Its
+    ends are bisected on either side of the peak clamped to [v, v + 500],
+    h rising to the left of it and falling to the right, with the 64 steps
+    of ``_root_v_vector``.
+    """
+    zmin = np.asarray(zmin, dtype=float)
+    cap = v + ROOT_CAP
+
+    def h(y, z):
+        return alpha * y + y ** beta * z
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if beta >= 1.0:
+            peak = np.full(zmin.shape, cap)
+        elif beta <= 0.0:
+            peak = np.full(zmin.shape, v)
+        else:
+            peak = np.clip((-alpha / (beta * zmin)) ** (1.0 / (beta - 1.0)), v, cap)
+        reach = (zmin > 0.0) & (h(peak, zmin) >= v)
+    a, b = np.full(zmin.shape, np.inf), np.full(zmin.shape, np.inf)
+    z, top = zmin[reach], peak[reach]
+    lo_a, hi_a = np.full(z.shape, v), top
+    lo_b, hi_b = top, np.full(z.shape, cap)
+    for _ in range(64):
+        mid = 0.5 * (lo_a + hi_a)
+        ge = h(mid, z) >= v
+        hi_a, lo_a = np.where(ge, mid, hi_a), np.where(ge, lo_a, mid)
+        mid = 0.5 * (lo_b + hi_b)
+        ge = h(mid, z) >= v
+        lo_b, hi_b = np.where(ge, mid, lo_b), np.where(ge, hi_b, mid)
+    a[reach] = np.where(h(v, z) >= v, v, hi_a)
+    b[reach] = np.where(h(cap, z) >= v, cap, lo_b)
+    return a, b
 
 
 def ht_prob_analytic(params: HtParams, v: float,
@@ -531,21 +584,25 @@ def ht_prob_analytic(params: HtParams, v: float,
     For each pooled residual row the minimum component determines the level
     the conditioner must exceed; averaging exp(-(level - v)) and scaling by
     the Laplace conditioning margin's exact tail P(Y0 > v) gives the
-    estimate, all in log space.  ``paper_literal`` instead folds the tail factor into the
+    estimate, all in log space.  With alpha < 0 the minimum component
+    determines an interval [a, b] for the conditioner instead, and the row
+    adds exp(-(a - v)) - exp(-(b - v)).  ``paper_literal`` instead folds the tail factor into the
     exponent as exp(-level), the convention that treats exp(-v) P(Y0 > v)^-1
     as one (exact on exponential margins; on Laplace margins it differs by
     the factor 1/2).
     """
     alpha, beta = _shared_dependence(params)
-    if alpha < 0.0:
-        raise ValueError("analytic estimator requires alpha >= 0")
     if v <= params.threshold:
         raise ValueError("v must sit above the fitting threshold")
-    level = np.fmax.reduce(_entry_roots(params, v), axis=1)
+    if alpha < 0.0:
+        level, upper = _interval_v_vector(
+            np.fmin.reduce(params.residual_pool, axis=1), alpha, beta, v)
+    else:
+        level, upper = np.fmax.reduce(_entry_roots(params, v), axis=1), None
     n_used = int(np.isfinite(level).sum())
     if n_used == 0:
         return HtProbability(-np.inf, 0, level.size, ["all-contributions-zero"])
-    return HtProbability(_log_mean_tail(level, v, paper_literal), n_used,
+    return HtProbability(_log_mean_tail(level, v, paper_literal, upper), n_used,
                          level.size - n_used, [])
 
 

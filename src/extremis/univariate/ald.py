@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gpd import _linear_predictors
+
 PIVOT_CAP = 5000  # simplex pivots before the fit stops, flagged ald-pivot-cap
 # an entry of D Z, or a residual, within this share of its rounding scale
 # (row sum of |D| times the largest |entry| of the column of Z, or of beta)
@@ -67,11 +69,14 @@ class AldParams:
         u[self.basis] = np.asarray(y, dtype=float)[self.basis]
         return u
 
-    def predict_draws(self, X: np.ndarray, coef: np.ndarray):
-        """Lazily, the threshold row of each coefficient draw in ``coef``
-        at the covariate rows ``X`` (one row block of a prediction)."""
+    def predict_draws(self, X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """The (rows, draws) thresholds of the coefficient draws ``coef``
+        (one per row) at the covariate rows ``X``: each the covariate terms
+        summed left to right, then the intercept added."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X @ c[1:] + c[0] for c in coef)
+        coef = np.asarray(coef, dtype=float)
+        slopes = np.ascontiguousarray(coef[:, 1:].T)
+        return _linear_predictors(np.ascontiguousarray(X.T), slopes) + coef[:, 0]
 
 
 def _design(X) -> np.ndarray:

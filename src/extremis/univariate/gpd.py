@@ -365,6 +365,20 @@ def _design(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0])] + [X[:, c] for c in cols])
 
 
+def _linear_predictors(design_t, coef_t) -> np.ndarray:
+    """The (rows, draws) linear predictors of coefficient draws at design rows.
+
+    ``design_t`` is a (k, rows) and ``coef_t`` a C-contiguous (k, draws)
+    transpose.  With the columns on the outer axis, numpy's einsum runs its
+    inner loop over rows or draws and accumulates each entry left to right
+    over the k columns, (x_0 c_0 + x_1 c_1) + x_2 c_2 + ..., so a block of
+    rows gets the same bits as the whole; only a lone row with a lone draw
+    is summed as a dot product.  BLAS ``@`` gives no such guarantee: its
+    bits depend on the number of rows.
+    """
+    return np.einsum("kr,kd->rd", design_t, coef_t)
+
+
 def fit_gpd_regression(X, y, u, spec: RegressionSpec) -> GpdRegression:
     """Fit a GPD to exceedances of per-row thresholds with linear predictors.
 

@@ -11,19 +11,20 @@ counted, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from ..core import derive_rng
-from .gpd import (RegressionSpec, _design, fit_gpd_regression, gpd_cdf,
-                  gpd_quantile)
+from .gpd import (RegressionSpec, _design, _linear_predictors,
+                  fit_gpd_regression, gpd_cdf, gpd_quantile)
 
 # bounds for (sigma, xi) drawn from a fit's Gaussian approximation
 SIGMA_MIN = 1e-8
 XI_MIN, XI_MAX = -0.99, 4.99
-# draws held at once by predictive_quantiles: 32 MB of float64
-BLOCK_FLOATS = 4_000_000
+# draws held at once by predictive_quantiles: 512 kB of float64 per array,
+# so that a block and gpd_quantile's temporaries stay in L2 (2^16 measured
+# faster than 2^18 and 2^20)
+BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,33 +78,65 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
 
     Each row of ``coef`` is one draw of ``fit.coefficients``.  Its scale and
     shape at the rows of ``X`` are clipped to sigma >= 1e-8 and xi in
-    [-0.99, 4.99]; its quantile is its threshold row plus the GPD excess
+    [-0.99, 4.99]; its quantile is its threshold plus the GPD excess
     quantile at level ``p`` (a scalar or one level per row).
-    ``thresholds(rows)`` returns, for a slice of the rows of ``X``, one
-    threshold row per draw.  The rows are evaluated in blocks of about
-    BLOCK_FLOATS draws in all, the draws one at a time within a block, so
-    the (n_draws, n_rows) draw matrix is never held.  Returns ``(lower,
-    upper)``: the alpha/2 and 1 - alpha/2 quantiles over draws, each
-    (n_rows,).
+    ``thresholds(rows)`` returns, for a slice of the rows of ``X``, the
+    thresholds as an array that broadcasts to (rows, n_draws): a column
+    ``u[rows, None]`` for one threshold per row, or one per row and draw.
+    The rows are evaluated in blocks of about BLOCK_FLOATS draws in all,
+    every draw of a block at once, so the (n_rows, n_draws) draw matrix is
+    never held.  Each linear predictor is summed left to right over the
+    design columns (:func:`_linear_predictors`), so the output does not
+    depend on the block size or draw count.  Returns ``(lower, upper)``: the
+    alpha/2 and 1 - alpha/2 quantiles over draws, each (n_rows,), by
+    numpy's default ``linear`` rule.
     """
-    Xs = _design(X, fit.spec.sigma_columns)
-    Xx = _design(X, fit.spec.xi_columns)
-    n, k = Xs.shape
+    Xs = np.ascontiguousarray(_design(X, fit.spec.sigma_columns).T)
+    Xx = np.ascontiguousarray(_design(X, fit.spec.xi_columns).T)
+    k, n = Xs.shape
+    coef = np.asarray(coef, dtype=float)
+    Cs, Cx = np.ascontiguousarray(coef[:, :k].T), np.ascontiguousarray(coef[:, k:].T)
     p = np.asarray(p, dtype=float)
+    levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
     step = max(1, BLOCK_FLOATS // len(coef))
     out = np.empty((2, n))
-    block = np.empty((len(coef), min(step, n)))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        b = block[:, :rows.stop - start]
-        q = p if p.ndim == 0 else p[rows]
-        for i, (c, u) in enumerate(zip(coef, thresholds(rows), strict=True)):
-            sigma = np.clip(np.exp(Xs[rows] @ c[:k]), SIGMA_MIN, None)
-            xi = np.clip(Xx[rows] @ c[k:], XI_MIN, XI_MAX)
-            b[i] = u + gpd_quantile(q, (sigma, xi))
-        out[:, rows] = np.quantile(b, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0,
-                                   overwrite_input=True)
+        sigma = np.exp(_linear_predictors(Xs[:, rows], Cs))
+        xi = _linear_predictors(Xx[:, rows], Cx)
+        q = p if p.ndim == 0 else p[rows, None]
+        b = gpd_quantile(q, (np.clip(sigma, SIGMA_MIN, None, out=sigma),
+                             np.clip(xi, XI_MIN, XI_MAX, out=xi)))
+        b += thresholds(rows)
+        out[:, rows] = _sorted_quantiles(b, levels)
     return out[0], out[1]
+
+
+def _sorted_quantiles(b, levels) -> np.ndarray:
+    """``np.quantile(b, levels, axis=1)`` bit for bit, by one in-place sort.
+
+    numpy's default ``linear`` rule (Hyndman & Fan 1996, type 7) with its
+    own floor and ceiling indices and its ``_lerp``, which interpolates
+    from the upper neighbour when the weight is at least 1/2; a row holding
+    a NaN gives NaN.  ``b`` is (rows, n) and is sorted in place; returns
+    (len(levels), rows).
+    """
+    n = b.shape[1]
+    b.sort(axis=1)
+    virtual = (n - 1) * levels
+    lo = np.floor(virtual)
+    hi = lo + 1.0
+    top = virtual >= n - 1
+    lo[top] = hi[top] = -1.0
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    t = (virtual - lo)[:, None]
+    below, above = b[:, lo].T, b[:, hi].T
+    diff = above - below
+    out = below + diff * t
+    np.subtract(above, diff * (1.0 - t), out=out, where=t >= 0.5)
+    nan_rows = np.isnan(b[:, -1])
+    out[:, nan_rows] = b[nan_rows, -1]
+    return out
 
 
 @dataclass
@@ -218,8 +251,7 @@ def cv_interval_score(X, y, u, spec_list, alpha: float = 0.5,
             pt = np.clip(p[keep], 1e-12, 1.0 - 1e-12)
             ut = ue[it][keep]
             lowers, uppers = predictive_quantiles(
-                fit2, coef, Xe[it][keep], pt, alpha,
-                lambda rows: repeat(ut[rows], n_draws))
+                fit2, coef, Xe[it][keep], pt, alpha, lambda rows: ut[rows, None])
             yt = ye[it][keep]
             s = _interval_scores(lowers, uppers, alpha, yt)
             scores_per[mi].append(float(s.sum()))

@@ -443,7 +443,13 @@ def test_task4_preset(capsys, tmp_path):
 # random-threshold loss minimizer moves to another knot of its piecewise
 # linear loss, 0.23 % away, on a 1.5e-9 relative move of the return
 # levels).  The full task1
-# table (4000 rows) is pinned by the SHA-256 of its JSON text.  Refactors
+# table (4000 rows) is pinned by the SHA-256 of its JSON text, re-recorded
+# once when predictive_quantiles moved from one BLAS product per draw to
+# one left-to-right column sum per row block: 9 lower and 18 upper entries
+# moved by 1 ulp, none of the point column, and against the same run with
+# every linear predictor summed in long double and rounded once, the
+# largest error stayed 2 ulp (lower) and 1 ulp (upper) on both sides
+# (entries off: 44 and 44 before, 51 and 60 after).  Refactors
 # must reproduce them exactly, except task2's posterior mean: task2
 # evaluates its return levels with numpy's array power, which can differ
 # from the scalar power in the last bit, so each level may move by up to
@@ -457,7 +463,7 @@ PINNED_TASK1_ROWS = {
               102.36569920969862],
 }
 PINNED_TASK1_TABLE_SHA256 = (
-    "292b6cbc1e4ec0d0db6988ac5c1245fabd31ee073320683ba44bedde5be38b4b")
+    "7f634fcd90eaf5578c5557e432cff220f57cfd7e84779c4dd59f9ed7d7b9b34a")
 PINNED_TASK2 = {
     "fixed": {"loss_minimizer": 113.58810700404406,
               "mle_return_level": 101.41210465417072, "n_draws_used": 2000,

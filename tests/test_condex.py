@@ -453,6 +453,67 @@ def test_analytic_all_zero_flag():
     assert "all-contributions-zero" in out.flags
 
 
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.just(-1.0), st.floats(-1.0, -1e-6)),
+       beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 1.0)),
+       v=st.floats(2.5, 12.0), scale=st.floats(0.1, 30.0), shift=st.floats(0.0, 3.0),
+       n=st.integers(1, 40), d=st.integers(2, 4), seed=st.integers(0, 2**31))
+def test_analytic_negative_alpha_matches_simulation(alpha, beta, v, scale, shift,
+                                                    n, d, seed):
+    # with alpha < 0 each row's conditioner range is an interval [a, b]: the
+    # estimator must agree with forward simulation over the same pool
+    rng = derive_rng(seed)
+    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
+    pool[np.arange(n), rng.integers(0, d, n)] = np.nan
+    p = make_params(alpha, beta, pool)
+    ana = ht_prob_analytic(p, v)
+    assert ana.n_used + ana.n_unreachable == n
+    N = 200_000
+    sim, _, _ = ht_prob_simulation(p, np.full(d, v), np.full(d, np.inf), v, N,
+                                   seed=seed, cond=0, pool_rows="all")
+    tail = 0.5 * np.exp(-v)
+    hit = min(ana.prob / tail, 1.0)
+    # five binomial standard errors at the analytic rate, plus three hits
+    assert abs(sim - ana.prob) <= tail * (5.0 * np.sqrt(hit * (1.0 - hit) / N) + 3.0 / N)
+    if ana.n_used:
+        literal = ht_prob_analytic(p, v, paper_literal=True)
+        assert literal.log_prob - ana.log_prob == pytest.approx(np.log(2.0), abs=1e-10)
+        event("reachable")
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_analytic_negative_alpha_closed_form_intervals(beta):
+    # the task3 failure: a d = 2 pool whose fit has alpha slightly below 0
+    # was rejected.  At beta in {0, 1/2, 1}, alpha y + y^beta z = v solves in
+    # closed form (a quadratic in sqrt(y) at 1/2), so each row's interval is
+    # known exactly
+    alpha, v = -0.035, 7.0
+    rng = derive_rng(305)
+    z = np.abs(rng.normal(size=200)) * 4.0 - 1.0
+    p = make_params(alpha, beta, np.column_stack([np.full(z.size, np.nan), z]))
+    cap = v + 500.0
+    if beta == 0.0:
+        a, b = np.full(z.size, v), (z - v) / -alpha
+    elif beta == 1.0:
+        a, b = np.maximum(v / (alpha + z), v), np.full(z.size, cap)
+        b[alpha + z <= 0.0] = -np.inf
+    else:
+        with np.errstate(invalid="ignore"):
+            disc = np.sqrt(z * z + 4.0 * alpha * v)
+        a = np.maximum(((-z + disc) / (2.0 * alpha)) ** 2, v)
+        b = ((-z - disc) / (2.0 * alpha)) ** 2
+        b[(z <= 0.0) | ~(disc >= 0.0)] = -np.inf
+    b = np.minimum(b, cap)
+    ok = b > a
+    want = np.log(0.5) - v + np.log(np.sum(np.exp(-(a[ok] - v)) - np.exp(-(b[ok] - v)))
+                                    / z.size)
+    out = ht_prob_analytic(p, v)
+    assert 0 < ok.sum() < z.size and out.n_used == ok.sum()
+    assert out.log_prob == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError, match="above the fitting threshold"):
+        ht_prob_analytic(p, 2.0)
+
+
 def test_simulation_whole_space_and_comonotone():
     pool = np.zeros((50, 2))
     pool[:, 0] = np.nan

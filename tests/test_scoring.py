@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremis.core import derive_rng
 from extremis.univariate import (GpdParams, IntervalForecast, RegressionSpec,
@@ -154,19 +156,45 @@ def test_cv_pinned_values_are_bit_identical():
     assert got == PINNED_CV
 
 
+def _left_to_right(design, coef):
+    """The (rows, draws) linear predictors, summed column by column."""
+    out = design[:, :1] * coef[:, 0]
+    for j in range(1, design.shape[1]):
+        out = out + design[:, j:j + 1] * coef[:, j]
+    return out
+
+
 def _reference_draws(coef, X, p, u):
-    """The (n_draws, n_rows) draw matrix of the one-row-in-the-scale,
-    one-row-in-the-shape regression, built draw by draw."""
+    """The (n_rows, n_draws) draw matrix of the one-column-in-the-scale,
+    one-column-in-the-shape regression, by explicit column sums."""
     from extremis.univariate.gpd import _design
     Xd = _design(X, (0,))
-    return np.array([u + gpd_quantile(p, (np.clip(np.exp(Xd @ c[:2]), 1e-8, None),
-                                          np.clip(Xd @ c[2:], -0.99, 4.99)))
-                     for c in coef])
+    sigma = np.clip(np.exp(_left_to_right(Xd, coef[:, :2])), 1e-8, None)
+    xi = np.clip(_left_to_right(Xd, coef[:, 2:]), -0.99, 4.99)
+    return np.asarray(u, float)[:, None] + gpd_quantile(np.asarray(p)[..., None],
+                                                         (sigma, xi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), k=st.integers(1, 17),
+       n_draws=st.sampled_from([1, 2, 5, 1000]), n_rows=st.integers(2, 140),
+       block=st.integers(1, 140))
+def test_linear_predictors_sum_columns_left_to_right(seed, k, n_draws, n_rows,
+                                                     block):
+    from extremis.univariate.gpd import _linear_predictors
+    rng = derive_rng(seed)
+    design = np.column_stack([np.ones(n_rows),
+                              rng.normal(size=(n_rows, k - 1))
+                              * 10.0 ** rng.uniform(-3, 3, size=k - 1)])
+    coef = rng.normal(size=(n_draws, k))
+    want = _left_to_right(design, coef)
+    design_t, coef_t = np.ascontiguousarray(design.T), np.ascontiguousarray(coef.T)
+    for s in range(0, n_rows, block):
+        got = _linear_predictors(design_t[:, s:s + block], coef_t)
+        np.testing.assert_array_equal(got, want[s:s + block])
 
 
 def test_predictive_quantiles_clip_each_draw():
-    from itertools import repeat
-
     from extremis.univariate import GpdRegression, predictive_quantiles
     fit = GpdRegression(np.array([0.2, 0.5]), np.array([0.1, 0.05]),
                         RegressionSpec((0,), (0,)), None, 0.0, 0, True)
@@ -179,28 +207,26 @@ def test_predictive_quantiles_clip_each_draw():
     u = np.array([1.0, 2.0, 3.0, 4.0])
     p = 0.9
     lower, upper = predictive_quantiles(fit, coef, X, p, 0.5,
-                                        lambda rows: repeat(u[rows], len(coef)))
+                                        lambda rows: u[rows, None])
     assert lower.shape == upper.shape == (4,)
-    # each draw on its own: both quantiles of one value are that value
-    draws = []
-    for c in coef:
+    # each draw on its own: both quantiles of one value are that value, the
+    # matching column of the draw matrix
+    draws = _reference_draws(coef, X, p, u)
+    for i, c in enumerate(coef):
         row, row2 = predictive_quantiles(fit, c[None], X, p, 0.5,
-                                         lambda rows: [u[rows]])
+                                         lambda rows: u[rows, None])
         np.testing.assert_array_equal(row, row2)
-        sigma = np.maximum(np.exp(c[0] + c[1] * X[:, 0]), 1e-8)
-        xi = np.clip(c[2] + c[3] * X[:, 0], -0.99, 4.99)
-        np.testing.assert_allclose(row, u + gpd_quantile(p, (sigma, xi)),
-                                   rtol=1e-14)
-        draws.append(row)
-    np.testing.assert_array_equal(lower, np.quantile(draws, 0.25, axis=0))
-    np.testing.assert_array_equal(upper, np.quantile(draws, 0.75, axis=0))
+        np.testing.assert_array_equal(row, draws[:, i])
+    np.testing.assert_array_equal(lower, np.quantile(draws, 0.25, axis=1))
+    np.testing.assert_array_equal(upper, np.quantile(draws, 0.75, axis=1))
     # the estimate as a one-row draw matrix gives the point prediction
     point, _ = predictive_quantiles(fit, fit.coefficients[None], X, p, 0.5,
-                                    lambda rows: [0.0])
+                                    lambda rows: 0.0)
     sigma, xi = fit.predict(X)
     np.testing.assert_array_equal(point, gpd_quantile(p, (sigma, xi)))
     with pytest.raises(ValueError):
-        predictive_quantiles(fit, coef, X, p, 0.5, lambda rows: repeat(u[rows], 2))
+        predictive_quantiles(fit, coef, X, p, 0.5,
+                             lambda rows: np.ones((rows.stop - rows.start, 2)))
 
 
 def _predictive_input(n_rows, n_draws, seed):
@@ -216,29 +242,51 @@ def _predictive_input(n_rows, n_draws, seed):
 
 
 def test_predictive_quantiles_blocks_match_the_draw_matrix(monkeypatch):
-    from itertools import repeat
-
     from extremis.univariate import predictive_quantiles, scoring
     fit, coef, X, p, u = _predictive_input(103, 40, 11)
     draws = _reference_draws(coef, X, p, u)
-    want = np.quantile(draws, [0.1, 0.9], axis=0)
+    want = np.quantile(draws, [0.1, 0.9], axis=1)
+    default = predictive_quantiles(fit, coef, X, p, 0.2, lambda rows: u[rows, None])
     # 7 rows per block: 15 blocks, the last one short
     monkeypatch.setattr(scoring, "BLOCK_FLOATS", 7 * len(coef) + 3)
     seen = []
 
     def thresholds(rows):
         seen.append((rows.start, rows.stop))
-        return repeat(u[rows], len(coef))
+        return u[rows, None]
 
     lower, upper = predictive_quantiles(fit, coef, X, p, 0.2, thresholds)
     assert seen == [(s, min(s + 7, 103)) for s in range(0, 103, 7)]
     np.testing.assert_array_equal(lower, want[0])
     np.testing.assert_array_equal(upper, want[1])
+    np.testing.assert_array_equal(lower, default[0])
+    np.testing.assert_array_equal(upper, default[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 6),
+       n_draws=st.integers(1, 60),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       special=st.floats(0.0, 0.5))
+def test_sorted_quantiles_match_numpy(seed, n_rows, n_draws, alpha, special):
+    """Ties, +-inf and NaN included; NaN bits compared too.  Equal values of
+    opposite zero sign are the one tie whose order neither sort fixes, so
+    the draws hold no -0.0."""
+    from extremis.univariate.scoring import _sorted_quantiles
+    rng = derive_rng(seed)
+    b = rng.normal(size=(n_rows, n_draws)).round(rng.integers(0, 3))
+    pick = rng.uniform(size=b.shape) < special
+    b[pick] = rng.choice([np.inf, -np.inf, np.nan, 1.0, 0.0], size=pick.sum())
+    b[b == 0.0] = 0.0
+    levels = [alpha / 2.0, 1.0 - alpha / 2.0]
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(b, levels, axis=1)
+        got = _sorted_quantiles(b.copy(), np.array(levels))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_predictive_quantiles_memory_stays_in_blocks():
     import tracemalloc
-    from itertools import repeat
 
     from extremis.univariate import predictive_quantiles
     n_draws, n_rows = 1000, 20_000
@@ -246,9 +294,13 @@ def test_predictive_quantiles_memory_stays_in_blocks():
     tracemalloc.start()
     try:
         predictive_quantiles(fit, coef, X, 0.99, 0.5,
-                             lambda rows: repeat(u[rows], n_draws))
+                             lambda rows: u[rows, None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole draw matrix alone would be 160 MB
-    assert peak < 64e6
+    # the whole draw matrix alone would be 160 MB.  Measured: 4.19 MB, of
+    # which 0.96 MB are per-row arrays (both transposed designs and the
+    # output) and the rest one block of 2^16 draws with gpd_quantile's
+    # temporaries, six 512 kB arrays; the margin is 1.8 MB, under four
+    # more block arrays
+    assert peak < 6e6
