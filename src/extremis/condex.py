@@ -16,16 +16,23 @@ probabilities three ways: forward simulation, a root-finding/log-sum-exp
 estimator that stays accurate far beyond Monte Carlo reach, and the
 two-level variant for unequal target levels with permutation averaging.
 
-The root-finding estimators bisect each pool entry once per target level
-(``_entry_roots``).  The bisection predicate alpha y + y^beta z >= v is
-monotone in z in floating point, so the bisected root of a row minimum is
-bit for bit the row maximum of the entries' roots.
+The root-finding estimators map each residual z to its level set
+{y in [v, v + ROOT_CAP] : alpha y + y^beta z >= v} (``_level_sets``).
+g(y) = alpha y + y^beta z has g' = alpha + beta z y^(beta - 1) with at most
+one zero, where alpha and beta z differ in sign: for beta < 1 a peak where
+alpha < 0 and a trough where alpha > 0.  So every set is [a, b] u [d, inf),
+bisected on g's monotone sides; the second piece is there only where a
+trough dips below v between two stretches above it, which on the fitting
+box takes beta < 0.
 
-With alpha < 0, each row's set of conditioner values that carry every
-companion above v is an interval, not a half-line: ``ht_prob_analytic``
-bisects its two ends at the row minimum (``_interval_v_vector``).  The
-two-level estimator and ``ht_root_v`` assume alpha >= 0; the simulation
-estimator has no such restriction.
+g grows with z at every y > 0, so the sets of a row's entries nest and
+their intersection is the set of the row minimum: ``ht_prob_analytic``
+bisects row minima.  Where a set is a half-line bisected on
+[v, v + ROOT_CAP] (every alpha, beta >= 0), the bisection predicate is
+monotone in z in floating point, so the bisected root of a row minimum is
+bit for bit the row maximum of the entries' roots.  The two-level
+estimator intersects per-entry sets [a, b] by a max and a min reduction,
+and rejects sets with a gap, whose intersections take no such form.
 """
 from __future__ import annotations
 
@@ -438,34 +445,52 @@ def fit_ht_exchangeable_gaussian(L, threshold: float | None = None,
     return _fit_exchangeable(L, threshold, threshold_quantile, GaussianDiag)
 
 
-def _root_v_vector(zmin, alpha: float, beta: float, v: float,
-                   iters: int = 64) -> np.ndarray:
-    """Smallest y >= v with alpha y + y^beta z >= v, +inf when unreachable.
-
-    g is increasing or convex in y for every (alpha in [0,1], beta <= 1, z)
-    case, so the first crossing is the boundary of {g >= v} and bisection
-    on [v, v + 500] is exact to the iteration tolerance.
+def _level_sets(z, alpha: float, beta: float, v: float) -> np.ndarray:
+    """Each z's set {y in [v, v + ROOT_CAP] : alpha y + y^beta z >= v} as
+    [a, b] u [d, inf), stacked (a, b, d): b = +inf where the set reaches the
+    cap, d = +inf but past a trough's gap, and all three +inf where the set
+    is empty.  Each end is bisected in 64 steps on one monotone side of g
+    (module docstring); a half-line's, on [v, v + ROOT_CAP].
     """
-    if alpha < 0.0:
-        raise ValueError("root-finding estimator requires alpha >= 0")
-    zmin = np.asarray(zmin, dtype=float)
+    z = np.asarray(z, dtype=float)
     cap = v + ROOT_CAP
-    out = np.full(zmin.shape, np.inf)
-    at_v = alpha * v + v ** beta * zmin >= v
-    out[at_v] = v
-    lo = np.full(zmin.shape, v)
-    hi = np.full(zmin.shape, cap)
-    active = ~at_v & (alpha * cap + cap ** beta * zmin >= v)
-    if active.any():
-        lo_a, hi_a = lo[active], hi[active]
-        z_a = zmin[active]
-        for _ in range(iters):
-            mid = 0.5 * (lo_a + hi_a)
-            ge = alpha * mid + mid ** beta * z_a >= v
-            hi_a = np.where(ge, mid, hi_a)
-            lo_a = np.where(ge, lo_a, mid)
-        out[active] = hi_a
-    return out
+    g_v = alpha * v + v ** beta * z
+    g_cap = alpha * cap + cap ** beta * z
+    # a monotone g crosses v at most once: split it at its higher end
+    m = np.where(g_v >= v, v, cap)
+    g_m = np.where(g_v >= v, g_v, g_cap)
+    turn = np.zeros(z.shape, dtype=bool)
+    trough = (alpha > 0.0) == (beta < 1.0)  # whether g's one turn is a trough
+    if alpha != 0.0 and beta != 1.0:
+        # g' = 0 at y* = (-alpha / (beta z))^(1 / (beta - 1)); a trough with
+        # g(v) < v crosses v once, so it splits like a monotone g
+        turn = (alpha * beta * z < 0.0) & ((not trough) | (g_v >= v))
+        with np.errstate(divide="ignore", over="ignore"):
+            m[turn] = np.clip((-alpha / (beta * z[turn])) ** (1.0 / (beta - 1.0)), v, cap)
+        g_m[turn] = alpha * m[turn] + m[turn] ** beta * z[turn]
+    # a peak or monotone g holds [a, b] with its maximum g(m) inside; a
+    # trough starting above v holds [v, b] and, past its minimum g(m), [d, inf)
+    valley = turn & trough
+    hill = ~valley & (g_m >= v)
+    gap = valley & (g_m < v)
+    find_a = hill & (g_v < v)
+    find_b = (hill & (g_cap < v)) | gap
+    find_d = gap & (g_cap >= v)
+    # each end is bisected between a point of the set and one outside it
+    inside = np.concatenate([m[find_a], np.where(gap, v, m)[find_b],
+                             np.full(find_d.sum(), cap)])
+    outside = np.concatenate([np.full(find_a.sum(), v), np.where(gap, m, cap)[find_b],
+                              m[find_d]])
+    zz = np.concatenate([z[find_a], z[find_b], z[find_d]])
+    for _ in range(64):
+        mid = 0.5 * (inside + outside)
+        ge = alpha * mid + mid ** beta * zz >= v
+        inside, outside = np.where(ge, mid, inside), np.where(ge, outside, mid)
+    ends = np.full((3,) + z.shape, np.inf)
+    ends[0, hill | valley] = v
+    ends[0, find_a], ends[1, find_b], ends[2, find_d] = np.split(
+        inside, np.cumsum([find_a.sum(), find_b.sum()]))
+    return ends
 
 
 def _shared_dependence(params: HtParams) -> tuple[float, float]:
@@ -484,7 +509,7 @@ def ht_root_v(z: float, params: HtParams, v: float) -> float:
     a, b = _shared_dependence(params)
     if v <= 0.0:
         raise ValueError("v must be positive")
-    return float(_root_v_vector(np.array([z]), a, b, v)[0])
+    return float(_level_sets(np.array([z]), a, b, v)[0][0])
 
 
 @dataclass
@@ -506,75 +531,31 @@ def _log_tail(v: float) -> float:
     return float(np.log(max(1.0 - float(MarginSpec("laplace").cdf(v)), 1e-300)))
 
 
-def _entry_roots(params: HtParams, v: float) -> np.ndarray:
-    """Root level of every pool entry at v, NaN in each conditioner slot."""
-    alpha, beta = _shared_dependence(params)
-    pool = params.residual_pool
-    filled = ~np.isnan(pool)
-    roots = np.full(pool.shape, np.nan)
-    roots[filled] = _root_v_vector(pool[filled], alpha, beta, v)
-    return roots
-
-
 def _log_mean_tail(level: np.ndarray, v: float, paper_literal: bool,
-                   upper: np.ndarray | None = None) -> float:
+                   upper: np.ndarray | None = None,
+                   rejoin: np.ndarray | None = None) -> float:
     """log mean over rows of exp(-(level - v)) P(Y0 > v), or of exp(-level)
     when ``paper_literal``; +inf levels add 0.  With ``upper``, a row whose
     conditioner must fall in [level, upper] has its term times
-    1 - exp(-(upper - level))."""
+    1 - exp(-(upper - level)), 0 when upper <= level; with ``rejoin``, a
+    row whose conditioner may also exceed a finite rejoin adds that level's
+    term."""
     finite = np.isfinite(level)
     if not finite.any():
         return -np.inf
     log_terms = -level[finite] if paper_literal else -(level[finite] - v)
     if upper is not None:
         with np.errstate(divide="ignore"):
-            log_terms = log_terms + np.log(-np.expm1(level[finite] - upper[finite]))
+            log_terms = log_terms + np.log(-np.expm1(
+                np.fmin(level[finite] - upper[finite], 0.0)))
+    if rejoin is not None:
+        d = rejoin[finite]
+        tail = np.isfinite(d)
+        log_terms[tail] = np.logaddexp(log_terms[tail],
+                                       -d[tail] if paper_literal else -(d[tail] - v))
     if paper_literal:
         return float(logsumexp(log_terms) - np.log(level.size))
     return float(_log_tail(v) + logsumexp(log_terms) - np.log(level.size))
-
-
-def _interval_v_vector(zmin, alpha: float, beta: float,
-                       v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ends [a, b] of {y in [v, v + 500] : alpha y + y^beta z >= v} for
-    alpha < 0, both +inf where the set is empty.
-
-    With z <= 0 the left side is negative, below v.  With z > 0,
-    h(y) = alpha y + y^beta z is concave with its peak at
-    y* = (-alpha / (beta z))^(1 / (beta - 1)) for 0 < beta < 1, decreasing
-    for beta <= 0 and linear for beta = 1; so the set is one interval.  Its
-    ends are bisected on either side of the peak clamped to [v, v + 500],
-    h rising to the left of it and falling to the right, with the 64 steps
-    of ``_root_v_vector``.
-    """
-    zmin = np.asarray(zmin, dtype=float)
-    cap = v + ROOT_CAP
-
-    def h(y, z):
-        return alpha * y + y ** beta * z
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if beta >= 1.0:
-            peak = np.full(zmin.shape, cap)
-        elif beta <= 0.0:
-            peak = np.full(zmin.shape, v)
-        else:
-            peak = np.clip((-alpha / (beta * zmin)) ** (1.0 / (beta - 1.0)), v, cap)
-        reach = (zmin > 0.0) & (h(peak, zmin) >= v)
-    a, b = np.full(zmin.shape, np.inf), np.full(zmin.shape, np.inf)
-    z, top = zmin[reach], peak[reach]
-    lo_a, hi_a = np.full(z.shape, v), top
-    lo_b, hi_b = top, np.full(z.shape, cap)
-    for _ in range(64):
-        mid = 0.5 * (lo_a + hi_a)
-        ge = h(mid, z) >= v
-        hi_a, lo_a = np.where(ge, mid, hi_a), np.where(ge, lo_a, mid)
-        mid = 0.5 * (lo_b + hi_b)
-        ge = h(mid, z) >= v
-        lo_b, hi_b = np.where(ge, mid, lo_b), np.where(ge, hi_b, mid)
-    a[reach] = np.where(h(v, z) >= v, v, hi_a)
-    b[reach] = np.where(h(cap, z) >= v, cap, lo_b)
-    return a, b
 
 
 def ht_prob_analytic(params: HtParams, v: float,
@@ -584,26 +565,24 @@ def ht_prob_analytic(params: HtParams, v: float,
     For each pooled residual row the minimum component determines the level
     the conditioner must exceed; averaging exp(-(level - v)) and scaling by
     the Laplace conditioning margin's exact tail P(Y0 > v) gives the
-    estimate, all in log space.  With alpha < 0 the minimum component
-    determines an interval [a, b] for the conditioner instead, and the row
-    adds exp(-(a - v)) - exp(-(b - v)).  ``paper_literal`` instead folds the tail factor into the
-    exponent as exp(-level), the convention that treats exp(-v) P(Y0 > v)^-1
-    as one (exact on exponential margins; on Laplace margins it differs by
-    the factor 1/2).
+    estimate, all in log space.  Where the row minimum's level set is
+    bounded, [a, b], the row adds exp(-(a - v)) - exp(-(b - v)), and where
+    it goes on past a gap from d, also exp(-(d - v)) (``_level_sets``).
+    ``paper_literal`` instead folds the tail factor into the exponent as
+    exp(-level), the convention that treats exp(-v) P(Y0 > v)^-1 as one
+    (exact on exponential margins; on Laplace margins it differs by the
+    factor 1/2).
     """
     alpha, beta = _shared_dependence(params)
     if v <= params.threshold:
         raise ValueError("v must sit above the fitting threshold")
-    if alpha < 0.0:
-        level, upper = _interval_v_vector(
-            np.fmin.reduce(params.residual_pool, axis=1), alpha, beta, v)
-    else:
-        level, upper = np.fmax.reduce(_entry_roots(params, v), axis=1), None
+    level, upper, rejoin = _level_sets(np.fmin.reduce(params.residual_pool, axis=1),
+                                       alpha, beta, v)
     n_used = int(np.isfinite(level).sum())
     if n_used == 0:
         return HtProbability(-np.inf, 0, level.size, ["all-contributions-zero"])
-    return HtProbability(_log_mean_tail(level, v, paper_literal, upper), n_used,
-                         level.size - n_used, [])
+    return HtProbability(_log_mean_tail(level, v, paper_literal, upper, rejoin),
+                         n_used, level.size - n_used, [])
 
 
 def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
@@ -677,15 +656,19 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     """Unequal-level joint tail probability with permutation averaging.
 
     Variables in the first group must exceed s1, those in the second s2
-    (s1 >= s2).  Per residual row the group-wise minima give two root
-    levels whose maximum is the level the conditioner must exceed.  Under
+    (s1 >= s2).  Per residual row the conditioner must fall in every
+    entry's level set at its group's level, and above s1.  Under
     exchangeability the probability is averaged over every assignment of
     the second-group labels (rows whose conditioner falls in the second
     group are left out of that assignment).
 
-    Cost: one bisection pass over the pool entries at s1 and one at s2,
-    then one masked max-reduction per assignment; by the monotonicity in
-    the module docstring each group's root is exactly its entries' maximum.
+    Cost: one ``_level_sets`` pass over the pool entries at s1 and one at
+    s2, then per assignment one masked max-reduction of the entries' lower
+    ends a, and a min-reduction of their upper ends b only when some b is
+    finite (a set bounded by a peak or a decreasing g).  Where every set is
+    a half-line, each row's level is exactly the one ``ht_prob_analytic``
+    bisects at the row minimum (module docstring).  A residual whose set
+    has a gap raises ValueError: its intersections are not one interval.
     """
     if s1 < s2:
         raise ValueError("s1 must be at least s2")
@@ -699,8 +682,6 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     if g1.size == 0:
         # no variable carries the higher level: one-level event at s2
         return ht_prob_analytic(params, s2, paper_literal)
-    if float(params.alpha) < 0.0:
-        raise ValueError("analytic estimator requires alpha >= 0")
     if s1 <= params.threshold:
         raise ValueError("s1 must sit above the fitting threshold")
     d = params.dim
@@ -708,7 +689,16 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         raise ValueError("groups must partition the cluster variables")
     assignments, flags = label_assignments(d, g2, exchangeable, seed)
 
-    root1, root2 = _entry_roots(params, s1), _entry_roots(params, s2)
+    alpha, beta = _shared_dependence(params)
+    pool = params.residual_pool
+    filled = ~np.isnan(pool)
+    (a1, b1, d1), (a2, b2, d2) = tables = np.full((2, 3) + pool.shape, np.nan)
+    for table, s in zip(tables, (s1, s2)):
+        table[:, filled] = _level_sets(pool[filled], alpha, beta, s)
+    if np.isfinite(d1).any() or np.isfinite(d2).any():
+        raise ValueError("two-level estimator cannot intersect residual level "
+                         "sets with a gap (alpha > 0, beta < 0)")
+    bounded = np.isfinite(b1).any() or np.isfinite(b2).any()
     log_probs = []
     for cols2 in assignments:
         in2 = np.zeros(d, dtype=bool)
@@ -716,9 +706,10 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         rows = ~in2[params.pool_cond]
         if not rows.any():
             continue
-        level = np.maximum(np.fmax.reduce(np.where(in2, root2[rows], root1[rows]),
-                                          axis=1), s1)
-        log_probs.append(_log_mean_tail(level, s1, paper_literal))
+        level = np.maximum(np.fmax.reduce(np.where(in2, a2[rows], a1[rows]), axis=1), s1)
+        upper = (np.fmin.reduce(np.where(in2, b2[rows], b1[rows]), axis=1)
+                 if bounded else None)
+        log_probs.append(_log_mean_tail(level, s1, paper_literal, upper))
     if not log_probs:
         return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
     log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))

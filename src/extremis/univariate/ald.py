@@ -58,8 +58,9 @@ class AldParams:
         return np.asarray(self.beta_eta, float)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Fitted threshold eta(x) per covariate row."""
-        return _design(X) @ self.beta_eta
+        """Fitted threshold eta(x) per covariate row: ``predict_draws`` with
+        the estimate as its one draw."""
+        return self.predict_draws(X, self.coefficients[None])[:, 0]
 
     def fitted(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The fitted threshold at the fitting data (X, y), set to y on the

@@ -354,10 +354,13 @@ class GpdRegression:
         return np.concatenate([self.beta_sigma, self.beta_xi])
 
     def predict(self, X: np.ndarray):
-        """Per-row (sigma, xi) from covariates."""
-        Xs = _design(X, self.spec.sigma_columns)
-        Xx = _design(X, self.spec.xi_columns)
-        return np.exp(Xs @ self.beta_sigma), Xx @ self.beta_xi
+        """Per-row (sigma, xi) from covariates, each predictor summed as
+        ``predictive_quantiles`` sums the estimate as its one draw."""
+        eta, xi = (_linear_predictors(np.ascontiguousarray(_design(X, cols).T),
+                                      np.asarray(beta, float)[:, None])[:, 0]
+                   for cols, beta in ((self.spec.sigma_columns, self.beta_sigma),
+                                      (self.spec.xi_columns, self.beta_xi)))
+        return np.exp(eta), xi
 
 
 def _design(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:

@@ -341,6 +341,24 @@ def test_condex_fit_and_prob_commands(gumbel3_csv, capsys):
     assert doc3["result"]["log_prob"] >= res["log_prob_analytic"] - 1e-9
 
 
+def test_condex_prob2_with_negative_alpha(tmp_path, capsys):
+    # companions falling with the conditioner: the exchangeable fit has
+    # alpha < 0, so each residual admits an interval of conditioner values,
+    # which the two-level estimator intersects instead of rejecting the fit
+    from test_condex import simulate_ht
+    path = tmp_path / "neg.csv"
+    L = simulate_ht(-0.3, 0.5, 3000, 3, seed=4, law=("gauss", 2.0, 0.5))
+    rows = ["a,b,c"] + [",".join(repr(float(v)) for v in row) for row in L]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    res = _run_json(capsys, [
+        "condex", "prob2", "--input", str(path), "--margins", "laplace",
+        "--threshold-quantile", "0.7", "--gaussian", "--s1", "5.0", "--s2", "4.5",
+        "--groups", "0|1,2",
+    ])["result"]
+    assert res["fit"]["alpha"] < 0.0
+    assert np.isfinite(res["log_prob"]) and res["n_assignments"] == 3
+
+
 def test_condex_fit_rejects_paper_literal(gumbel3_csv, capsys):
     # the flag only changes the probability estimators, so fit has none
     code = run(["condex", "fit", "--input", gumbel3_csv, "--paper-literal"])
@@ -449,21 +467,28 @@ def test_task4_preset(capsys, tmp_path):
 # moved by 1 ulp, none of the point column, and against the same run with
 # every linear predictor summed in long double and rounded once, the
 # largest error stayed 2 ulp (lower) and 1 ulp (upper) on both sides
-# (entries off: 44 and 44 before, 51 and 60 after).  Refactors
+# (entries off: 44 and 44 before, 51 and 60 after).  Both were re-recorded
+# once more when AldParams.predict moved from a BLAS product to the
+# left-to-right column sum with the intercept added last: 858 of the 4000
+# fitted thresholds moved by 1 ulp, against the long-double product the
+# largest error fell from 1.00 to 0.61 ulp (rows off by more than half an
+# ulp: 926 before, 155 after), the exceedance set stayed the same, the check
+# loss fell by 4e-13 and the GPD log-likelihood rose by 1.2e-13; every
+# task1 entry then moved by at most 8 ulp.  Refactors
 # must reproduce them exactly, except task2's posterior mean: task2
 # evaluates its return levels with numpy's array power, which can differ
 # from the scalar power in the last bit, so each level may move by up to
 # about 6e-13 relative.
 PINNED_TASK1_ROWS = {
-    "lower": [86.6627260264858, 92.10060304043989, 92.35022492531554,
-              96.10196233845417],
-    "point": [89.75897993990327, 93.52735588414082, 95.42517579176314,
-              97.60701689747992],
-    "upper": [95.0601096737909, 98.25988580271513, 100.68989393897047,
-              102.36569920969862],
+    "lower": [86.66272602648586, 92.10060304043989, 92.3502249253156,
+              96.1019623384542],
+    "point": [89.75897993990334, 93.52735588414085, 95.4251757917632,
+              97.60701689747995],
+    "upper": [95.060109673791, 98.25988580271519, 100.68989393897056,
+              102.36569920969868],
 }
 PINNED_TASK1_TABLE_SHA256 = (
-    "7f634fcd90eaf5578c5557e432cff220f57cfd7e84779c4dd59f9ed7d7b9b34a")
+    "415109ef38e51d45581d28ac5cf3950832d75bdd1b63fc527cf65ba47deccf09")
 PINNED_TASK2 = {
     "fixed": {"loss_minimizer": 113.58810700404406,
               "mle_return_level": 101.41210465417072, "n_draws_used": 2000,

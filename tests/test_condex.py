@@ -12,7 +12,7 @@ from test_gpd import _close
 from extremis import condex, core
 from extremis._optim import minimize_nll, numeric_hessian
 from extremis.condex import (KAPPA_CAP, GaussianDiag, HtParams, SkewNormal,
-                             _entry_roots, _pair_objective, _root_v_vector,
+                             _level_sets, _pair_objective,
                              fit_ht_exchangeable_gaussian,
                              fit_ht_exchangeable_skewnormal, fit_ht_gaussian,
                              ht_model_chi, ht_prob_analytic,
@@ -454,16 +454,26 @@ def test_analytic_all_zero_flag():
 
 
 @settings(max_examples=60, deadline=None)
-@given(alpha=st.one_of(st.just(-1.0), st.floats(-1.0, -1e-6)),
+@given(alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
        beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 1.0)),
        v=st.floats(2.5, 12.0), scale=st.floats(0.1, 30.0), shift=st.floats(0.0, 3.0),
+       noise=st.sampled_from([1.0, 0.0]),
        n=st.integers(1, 40), d=st.integers(2, 4), seed=st.integers(0, 2**31))
+# constant pools whose level sets are bounded by a decreasing g, [3, 4],
+# and split by a trough, [3, 3.82] u [26.18, inf): exact 0.5 e^-3 (1 - e^-1)
+# and 0.013926
+@example(alpha=0.0, beta=-0.5, v=3.0, scale=2.0, shift=3.0, noise=0.0, n=400,
+         d=2, seed=0)
+@example(alpha=0.1, beta=-1.0, v=3.0, scale=5.0, shift=2.0, noise=0.0, n=400,
+         d=2, seed=0)
 def test_analytic_negative_alpha_matches_simulation(alpha, beta, v, scale, shift,
-                                                    n, d, seed):
-    # with alpha < 0 each row's conditioner range is an interval [a, b]: the
-    # estimator must agree with forward simulation over the same pool
+                                                    noise, n, d, seed):
+    # each row's conditioner range is a half-line, an interval [a, b] or,
+    # past a trough, [v, b] u [d, inf): the estimator must agree with
+    # forward simulation over the same pool
     rng = derive_rng(seed)
-    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
+    pool = scale * (noise * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)))
+                    + shift)
     pool[np.arange(n), rng.integers(0, d, n)] = np.nan
     p = make_params(alpha, beta, pool)
     ana = ht_prob_analytic(p, v)
@@ -594,6 +604,54 @@ def test_two_level_requires_order():
         ht_prob_two_level(p, ([0], [1]), 5.0, 6.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.just(-1.0), st.floats(-1.0, -1e-6)),
+       beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 1.0)),
+       s2=st.floats(2.5, 10.0), gap=st.floats(1e-3, 3.0), scale=st.floats(0.1, 30.0),
+       shift=st.floats(0.0, 5.0), n=st.integers(1, 40), d=st.integers(2, 4),
+       n1=st.integers(1, 3), seed=st.integers(0, 2**31))
+def test_two_level_negative_alpha_matches_simulation(alpha, beta, s2, gap, scale,
+                                                     shift, n, d, n1, seed):
+    # with alpha < 0 every entry's set is an interval, and a row's
+    # conditioner range is the intersection of its entries' intervals at
+    # their groups' levels, above s1: the fixed assignment must agree with
+    # forward simulation from conditioner 0 under those lower bounds
+    rng = derive_rng(seed)
+    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
+    pool[:, 0] = np.nan
+    p = make_params(alpha, beta, pool)
+    s1 = s2 + gap
+    g1 = list(range(min(n1, d - 1)))
+    g2 = list(range(len(g1), d))
+    two = ht_prob_two_level(p, (g1, g2), s1, s2, exchangeable=False)
+    assert two.n_used == 1 and two.flags in ([], ["all-contributions-zero"])
+    lower = np.where(np.isin(np.arange(d), g1), s1, s2)
+    N = 200_000
+    sim, _, _ = ht_prob_simulation(p, lower, np.full(d, np.inf), s1, N, seed=seed,
+                                   cond=0)
+    tail = 0.5 * np.exp(-s1)
+    hit = min(two.prob / tail, 1.0)
+    # five binomial standard errors at the estimator's rate, plus three hits
+    assert abs(sim - two.prob) <= tail * (5.0 * np.sqrt(hit * (1.0 - hit) / N) + 3.0 / N)
+    if hit > 0.0:
+        event("reachable")
+
+
+def test_two_level_rejects_level_sets_with_a_gap():
+    # alpha y + 10 / y at alpha = 0.1 dips below 3 between 3.82 and 26.18, so
+    # each entry's set at s2 = 3 is two pieces, whose intersections are not
+    # one interval
+    pool = np.array([[np.nan, 10.0, 10.0]])
+    p = make_params(0.1, -1.0, pool)
+    sets = _level_sets(np.array([10.0]), 0.1, -1.0, 3.0)
+    np.testing.assert_allclose(np.ravel(sets), [3.0, 15.0 - 5.0 * np.sqrt(5.0),
+                                                15.0 + 5.0 * np.sqrt(5.0)], rtol=1e-14)
+    with pytest.raises(ValueError, match="level sets with a gap"):
+        ht_prob_two_level(p, ([0, 1], [2]), 3.5, 3.0)
+    # the one-level estimator integrates both pieces
+    assert ht_prob_two_level(p, ([0, 1], [2]), 3.0, 3.0).n_used == 1
+
+
 def test_model_chi_limits():
     pool = np.zeros((10, 2))
     pool[:, 0] = np.nan
@@ -647,26 +705,77 @@ def test_two_level_assignment_subsample_is_seeded(monkeypatch):
     assert out.log_prob == pytest.approx(logsumexp(parts) - np.log(3), abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+       beta=st.one_of(st.sampled_from([-5.0, -1.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 2.0)),
+       v=st.floats(0.1, 30.0), z=st.floats(-60.0, 60.0))
+@example(alpha=0.1, beta=-1.0, v=3.0, z=10.0)
+@example(alpha=-0.5, beta=0.5, v=3.0, z=20.0)
+@example(alpha=0.0, beta=-0.5, v=3.0, z=6.0)
+@example(alpha=0.5, beta=1.5, v=3.0, z=-0.05)
+def test_level_sets_match_a_dense_grid(alpha, beta, v, z):
+    # [a, b] u [d, inf) holds exactly the grid points where g >= v, up to
+    # points within rounding of one of its ends; beta > 1, outside the
+    # fitting box, turns the peaks into troughs and the troughs into peaks
+    a, b, d = (float(e[0]) for e in _level_sets(np.array([z]), alpha, beta, v))
+    assert a <= b <= np.inf and (np.isinf(d) or b < d)
+    y = v + np.linspace(0.0, condex.ROOT_CAP, 200_001)
+    inside = alpha * y + y ** beta * z >= v
+    claimed = ((y >= a) & (y <= b)) | (y >= d)
+    ends = np.array([e for e in (a, b, d) if np.isfinite(e)])
+    off = y[inside != claimed]
+    if off.size:
+        assert ends.size and np.all(np.min(np.abs(off[:, None] - ends), axis=1)
+                                    <= 1e-9 * off)
+    for name, hit in (("empty", np.isinf(a)), ("bounded", np.isfinite(b)),
+                      ("gap", np.isfinite(d))):
+        if hit:
+            event(name)
+
+
+def entry_level_sets(pool, alpha, beta, v):
+    """(a, b, d) of every pool entry at v, NaN in each conditioner slot."""
+    filled = ~np.isnan(pool)
+    sets = np.full((3,) + pool.shape, np.nan)
+    sets[:, filled] = _level_sets(pool[filled], alpha, beta, v)
+    return sets
+
+
 @settings(max_examples=200, deadline=None)
-@given(alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+@given(alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
        beta=st.one_of(st.sampled_from([-5.0, 0.0, 1.0]), st.floats(-5.0, 1.0)),
        v=st.floats(0.1, 30.0), scale=st.floats(0.1, 50.0),
        n=st.integers(1, 40), d=st.integers(2, 6), seed=st.integers(0, 2**31))
 @example(alpha=0.0, beta=0.5, v=6.0, scale=3.0, n=40, d=3, seed=1)
 @example(alpha=1.0, beta=1.0, v=0.1, scale=50.0, n=40, d=2, seed=2)
+@example(alpha=-0.5, beta=0.5, v=3.0, scale=20.0, n=40, d=4, seed=3)
 def test_row_root_is_row_max_of_entry_roots(alpha, beta, v, scale, n, d, seed):
-    # the bisection predicate is monotone in z, so bisecting a row minimum
-    # lands on exactly the largest of the row's per-entry roots
+    # g grows with z, so a row's entry sets nest and the set of the row
+    # minimum is their intersection: where no entry's set has a gap, its
+    # ends are the entries' largest a and smallest b
     rng = derive_rng(seed)
     pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)))
     pool[np.arange(n), rng.integers(0, d, n)] = np.nan
-    roots = _entry_roots(make_params(alpha, beta, pool), v)
-    assert np.array_equal(np.isnan(roots), np.isnan(pool))
-    got = np.fmax.reduce(roots, axis=1)
-    want = _root_v_vector(np.nanmin(pool, axis=1), alpha, beta, v)
-    assert np.array_equal(got, want)
-    for name, hit in (("at-v", want == v), ("unreachable", np.isinf(want)),
-                      ("bisection", np.isfinite(want) & (want > v))):
+    a_in, b_in, d_in = entry_level_sets(pool, alpha, beta, v)
+    assert np.array_equal(np.isnan(a_in), np.isnan(pool))
+    a, b, _ = _level_sets(np.nanmin(pool, axis=1), alpha, beta, v)
+    rows = np.isfinite(a) & ~np.isfinite(d_in).any(axis=1)
+    got_a = np.fmax.reduce(a_in, axis=1)[rows]
+    got_b = np.fmin.reduce(b_in, axis=1)[rows]
+    assert np.array_equal(np.isfinite(got_b), np.isfinite(b[rows]))
+    if alpha >= 0.0:
+        # both sides bisect [v, v + ROOT_CAP] with a predicate monotone in z
+        assert np.array_equal(got_a, a[rows]) and np.array_equal(got_b, b[rows])
+    else:
+        # each entry's peak y*(z) brackets its own bisection, which lands
+        # where its rounded g first crosses v; that spot can differ from
+        # the row minimum's only where rounded g crosses v more than once,
+        # within a few ulps of the crossing
+        np.testing.assert_allclose(got_a, a[rows], rtol=1e-12)
+        np.testing.assert_allclose(got_b, b[rows], rtol=1e-12)
+    for name, hit in (("at-v", a == v), ("unreachable", np.isinf(a)),
+                      ("bisection", np.isfinite(a) & (a > v)),
+                      ("bounded", np.isfinite(b))):
         if hit.any():
             event(name)
 

@@ -194,6 +194,43 @@ def test_linear_predictors_sum_columns_left_to_right(seed, k, n_draws, n_rows,
         np.testing.assert_array_equal(got, want[s:s + block])
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), k=st.integers(1, 17), n_rows=st.integers(1, 60))
+def test_predict_matches_the_one_draw_path(seed, k, n_rows):
+    # predict and the predictive path with the estimate as its one draw
+    # share one summation order: the GPD predictors left to right from the
+    # intercept column, the ALD threshold left to right over the covariates
+    # with the intercept added last
+    from extremis.univariate import AldParams, GpdRegression, predictive_quantiles
+    from extremis.univariate.gpd import _design
+    rng = derive_rng(seed)
+    X = rng.normal(size=(n_rows, k - 1)) * 10.0 ** rng.uniform(-3, 3, size=k - 1)
+    cols = tuple(range(k - 1))
+    # each GPD term at most a few tenths, so sigma and the quantiles stay finite
+    spread = np.r_[1.0, np.abs(X).max(axis=0)]
+    fit = GpdRegression(rng.normal(size=k) * 0.3 / spread,
+                        rng.normal(size=k) * 0.1 / spread,
+                        RegressionSpec(cols, cols), None, 0.0, 0, True)
+    u, p = rng.uniform(0.0, 5.0, n_rows), rng.uniform(0.5, 0.999, n_rows)
+    lower, upper = predictive_quantiles(fit, fit.coefficients[None], X, p, 0.5,
+                                        lambda rows: u[rows, None])
+    sigma, xi = fit.predict(X)
+    want = u + gpd_quantile(p, (np.clip(sigma, 1e-8, None), np.clip(xi, -0.99, 4.99)))
+    np.testing.assert_array_equal(lower, want)
+    np.testing.assert_array_equal(upper, want)
+    ald = AldParams(rng.normal(size=k) * 10.0, 0.0, 0.5, None, 0.0, n_rows, True)
+    eta = ald.predict(X)
+    np.testing.assert_array_equal(eta, ald.predict_draws(X, ald.coefficients[None])[:, 0])
+    if n_rows > 1:  # a lone row with a lone draw is summed as a dot product
+        design = _design(X, cols)
+        eta_sigma = _left_to_right(design, fit.beta_sigma[None])[:, 0]
+        np.testing.assert_array_equal(sigma, np.exp(eta_sigma))
+        np.testing.assert_array_equal(xi, _left_to_right(design, fit.beta_xi[None])[:, 0])
+        slopes = (_left_to_right(X, ald.beta_eta[None, 1:])[:, 0] if k > 1
+                  else np.zeros(n_rows))
+        np.testing.assert_array_equal(eta, slopes + ald.beta_eta[0])
+
+
 def test_predictive_quantiles_clip_each_draw():
     from extremis.univariate import GpdRegression, predictive_quantiles
     fit = GpdRegression(np.array([0.2, 0.5]), np.array([0.1, 0.05]),
