@@ -49,6 +49,7 @@ from .core import MarginSpec, derive_rng, label_assignments
 ROOT_CAP = 500.0  # contributions beyond exp(-500) vanish in double precision
 KAPPA_CAP = 50.0
 DEPENDENCE_BOUNDS = [(-1.0, 1.0), (-5.0, 1.0)]  # (alpha, beta)
+BLOCK_CELLS = 2**18  # (assignment, row) cells per two-level block
 
 
 @dataclass(frozen=True)
@@ -663,10 +664,16 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     group are left out of that assignment).
 
     Cost: one ``_level_sets`` pass over the pool entries at s1 and one at
-    s2, then per assignment one masked max-reduction of the entries' lower
-    ends a, and a min-reduction of their upper ends b only when some b is
-    finite (a set bounded by a peak or a decreasing g).  Where every set is
-    a half-line, each row's level is exactly the one ``ht_prob_analytic``
+    s2, then, per block of at most BLOCK_CELLS (assignment, row) cells, d
+    column passes that take each cell's level as the largest lower end a
+    from its entries' tables, and its upper end as the smallest b only
+    when some b is finite (a set bounded by a peak or a decreasing g).
+    Every finite level lies in [s1, s1 + ROOT_CAP], so the terms
+    e^-(level - s1) are summed in linear space, one row sum per
+    assignment, with no per-assignment log-sum-exp.  Each assignment's
+    mean still divides by its own row count, which is why the
+    assignments are enumerated rather than counted.  Where every set is a
+    half-line, each row's level is exactly the one ``ht_prob_analytic``
     bisects at the row minimum (module docstring).  A residual whose set
     has a gap raises ValueError: its intersections are not one interval.
     """
@@ -691,30 +698,48 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
 
     alpha, beta = _shared_dependence(params)
     pool = params.residual_pool
+    n = pool.shape[0]
     filled = ~np.isnan(pool)
-    (a1, b1, d1), (a2, b2, d2) = tables = np.full((2, 3) + pool.shape, np.nan)
-    for table, s in zip(tables, (s1, s2)):
-        table[:, filled] = _level_sets(pool[filled], alpha, beta, s)
-    if np.isfinite(d1).any() or np.isfinite(d2).any():
+    # a[i] stacks column i's lower ends over the rows at s1 and at s2, so an
+    # assignment's pick (0 or 1 per column) gathers each level as one row
+    a, b, gap = sets = np.full((3, d, 2, n), np.nan)
+    for j, s in enumerate((s1, s2)):
+        sets[:, :, j][:, filled.T] = _level_sets(pool.T[filled.T], alpha, beta, s)
+    if np.isfinite(gap).any():
         raise ValueError("two-level estimator cannot intersect residual level "
                          "sets with a gap (alpha > 0, beta < 0)")
-    bounded = np.isfinite(b1).any() or np.isfinite(b2).any()
-    log_probs = []
-    for cols2 in assignments:
-        in2 = np.zeros(d, dtype=bool)
-        in2[cols2] = True
-        rows = ~in2[params.pool_cond]
-        if not rows.any():
-            continue
-        level = np.maximum(np.fmax.reduce(np.where(in2, a2[rows], a1[rows]), axis=1), s1)
-        upper = (np.fmin.reduce(np.where(in2, b2[rows], b1[rows]), axis=1)
-                 if bounded else None)
-        log_probs.append(_log_mean_tail(level, s1, paper_literal, upper))
-    if not log_probs:
+    bounded = np.isfinite(b).any()
+    pick = np.zeros((len(assignments), d), dtype=np.intp)  # 1: the column is in group 2
+    pick[np.arange(len(assignments))[:, None], np.asarray(assignments)] = 1
+    n_rows = n - pick @ np.bincount(params.pool_cond, minlength=d)
+    sums = np.empty(len(assignments))
+    step = max(1, BLOCK_CELLS // n)
+    for k in range(0, len(assignments), step):
+        block = pick[k:k + step]
+        # fmax and fmin skip each row's NaN conditioner slot
+        level = np.full((block.shape[0], n), s1)
+        for i in range(d):
+            np.fmax(level, a[i][block[:, i]], out=level)
+        terms = np.exp(s1 - level)
+        if bounded:
+            upper = np.full_like(level, np.inf)
+            for i in range(d):
+                np.fmin(upper, b[i][block[:, i]], out=upper)
+            # 1 - e^-(upper - level), 0 where upper <= level or both are +inf
+            with np.errstate(invalid="ignore"):
+                np.fmin(np.subtract(level, upper, out=upper), 0.0, out=upper)
+            terms *= np.negative(np.expm1(upper, out=upper), out=upper)
+        terms[block[:, params.pool_cond] == 1] = 0.0
+        sums[k:k + step] = terms.sum(axis=1)
+    used = n_rows > 0
+    n_used = int(used.sum())
+    if n_used == 0:
         return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
-    log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))
+    with np.errstate(divide="ignore"):
+        log_mean = float(np.log(np.sum(sums[used] / n_rows[used]) / n_used))
+    log_prob = log_mean + (-s1 if paper_literal else _log_tail(s1))
     flags2 = flags + (["all-contributions-zero"] if np.isneginf(log_prob) else [])
-    return HtProbability(log_prob, len(log_probs), 0, flags2)
+    return HtProbability(log_prob, n_used, 0, flags2)
 
 
 def ht_model_chi(params: HtParams, k: int, level: float, N: int = 1_000_000,

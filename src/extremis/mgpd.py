@@ -35,6 +35,8 @@ from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 from ._optim import concave_mode, covariance_from_hessian, minimize_nll
 from .mvnt import mvn_cdf, mvt_cdf
 
+SQUEEZE_MARGIN = 1e-9  # how far the head pivots' squeeze sits below its chords
+
 
 class MgpdModel:
     """Base of the dependence families.
@@ -171,22 +173,39 @@ def _head_log_mass(q, log_a):
     return top + np.log(h * np.sum(np.exp(nodes - top))) - gammaln(q)
 
 
-def _head_pivots(p, log_a, n, rng):
-    """n draws of t with density proportional to t^p e^(-t) prod_i (1 -
-    e^(-a_i t)), from log a: s = log t, of log-density g, by rejection under
-    min(max g, tangents at s_l and s_r) (Devroye 1986, ch. VII.2).  g = max
-    g - 1 at the knots s_l < mode < s_r, so 1/e or more of the candidates
-    are kept in any dimension.  The knots lie in [low, mode] and [mode,
-    log(q + m) + 2], as g' >= 1/4 where every x_i <= 1 and e^s <= 1/4, and
-    g' <= (q + m)(1 - e) above log(q + m) + 1.  g holds (size, m) arrays."""
+def _head_envelope(p, log_a):
+    """(g, the knots s_l < mode < s_r, g there, and g' at s_l and s_r) of
+    the head pivots' log-density in s = log t, from log a.  g = max g - 1 at
+    s_l and s_r.  They lie in [low, mode] and [mode, log(q + m) + 2], as
+    g' >= 1/4 where every x_i <= 1 and e^s <= 1/4, and g' <= (q + m)(1 - e)
+    above log(q + m) + 1.  g holds (size, m) arrays."""
     g, derivs, mode, _ = _head_law(1.0 + p, log_a)
     top = g(mode)
     low, high = min(-log_a.max(), np.log(0.25)) - 4.0, np.log(1.0 + p + log_a.size) + 2.0
     # each knot is the mode of a concave function of slope +-(g - top + 1)
     s_l, slope_l = concave_mode(lambda s: (top - 1.0 - g(s), -derivs(s)[0]), low, mode, low)
     s_r, slope_r = concave_mode(lambda s: (g(s) - top + 1.0, derivs(s)[0]), mode, high, high)
+    return g, np.array([s_l, mode, s_r]), np.array([g(s_l), top, g(s_r)]), slope_l, slope_r
+
+
+def _head_squeeze(s, knots, values):
+    """The chords of a concave g through its values at the knots, lowered
+    by SQUEEZE_MARGIN, far above g's rounding: on or below g over the
+    knots' span, -inf outside it (Gilks & Wild 1992)."""
+    return np.interp(s, knots, values, left=-np.inf, right=-np.inf) - SQUEEZE_MARGIN
+
+
+def _head_pivots(p, log_a, n, rng):
+    """n draws of t with density proportional to t^p e^(-t) prod_i (1 -
+    e^(-a_i t)), from log a: s = log t, of log-density g, by rejection under
+    min(max g, tangents at s_l and s_r) (Devroye 1986, ch. VII.2), 1/e or
+    more of the candidates kept in any dimension (``_head_envelope``).  A
+    candidate under the squeeze is kept without evaluating g; the uniforms
+    are the same, so the draws are those of the plain rejection."""
+    g, knots, values, slope_l, slope_r = _head_envelope(p, log_a)
+    (s_l, _, s_r), (g_l, top, g_r) = knots, values
     # over e^top, the envelope's mass is c_l, z_r - z_l and c_r on its pieces
-    c_l, c_r, g_l, g_r = -1.0 / slope_l, -1.0 / slope_r, g(s_l), g(s_r)
+    c_l, c_r = -1.0 / slope_l, -1.0 / slope_r
     z_l, z_r = s_l + (top - g_l) * c_l, s_r - (top - g_r) * c_r
     total = z_r - z_l + c_l + c_r
 
@@ -197,7 +216,11 @@ def _head_pivots(p, log_a, n, rng):
         s[left] = z_l + c_l * np.log(w[left] / c_l)
         s[right] = z_r - c_r * np.log((w[right] - total + c_r) / c_r)
         cover = np.minimum(top, np.minimum(g_l + (s - s_l) / c_l, g_r - (s - s_r) / c_r))
-        return s[rng.random(size) < np.exp(g(s) - cover)]
+        u = rng.random(size)
+        keep = u < np.exp(_head_squeeze(s, knots, values) - cover)
+        rest = np.flatnonzero(~keep)
+        keep[rest] = u[rest] < np.exp(g(s[rest]) - cover[rest])
+        return s[keep]
 
     return np.exp(_rejection_sample(n, candidates, max((1 << 20) // log_a.size, 256)))
 

@@ -89,7 +89,7 @@ def composition_sample(model: MgpdModel, functional: RiskFunctional, n: int,
             continue
         omega[rows] = model.pivot_block(j, u / u[j], nj, rng, functional.kind)
     radius = 1.0 / (1.0 - rng.random(n))
-    return CompositionSample(radius[:, None] * omega, pivot, radius)
+    return CompositionSample(np.multiply(radius[:, None], omega, out=omega), pivot, radius)
 
 
 def simulate_mgpd_dataset(model: MgpdModel, margin, n: int,

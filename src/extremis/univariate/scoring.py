@@ -89,7 +89,8 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
     design columns (:func:`_linear_predictors`), so the output does not
     depend on the block size or draw count.  Returns ``(lower, upper)``: the
     alpha/2 and 1 - alpha/2 quantiles over draws, each (n_rows,), by
-    numpy's default ``linear`` rule.
+    numpy's default ``linear`` rule, with its limits where a draw is
+    infinite (``_sorted_quantiles``).
     """
     Xs = np.ascontiguousarray(_design(X, fit.spec.sigma_columns).T)
     Xx = np.ascontiguousarray(_design(X, fit.spec.xi_columns).T)
@@ -113,13 +114,18 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
 
 
 def _sorted_quantiles(b, levels) -> np.ndarray:
-    """``np.quantile(b, levels, axis=1)`` bit for bit, by one in-place sort.
+    """``np.quantile(b, levels, axis=1)`` by one in-place sort.
 
     numpy's default ``linear`` rule (Hyndman & Fan 1996, type 7) with its
     own floor and ceiling indices and its ``_lerp``, which interpolates
     from the upper neighbour when the weight is at least 1/2; a row holding
-    a NaN gives NaN.  ``b`` is (rows, n) and is sorted in place; returns
-    (len(levels), rows).
+    a NaN gives NaN.  It departs from numpy only where a neighbour is
+    infinite and numpy's arithmetic gives NaN: there it returns the type-7
+    value (1 - t) below + t above with 0 x inf taken as 0, so two equal
+    neighbours give their value, a neighbour of weight 0 drops out, and
+    one infinite neighbour of weight t > 0 gives itself; -inf and +inf
+    together stay NaN.  Every finite output is numpy's bit for bit.  ``b``
+    is (rows, n) and is sorted in place; returns (len(levels), rows).
     """
     n = b.shape[1]
     b.sort(axis=1)
@@ -131,9 +137,16 @@ def _sorted_quantiles(b, levels) -> np.ndarray:
     lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     t = (virtual - lo)[:, None]
     below, above = b[:, lo].T, b[:, hi].T
-    diff = above - below
-    out = below + diff * t
-    np.subtract(above, diff * (1.0 - t), out=out, where=t >= 0.5)
+    with np.errstate(invalid="ignore"):
+        diff = above - below
+        out = below + diff * t
+        np.subtract(above, diff * (1.0 - t), out=out, where=t >= 0.5)
+    edge = np.isinf(below) | np.isinf(above)
+    if edge.any():
+        from_below = edge & ((below == above) | (t == 0.0) | np.isfinite(above))
+        from_above = edge & ~from_below & np.isfinite(below)
+        out[from_below] = below[from_below]
+        out[from_above] = above[from_above]
     nan_rows = np.isnan(b[:, -1])
     out[:, nan_rows] = b[nan_rows, -1]
     return out

@@ -1,7 +1,8 @@
 """Shared test oracles: generator-draw Monte Carlo for the tail measures,
-the power-set sums of the logistic families' pivot weights, an energy
-two-sample statistic, a derivative-free minimizer and a finite-difference
-gradient, and small simulation utilities."""
+the power-set sums of the logistic families' pivot weights, the two-level
+estimator's per-assignment loop, an energy two-sample statistic, a
+derivative-free minimizer and a finite-difference gradient, and small
+simulation utilities."""
 from __future__ import annotations
 
 import math
@@ -10,8 +11,11 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as gammafun
+from scipy.special import logsumexp
 
-from extremis.core import derive_rng
+from extremis.condex import (HtProbability, _level_sets, _log_mean_tail,
+                             _shared_dependence)
+from extremis.core import derive_rng, label_assignments
 from extremis.mgpd import ExtremalStudent, HuslerReiss, Logistic, NegLogistic
 
 
@@ -92,6 +96,44 @@ def logistic_xi_equal(d: int, beta: float, u: float) -> float:
     size, (d/u) sum_k C(d-1, k) (-1)^k (1 + k)^(1/beta - 1)."""
     return d / u * math.fsum((-1) ** k * math.comb(d - 1, k) * (1.0 + k) ** (1.0 / beta - 1.0)
                              for k in range(d))
+
+
+def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = True,
+                   paper_literal: bool = False, seed: int = 0) -> HtProbability:
+    """``condex.ht_prob_two_level`` for s1 > s2 and a non-empty first group,
+    one assignment at a time: each assignment's rows get the largest lower
+    end and the smallest upper end of their entries' sets, and its log
+    mean goes through the one-level estimator's ``_log_mean_tail``; the
+    assignments' log means are then averaged by log-sum-exp."""
+    d = params.dim
+    assignments, flags = label_assignments(d, np.asarray(sorted(groups[1]), dtype=int),
+                                           exchangeable, seed)
+    alpha, beta = _shared_dependence(params)
+    pool = params.residual_pool
+    filled = ~np.isnan(pool)
+    (a1, b1, d1), (a2, b2, d2) = tables = np.full((2, 3) + pool.shape, np.nan)
+    for table, s in zip(tables, (s1, s2)):
+        table[:, filled] = _level_sets(pool[filled], alpha, beta, s)
+    if np.isfinite(d1).any() or np.isfinite(d2).any():
+        raise ValueError("two-level estimator cannot intersect residual level "
+                         "sets with a gap (alpha > 0, beta < 0)")
+    bounded = np.isfinite(b1).any() or np.isfinite(b2).any()
+    log_probs = []
+    for cols2 in assignments:
+        in2 = np.zeros(d, dtype=bool)
+        in2[cols2] = True
+        rows = ~in2[params.pool_cond]
+        if not rows.any():
+            continue
+        level = np.maximum(np.fmax.reduce(np.where(in2, a2[rows], a1[rows]), axis=1), s1)
+        upper = (np.fmin.reduce(np.where(in2, b2[rows], b1[rows]), axis=1)
+                 if bounded else None)
+        log_probs.append(_log_mean_tail(level, s1, paper_literal, upper))
+    if not log_probs:
+        return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
+    log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))
+    flags2 = flags + (["all-contributions-zero"] if np.isneginf(log_prob) else [])
+    return HtProbability(log_prob, len(log_probs), 0, flags2)
 
 
 def energy_two_sample_pvalue(x, y, n_perm: int, rng) -> float:

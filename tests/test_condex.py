@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import skewnorm
 
-from helpers import derivative_free_minimum, energy_two_sample_pvalue, numeric_gradient
+from helpers import (derivative_free_minimum, energy_two_sample_pvalue, numeric_gradient,
+                     two_level_loop)
 from test_gpd import _close
 from extremis import condex, core
 from extremis._optim import minimize_nll, numeric_hessian
@@ -707,6 +712,112 @@ def test_two_level_assignment_subsample_is_seeded(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+       beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.3, 1.0]), st.floats(-5.0, 1.0)),
+       s2=st.floats(0.5, 10.0), gap=st.floats(1e-3, 4.0), scale=st.floats(0.1, 30.0),
+       shift=st.floats(-1.0, 3.0), n=st.integers(1, 40), d=st.integers(2, 8),
+       support=st.integers(1, 8), exchangeable=st.booleans(),
+       paper_literal=st.booleans(), cap=st.sampled_from([None, 1, 2, 5]),
+       block=st.integers(1, 400), seed=st.integers(0, 2**31))
+@example(alpha=0.5, beta=0.3, s2=4.5, gap=1.5, scale=1.5, shift=0.0, n=40, d=4, support=4,
+         exchangeable=True, paper_literal=False, cap=None, block=400, seed=0)
+@example(alpha=-0.5, beta=0.5, s2=3.0, gap=0.5, scale=10.0, shift=1.0, n=40, d=5, support=2,
+         exchangeable=True, paper_literal=True, cap=None, block=7, seed=1)
+@example(alpha=0.2, beta=0.5, s2=3.0, gap=1.0, scale=3.0, shift=1.0, n=30, d=4, support=4,
+         exchangeable=True, paper_literal=False, cap=5, block=40, seed=2)
+def test_two_level_sweep_matches_the_assignment_loop(alpha, beta, s2, gap, scale, shift, n,
+                                                     d, support, exchangeable, paper_literal,
+                                                     cap, block, seed):
+    # the column sweep sums each assignment's terms in linear space, block
+    # by block; the loop takes one log-sum-exp per assignment: the two agree
+    # to rounding on every table, split, pool and subsample
+    rng = derive_rng(seed)
+    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
+    # rows condition on a few columns only, so an assignment can keep none
+    conds = rng.choice(rng.permutation(d)[:min(support, d)], n)
+    pool[np.arange(n), conds] = np.nan
+    p = HtParams(alpha, beta, GaussianDiag(np.zeros(1), np.ones(1)), 0.1, pool, conds,
+                 None, True)
+    cols = rng.permutation(d)
+    n1 = int(rng.integers(1, d + 1))
+    groups = (cols[:n1].tolist(), cols[n1:].tolist())
+    args = (p, groups, s2 + gap, s2, exchangeable, paper_literal, seed)
+    with pytest.MonkeyPatch.context() as m:
+        if cap is not None:
+            m.setattr(core, "MAX_ASSIGNMENTS", cap)
+        m.setattr(condex, "BLOCK_CELLS", block)
+        assignments = core.label_assignments(d, sorted(groups[1]), exchangeable, seed)[0]
+        try:
+            want = two_level_loop(*args)
+        except ValueError as err:
+            assert "gap" in str(err)
+            with pytest.raises(ValueError, match="level sets with a gap"):
+                ht_prob_two_level(*args)
+            event("gap")
+            return
+        got = ht_prob_two_level(*args)
+    assert (got.n_used, got.n_unreachable, got.flags) == (want.n_used, want.n_unreachable,
+                                                          want.flags)
+    if np.isneginf(want.log_prob):
+        assert np.isneginf(got.log_prob)
+    else:
+        assert got.log_prob == pytest.approx(want.log_prob, rel=1e-13, abs=1e-13)
+    sets = entry_level_sets(pool, alpha, beta, s2)
+    for name, hit in (("bounded", np.isfinite(sets[1]).any()),
+                      ("half-lines", np.isfinite(sets[0]).any() & ~np.isfinite(sets[1]).any()),
+                      ("empty-assignment", want.n_used < len(assignments)),
+                      ("subsample", "assignment-subsample" in want.flags),
+                      ("repeated", len({tuple(c) for c in assignments}) < len(assignments)),
+                      ("zero", np.isneginf(want.log_prob))):
+        if hit:
+            event(name)
+
+
+# a d = 16 pool in a child whose address space is capped at 512 MiB: the
+# child peaks near 240 MB, of which the interpreter, numpy and scipy take
+# 200 MB, while the 12 870 assignments' cells fill 206 MB per array, so
+# only a sweep that goes block by block fits (one that holds all the cells
+# at once fails there with MemoryError)
+_TWO_LEVEL_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from extremis.condex import GaussianDiag, HtParams, ht_prob_two_level
+from extremis.core import derive_rng
+rng = derive_rng(16)
+n, d = 2000, 16
+conds = np.arange(n) % d
+pool = 0.5 * rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + 1.0
+pool[np.arange(n), conds] = np.nan
+p = HtParams(0.5, 0.3, GaussianDiag(np.zeros(1), np.ones(1)), 2.0, pool, conds, None, True)
+out = ht_prob_two_level(p, (list(range(8)), list(range(8, 16))), 6.0, 4.5)
+print(json.dumps([out.log_prob, out.n_used, out.flags]))
+"""
+
+
+def test_two_level_sixteen_dimensions_in_bounded_memory():
+    src = str(Path(condex.__file__).resolve().parents[1])
+    child = subprocess.Popen([sys.executable, "-c", _TWO_LEVEL_CHILD, src],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    rng = derive_rng(16)
+    n, d = 2000, 16
+    conds = np.arange(n) % d
+    pool = 0.5 * rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + 1.0
+    pool[np.arange(n), conds] = np.nan
+    p = HtParams(0.5, 0.3, GaussianDiag(np.zeros(1), np.ones(1)), 2.0, pool, conds, None,
+                 True)
+    want = two_level_loop(p, (list(range(8)), list(range(8, 16))), 6.0, 4.5)
+    stdout, stderr = child.communicate(timeout=300)
+    assert child.returncode == 0, stderr
+    log_prob, n_used, flags = json.loads(stdout)
+    assert (n_used, flags) == (12_870, []) and want.n_used == 12_870
+    assert np.isfinite(want.log_prob)
+    assert log_prob == pytest.approx(want.log_prob, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
        beta=st.one_of(st.sampled_from([-5.0, -1.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 2.0)),
        v=st.floats(0.1, 30.0), z=st.floats(-60.0, 60.0))
 @example(alpha=0.1, beta=-1.0, v=3.0, z=10.0)
@@ -795,16 +906,21 @@ def pinned_pool():
 
 # (log_prob, n_used, n_unreachable, flags) on pinned_pool: the root table is
 # exact, so any rewrite of the root-finding estimators reproduces these bit
-# for bit
+# for bit, given the same summation.  The two-level values were recorded
+# when its sums moved from one log-sum-exp per assignment to linear-space
+# row sums: "two-level" -10.60494704597785 -> -10.604947045977852 and
+# "two-level-empty-g2" -10.60516331552239 -> -10.605163315522391, against
+# -10.604947045977850887 and -10.605163315522390805 by a 200-bit mpmath
+# sum of the same terms (errors 0.45 -> 0.55 and 0.64 -> 0.36 ulp)
 PINNED_CONDEX = {
     "analytic": (-10.60516331552239, 380, 20, []),
     "analytic-literal": (-9.912016134962446, 380, 20, []),
-    "two-level": (-10.60494704597785, 6, 0, []),
+    "two-level": (-10.604947045977852, 6, 0, []),
     "two-level-literal": (-9.911799865417905, 6, 0, []),
     "two-level-fixed": (-10.605169923360256, 1, 0, []),
     "two-level-subsample": (-10.60472871574286, 3, 0, ["assignment-subsample"]),
     "two-level-lone-g1": (-10.594099556165691, 4, 0, []),
-    "two-level-empty-g2": (-10.60516331552239, 1, 0, []),
+    "two-level-empty-g2": (-10.605163315522391, 1, 0, []),
     "equal-levels": (-10.60516331552239, 380, 20, []),
     "empty-g1": (-9.102689350516929, 380, 20, []),
 }

@@ -308,7 +308,8 @@ def test_predictive_quantiles_blocks_match_the_draw_matrix(monkeypatch):
 def test_sorted_quantiles_match_numpy(seed, n_rows, n_draws, alpha, special):
     """Ties, +-inf and NaN included; NaN bits compared too.  Equal values of
     opposite zero sign are the one tie whose order neither sort fixes, so
-    the draws hold no -0.0."""
+    the draws hold no -0.0.  Where numpy's arithmetic on an infinite
+    neighbour gives NaN in a NaN-free row, the type-7 limit stands in."""
     from extremis.univariate.scoring import _sorted_quantiles
     rng = derive_rng(seed)
     b = rng.normal(size=(n_rows, n_draws)).round(rng.integers(0, 3))
@@ -319,7 +320,42 @@ def test_sorted_quantiles_match_numpy(seed, n_rows, n_draws, alpha, special):
     with np.errstate(invalid="ignore"):
         want = np.quantile(b, levels, axis=1)
         got = _sorted_quantiles(b.copy(), np.array(levels))
+    limit = np.isnan(want) & ~np.isnan(b).any(axis=1)
+    for k, r in zip(*np.nonzero(limit)):
+        want[k, r] = _type7_limit(np.sort(b[r]), levels[k])
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _type7_limit(row, level):
+    """The type-7 quantile (1 - t) x_lo + t x_hi of a sorted row, a term of
+    weight 0 dropped, so an infinite neighbour gives its own sign and -inf
+    with +inf gives NaN."""
+    virtual = (len(row) - 1) * level
+    lo = int(np.floor(virtual))
+    hi = min(lo + 1, len(row) - 1)
+    t = virtual - lo
+    terms = [w * x for w, x in ((1.0 - t, row[lo]), (t, row[hi])) if w > 0.0]
+    with np.errstate(invalid="ignore"):
+        return np.sum(terms)
+
+
+def test_sorted_quantiles_limits_at_infinite_draws():
+    # numpy's rule reads NaN at each of these: inf - inf in the difference,
+    # or 0 x inf at a weight of zero; every finite entry is numpy's
+    from extremis.univariate.scoring import _sorted_quantiles
+    inf = np.inf
+    b = np.array([[inf, inf, inf], [-inf, -inf, -inf], [1.0, inf, inf],
+                  [-inf, -inf, 2.0], [-inf, 1.0, inf], [-inf, inf, inf]])
+    levels = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+    # -inf and +inf as neighbours of weight t in (0, 1) have no limit
+    want = np.array([[inf] * 6, [-inf] * 6, [1.0] + [inf] * 5, [-inf] * 5 + [2.0],
+                     [-inf] * 3 + [1.0, inf, inf], [-inf, np.nan, np.nan, inf, inf, inf]])
+    got = _sorted_quantiles(b.copy(), levels).T
+    np.testing.assert_array_equal(got, want)
+    with np.errstate(invalid="ignore"):
+        numpy = np.quantile(b, levels, axis=1).T
+    assert np.isnan(numpy[:4, 3]).all()
+    np.testing.assert_array_equal(got[np.isfinite(numpy)], numpy[np.isfinite(numpy)])
 
 
 def test_predictive_quantiles_memory_stays_in_blocks():

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import kstest
 
 from helpers import subset_sums
+from extremis import mgpd
 from extremis.core import MarginSpec, derive_rng
-from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_pivots,
+from extremis.mgpd import (HuslerReiss, Logistic, NegLogistic, _head_envelope,
+                           _head_pivots, _head_squeeze,
                            exponent_measure_v, fit_hr_exchangeable,
                            fit_logistic_censored, pivot_weights, xi_measure)
 from extremis.simulate import (RiskFunctional, composition_sample,
@@ -162,6 +166,44 @@ def test_head_pivots_follow_their_exact_law(model, u):
         pvalues.append(kstest(t, cdf).pvalue)
     # a Bonferroni bound at the 0.1 % level over the pivots
     assert min(pvalues) > 1e-3 / len(pvalues)
+
+
+# p = -1/beta for the logistic family's min pivots (beta > 1), 1/theta for
+# the negative logistic's max pivots; log a_i = log(u_i / u_j) / p
+HEAD_P = st.one_of(st.sampled_from([-1.0 / 1.01, -0.5, 1.0]), st.floats(-1.0 / 1.01, -0.05),
+                   st.floats(0.05, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=HEAD_P, m=st.integers(1, 199), center=st.floats(-30.0, 30.0),
+       spread=st.floats(0.0, 10.0), seed=st.integers(0, 2**31))
+@example(p=-1.0 / 1.01, m=199, center=0.0, spread=1.0, seed=0)
+def test_head_squeeze_lies_under_g(p, m, center, spread, seed):
+    # the chords of the concave g through its knots, less the margin, must
+    # sit on or below g wherever a candidate can land: a squeeze above g
+    # would keep candidates that the plain rejection turns down
+    log_a = center + spread * derive_rng(seed).standard_normal(m)
+    g, knots, values, _, _ = _head_envelope(p, log_a)
+    assert knots[0] < knots[1] < knots[2]
+    s = np.concatenate([knots, np.linspace(knots[0], knots[-1], 10_001)])
+    assert np.all(_head_squeeze(s, knots, values) <= g(s))
+    outside = np.array([knots[0] - 1e-9, knots[-1] + 1e-9, knots[0] - 5.0, knots[-1] + 5.0])
+    assert np.all(np.isneginf(_head_squeeze(outside, knots, values)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=HEAD_P, m=st.integers(1, 30), center=st.floats(-30.0, 30.0),
+       spread=st.floats(0.0, 10.0), seed=st.integers(0, 2**31))
+@example(p=-1.0 / 1.01, m=199, center=0.0, spread=1.0, seed=0)
+def test_head_squeeze_changes_no_draw(p, m, center, spread, seed):
+    # an infinite margin turns the squeeze off, so every candidate is
+    # settled on g; the squeezed draws must be the same floats
+    log_a = center + spread * derive_rng(seed).standard_normal(m)
+    got = _head_pivots(p, log_a, 3000, derive_rng(seed, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgpd, "SQUEEZE_MARGIN", np.inf)
+        want = _head_pivots(p, log_a, 3000, derive_rng(seed, 1))
+    np.testing.assert_array_equal(got, want)
 
 
 class _CountingRng:
