@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
@@ -515,6 +515,16 @@ def ht_root_v(z: float, params: HtParams, v: float) -> float:
 
 @dataclass
 class HtProbability:
+    """A joint tail probability on the log scale, with its counts.
+
+    From :func:`ht_prob_analytic`, ``n_used`` counts the residual rows whose
+    conditioner can meet the event and ``n_unreachable`` the rows whose
+    cannot.  From :func:`ht_prob_two_level`, ``n_used`` counts the label
+    assignments averaged over that keep at least one row, 1 where the
+    estimator reduces to the one-level event (s1 == s2, or an empty first
+    group), and ``n_unreachable`` is 0.
+    """
+
     log_prob: float
     n_used: int
     n_unreachable: int
@@ -683,12 +693,14 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         raise ValueError("two-level estimator expects an exchangeable fit")
     if s1 == s2:
         # equal levels merge the groups: the one-level estimator over the
-        # full pool is the exact reduction
-        return ht_prob_analytic(params, s1, paper_literal)
+        # full pool is the exact reduction, and stands for one assignment
+        return replace(ht_prob_analytic(params, s1, paper_literal), n_used=1,
+                       n_unreachable=0)
     g1, g2 = (np.asarray(sorted(g), dtype=int) for g in groups)
     if g1.size == 0:
         # no variable carries the higher level: one-level event at s2
-        return ht_prob_analytic(params, s2, paper_literal)
+        return replace(ht_prob_analytic(params, s2, paper_literal), n_used=1,
+                       n_unreachable=0)
     if s1 <= params.threshold:
         raise ValueError("s1 must sit above the fitting threshold")
     d = params.dim

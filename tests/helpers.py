@@ -137,28 +137,30 @@ def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = Tr
 
 
 def energy_two_sample_pvalue(x, y, n_perm: int, rng) -> float:
-    """Permutation p-value of the Szekely-Rizzo energy two-sample statistic."""
+    """Permutation p-value of the Szekely-Rizzo energy two-sample statistic.
+
+    Column k of the membership matrix S marks the first sample's rows under
+    labelling k (the observed one, then ``n_perm`` draws of
+    ``rng.permutation``), so one product D S gives every labelling's
+    within- and between-sample distance sums: xx = s'Ds,
+    xy = s'D(1 - s) = s'D1 - xx and yy = (1 - s)'D(1 - s) = 1'D1 - 2 s'D1 + xx.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     z = np.vstack([x, y])
     n, m = x.shape[0], y.shape[0]
     dist = np.sqrt(np.maximum(
         ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2), 0.0))
-
-    def stat(idx_x, idx_y):
-        dxy = dist[np.ix_(idx_x, idx_y)].mean()
-        dxx = dist[np.ix_(idx_x, idx_x)].mean()
-        dyy = dist[np.ix_(idx_y, idx_y)].mean()
-        return 2.0 * dxy - dxx - dyy
-
-    labels = np.arange(n + m)
-    observed = stat(labels[:n], labels[n:])
-    hits = 1
-    for _ in range(n_perm):
-        perm = rng.permutation(n + m)
-        if stat(perm[:n], perm[n:]) >= observed:
-            hits += 1
-    return hits / (n_perm + 1)
+    S = np.zeros((n + m, n_perm + 1))
+    S[:n, 0] = 1.0
+    for k in range(1, n_perm + 1):
+        S[rng.permutation(n + m)[:n], k] = 1.0
+    row = dist.sum(axis=1)
+    xx = np.einsum("ik,ik->k", S, dist @ S)
+    xd = row @ S
+    stat = (2.0 * (xd - xx) / (n * m) - xx / n ** 2
+            - (row.sum() - 2.0 * xd + xx) / m ** 2)
+    return (1 + int(np.sum(stat[1:] >= stat[0]))) / (n_perm + 1)
 
 
 def derivative_free_minimum(nll, x0, bounds=None):
