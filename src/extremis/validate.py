@@ -359,10 +359,20 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
 
     Projects the stacked Kendall's tau vector onto the orthocomplement of
     the cluster-structure column space and standardizes by the jackknife
-    covariance, entry-averaged over block-permutation orbits.  Monte Carlo
+    covariance S, entry-averaged over block-permutation orbits.  Monte Carlo
     p-values draw from the implied Gaussian null; the chi-square p-value
-    uses the p - L degrees of freedom of the quadratic statistic.  When
-    p - L is 0 every p-value is NaN, flagged ``no-degrees-of-freedom``.
+    uses the p - L degrees of freedom of the quadratic statistic.
+
+    It works in S's eigenbasis, S = V diag(lam) V', with eigenvalues at or
+    below 1e-12 of the largest given weight 0 (flag ``sigma-singular``).
+    The structure columns B are disjoint class indicators, so with
+    Q = B / sqrt(class sizes) the projector is I - Q Q', and V' P V is
+    I - R R' with R = V'Q of shape (p, L).  Past the eigendecomposition the
+    statistic costs O(p^2) and the null draws O(n_mc p^2), in two
+    (n_mc, p) x (p, p) products.  Every p-value is NaN when p - L is 0
+    (flag ``no-degrees-of-freedom``), and when every eigenvector v above
+    the cutoff lies in span(B), 1 - |Q'v|^2 <= 1e-10, where the statistic
+    and its null draws are rounding (flag ``no-null-variance``).
     ``jackknife`` takes a ``(tau, pseudo)`` pair already computed by
     :func:`tau_jackknife` on ``Y``.
     """
@@ -378,44 +388,50 @@ def exch_test(Y, clusters: ClusterSpec, n_mc: int = 2000, seed: int = 0,
     tau, pseudo = tau_jackknife(Y) if jackknife is None else jackknife
     if np.shape(tau) != (len(pairs),) or np.shape(pseudo) != (n, len(pairs)):
         raise ValueError("jackknife does not match Y")
-    center = pseudo.mean(axis=0)
-    resid = pseudo - center
-    S = _orbit_average((n - 1) / n * (resid.T @ resid), clusters, pairs)
+    resid = pseudo - pseudo.mean(axis=0)
+    del pseudo  # the (n, p) arrays go before the orbit keys and the draws
+    S = (n - 1) / n * (resid.T @ resid)
+    del resid
+    S = _orbit_average(S, clusters, pairs)
     flags: list[str] = []
     B = _structure_matrix(clusters, pairs)
     L = B.shape[1]
-    P = np.eye(len(pairs)) - B @ np.linalg.pinv(B)
-    Pt = P @ tau
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    Q = B / np.sqrt(B.sum(axis=0))
+    vals, V = np.linalg.eigh(S)
     bad = vals <= 1e-12 * max(vals.max(), 1e-300)
     if bad.any():
         flags.append("sigma-singular")
     magnitude = np.where(bad, 1.0, np.abs(vals))
+    half, inv_sqrt, inv_full = (np.where(bad, 0.0, magnitude ** q)
+                                for q in (0.5, -0.5, -1.0))
+    R = V.T @ Q
+    vpt = V.T @ tau - R @ (Q.T @ tau)
+    e_n = float(np.linalg.norm(inv_sqrt * vpt))
+    m_n = float(np.linalg.norm(V @ (inv_full * vpt), np.inf))
+    df = len(pairs) - L
+    outside = 1.0 - np.einsum("kl,kl->k", R, R)[~bad]  # 1 - |Q'v|^2
+    if df == 0 or np.all(outside <= 1e-10):
+        # the statistic and every null draw are 0 when p - L = 0
+        # (chdtrc(0, x > 0) is 0, and every draw ties), and rounding when
+        # none of S's variance lies outside span(B)
+        flags.append("no-null-variance" if df else "no-degrees-of-freedom")
+        return ExchTestResult(e_n, m_n, math.nan, math.nan, math.nan, L, df, flags)
 
-    def power(q: float) -> np.ndarray:
-        return (vecs * np.where(bad, 0.0, magnitude ** q)) @ vecs.T
-
-    inv_sqrt = power(-0.5)
-    inv_full = power(-1.0)
-    e_n = float(np.linalg.norm(inv_sqrt @ Pt, 2))
-    m_n = float(np.linalg.norm(inv_full @ Pt, np.inf))
-
-    rng = derive_rng(seed)
-    z = rng.standard_normal((n_mc, len(pairs))) @ power(0.5).T
-    pz = z @ P.T
-    e_null = np.linalg.norm(pz @ inv_sqrt.T, 2, axis=1)
-    m_null = np.max(np.abs(pz @ inv_full.T), axis=1)
+    # standard normal draws x give the null's projected draws x S^(1/2) P,
+    # which are w V' with w = x V diag(half) (I - R R'); x's buffer takes
+    # the later products
+    x = derive_rng(seed).standard_normal((n_mc, len(pairs)))
+    w = x @ V
+    w *= half
+    w -= np.matmul(w @ R, R.T, out=x)
+    np.multiply(w, inv_sqrt, out=x)
+    e_null = np.sqrt(np.einsum("ij,ij->i", x, x))
+    w *= inv_full
+    m_null = np.max(np.abs(np.matmul(w, V.T, out=x), out=x), axis=1)
     p_e = float((1 + np.sum(e_null >= e_n)) / (n_mc + 1))
     p_m = float((1 + np.sum(m_null >= m_n)) / (n_mc + 1))
-    df = len(pairs) - L
-    if df > 0:
-        p_chi = float(chdtrc(df, e_n ** 2))
-    else:
-        # the statistic and every null draw are 0, so the test is
-        # undefined; chdtrc(0, x > 0) is 0, and every draw ties at 0
-        flags.append("no-degrees-of-freedom")
-        p_e = p_m = p_chi = math.nan
-    return ExchTestResult(e_n, m_n, p_e, p_m, p_chi, L, df, flags)
+    return ExchTestResult(e_n, m_n, p_e, p_m, float(chdtrc(df, e_n ** 2)), L, df,
+                          flags)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Shared test oracles: generator-draw Monte Carlo for the tail measures,
 the power-set sums of the logistic families' pivot weights, the two-level
 estimator's per-assignment loop, an energy two-sample statistic, a
-derivative-free minimizer and a finite-difference gradient, and small
-simulation utilities."""
+derivative-free minimizer and a finite-difference gradient, the dense
+form of the partial-exchangeability test, and small simulation
+utilities."""
 from __future__ import annotations
 
 import math
@@ -10,6 +11,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+from scipy.special import chdtrc
 from scipy.special import gamma as gammafun
 from scipy.special import logsumexp
 
@@ -17,6 +19,8 @@ from extremis.condex import (HtProbability, _level_sets, _log_mean_tail,
                              _shared_dependence)
 from extremis.core import derive_rng, label_assignments
 from extremis.mgpd import ExtremalStudent, HuslerReiss, Logistic, NegLogistic
+from extremis.validate import (ExchTestResult, _orbit_average, _structure_matrix,
+                               stack_pairs, tau_jackknife)
 
 
 def generator_draws(model, d: int, n: int, rng) -> np.ndarray:
@@ -134,6 +138,52 @@ def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = Tr
     log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))
     flags2 = flags + (["all-contributions-zero"] if np.isneginf(log_prob) else [])
     return HtProbability(log_prob, len(log_probs), 0, flags2)
+
+
+def exch_test_dense(Y, clusters, n_mc: int = 2000, seed: int = 0,
+                    jackknife=None) -> ExchTestResult:
+    """``validate.exch_test`` in the original basis: the dense projector
+    P = I - B pinv(B), three matrix powers of S, and four (n_mc, p) x (p, p)
+    products on the same draws.  It has no ``no-null-variance`` flag: where
+    S's variance lies inside span(B) its p-values are whatever rounding
+    makes them."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n, d = Y.shape
+    pairs = stack_pairs(d)
+    tau, pseudo = tau_jackknife(Y) if jackknife is None else jackknife
+    resid = pseudo - pseudo.mean(axis=0)
+    S = _orbit_average((n - 1) / n * (resid.T @ resid), clusters, pairs)
+    flags = []
+    B = _structure_matrix(clusters, pairs)
+    L = B.shape[1]
+    P = np.eye(len(pairs)) - B @ np.linalg.pinv(B)
+    Pt = P @ tau
+    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    bad = vals <= 1e-12 * max(vals.max(), 1e-300)
+    if bad.any():
+        flags.append("sigma-singular")
+    magnitude = np.where(bad, 1.0, np.abs(vals))
+
+    def power(q: float) -> np.ndarray:
+        return (vecs * np.where(bad, 0.0, magnitude ** q)) @ vecs.T
+
+    inv_sqrt = power(-0.5)
+    inv_full = power(-1.0)
+    e_n = float(np.linalg.norm(inv_sqrt @ Pt, 2))
+    m_n = float(np.linalg.norm(inv_full @ Pt, np.inf))
+    z = derive_rng(seed).standard_normal((n_mc, len(pairs))) @ power(0.5).T
+    pz = z @ P.T
+    e_null = np.linalg.norm(pz @ inv_sqrt.T, 2, axis=1)
+    m_null = np.max(np.abs(pz @ inv_full.T), axis=1)
+    p_e = float((1 + np.sum(e_null >= e_n)) / (n_mc + 1))
+    p_m = float((1 + np.sum(m_null >= m_n)) / (n_mc + 1))
+    df = len(pairs) - L
+    if df > 0:
+        p_chi = float(chdtrc(df, e_n ** 2))
+    else:
+        flags.append("no-degrees-of-freedom")
+        p_e = p_m = p_chi = math.nan
+    return ExchTestResult(e_n, m_n, p_e, p_m, p_chi, L, df, flags)
 
 
 def energy_two_sample_pvalue(x, y, n_perm: int, rng) -> float:

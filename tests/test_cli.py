@@ -292,6 +292,23 @@ def test_cluster_and_exch_test_commands(capsys, tmp_path):
     assert 0.0 <= doc2["result"]["p_E"] <= 1.0
 
 
+@pytest.mark.parametrize("columns", ["xxz", "xxx"])
+def test_exch_test_command_names_a_null_without_variance(capsys, tmp_path, columns):
+    # a copied column leaves the tau covariance no variance outside the
+    # structure's span: the command still exits 0, and says why the
+    # p-values are NaN
+    x, z = derive_rng(3).standard_normal((2, 200))
+    Y = np.column_stack([x, x, z if columns == "xxz" else x])
+    path = tmp_path / "dup.csv"
+    rows = ["a,b,c"] + [",".join(repr(float(v)) for v in row) for row in Y]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    res = _run_json(capsys, ["exch-test", "--input", str(path), "--blocks", "0,1|2",
+                             "--n-mc", "1000"])["result"]
+    assert res["flags"] == ["sigma-singular", "no-null-variance"]
+    assert res["p_E"] == res["p_M"] == res["p_E_chi2"] == "nan"
+    assert (res["L"], res["df"]) == (2, 1) and res["E_n"] < 1e-14
+
+
 def test_loss_min_command(capsys, tmp_path):
     path = tmp_path / "post.csv"
     path.write_text("q\n100.0\n200.0\n", encoding="utf-8")

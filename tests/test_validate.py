@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import chi2, kendalltau
 
+from helpers import exch_test_dense
 from extremis.core import derive_rng
 from extremis.mgpd import Logistic
 from extremis.simulate import sample_logistic_max_stable
@@ -157,6 +159,21 @@ def test_exch_test_chi2_p_value_is_nan_without_degrees_of_freedom():
         assert np.isnan(res.p_e) and np.isnan(res.p_m)
         assert res.flags == ["no-degrees-of-freedom"]
     assert np.isnan(chi2.sf(1e-12, 0)) and chdtrc(0, 1e-12) == 0.0
+
+
+@pytest.mark.parametrize("columns", ["xxz", "xxx"])
+def test_exch_test_flags_a_null_without_variance(columns):
+    # p - L = 1, but every eigenvector of the tau covariance above its
+    # cutoff lies in the structure's span, or none is above it: the
+    # statistic is rounding, where the dense form gave p-values of 0.64
+    # and 1.0 with only ``sigma-singular`` to say so
+    x, z = derive_rng(3).standard_normal((2, 200))
+    Y = np.column_stack([x, x, z if columns == "xxz" else x])
+    res = exch_test(Y, ClusterSpec([[0, 1], [2]]), n_mc=1000)
+    assert res.df == 1 and res.L == 2
+    assert res.e_n < 1e-14 and res.m_n < 1e-13
+    assert math.isnan(res.p_e) and math.isnan(res.p_m) and math.isnan(res.p_e_chi2)
+    assert res.flags == ["sigma-singular", "no-null-variance"]
 
 
 def test_subset_chi_cv_pinned_model_scores_zero():
@@ -431,8 +448,8 @@ def structure_matrix_reference(clusters, pairs):
 
 
 @st.composite
-def cluster_specs(draw):
-    d = draw(st.integers(2, 9))
+def cluster_specs(draw, max_dim=9):
+    d = draw(st.integers(2, max_dim))
     labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
     blocks = [tuple(i for i in range(d) if labels[i] == g) for g in sorted(set(labels))]
     return ClusterSpec(tuple(blocks))
@@ -449,3 +466,63 @@ def test_orbit_average_matches_loop_reference(clusters, seed):
     np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12 * np.abs(S).max())
     np.testing.assert_array_equal(_structure_matrix(clusters, pairs),
                                   structure_matrix_reference(clusters, pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(clusters=cluster_specs(max_dim=40))
+def test_class_basis_projects_like_the_pseudoinverse(clusters):
+    # exch_test's Q = B / sqrt(class sizes): disjoint 0/1 columns make
+    # Q orthonormal and Q Q' the projector B pinv(B)
+    B = _structure_matrix(clusters, stack_pairs(clusters.dim))
+    Q = B / np.sqrt(B.sum(axis=0))
+    assert set(np.unique(B)) <= {0.0, 1.0} and np.all(B.sum(axis=1) == 1.0)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(B.shape[1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Q @ Q.T, B @ np.linalg.pinv(B), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clusters=cluster_specs(max_dim=12), n=st.integers(60, 400),
+       rho=st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 1.0)),
+       tweak=st.booleans(), seed=st.integers(0, 2**31))
+def test_exch_test_matches_the_dense_reference(clusters, n, rho, tweak, seed):
+    # the eigenbasis algebra against P = I - B pinv(B) and three matrix
+    # powers of S on the same draws.  ``tweak`` raises one pair's
+    # correlation, so the alternative is covered too: the block
+    # correlation's smallest eigenvalue is at least 1 - rho_in, so moving
+    # one entry by half that keeps it positive definite
+    rho_in, rho_out = rho[0], rho[0] * rho[1]
+    base = rho_in if clusters.labels()[0] == clusters.labels()[1] else rho_out
+    pair = ((0, 1), base + 0.5 * (1.0 - rho_in)) if tweak else None
+    Y = block_gauss(n, clusters.blocks, rho_in, rho_out, derive_rng(seed),
+                    tweak=pair)
+    jack = tau_jackknife(Y)
+    fast = exch_test(Y, clusters, n_mc=1000, seed=seed % 7, jackknife=jack)
+    ref = exch_test_dense(Y, clusters, n_mc=1000, seed=seed % 7, jackknife=jack)
+    assert (fast.L, fast.df) == (ref.L, ref.df)
+    assert [f for f in fast.flags if f != "no-null-variance"] == ref.flags
+    if "no-null-variance" in fast.flags:
+        assert math.isnan(fast.p_e) and math.isnan(fast.p_m)
+        return
+    assert fast.e_n == pytest.approx(ref.e_n, rel=1e-12, abs=0)
+    assert fast.m_n == pytest.approx(ref.m_n, rel=1e-12, abs=0)
+    if fast.df:
+        one_draw = 1.0 / (1000 + 1)
+        assert abs(fast.p_e - ref.p_e) <= one_draw * (1 + 1e-9)
+        assert abs(fast.p_m - ref.p_m) <= one_draw * (1 + 1e-9)
+        assert fast.p_e_chi2 == pytest.approx(ref.p_e_chi2, rel=1e-9, abs=1e-15)
+
+
+def test_exch_test_peak_memory_at_panel_size():
+    # the dense form (P = I - B pinv(B), three p x p powers of S, four
+    # (n_mc, p) x (p, p) products) peaked at 88.8 MiB on this input; the
+    # eigenbasis form holds two (n_mc, p) arrays, and its 37.8 MiB peak is
+    # in the orbit average
+    Y = block_gauss(3000, PANEL_BLOCKS, 0.7, 0.1, derive_rng(31))
+    jack = tau_jackknife(Y)
+    tracemalloc.start()
+    try:
+        exch_test(Y, ClusterSpec(PANEL_BLOCKS), jackknife=jack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 88.8 * 2**20
