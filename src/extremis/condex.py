@@ -12,11 +12,11 @@ start and bounds.  ``_pair_objective`` chains those derivatives into the
 closed-form score and observed information; each fit takes trust-region
 Newton steps on them and its covariance from the same information.  The
 module also extracts empirical residual pools, and estimates joint tail
-probabilities three ways: forward simulation, a root-finding/log-sum-exp
-estimator that stays accurate far beyond Monte Carlo reach, and the
-two-level variant for unequal target levels with permutation averaging.
+probabilities three ways: forward simulation, a level-set estimator that
+stays accurate far beyond Monte Carlo reach, and the two-level variant for
+unequal target levels with permutation averaging.
 
-The root-finding estimators map each residual z to its level set
+The level-set estimators map each residual z to its level set
 {y in [v, v + ROOT_CAP] : alpha y + y^beta z >= v} (``_level_sets``).
 g(y) = alpha y + y^beta z has g' = alpha + beta z y^(beta - 1) with at most
 one zero, where alpha and beta z differ in sign: for beta < 1 a peak where
@@ -31,8 +31,11 @@ bisects row minima.  Where a set is a half-line bisected on
 [v, v + ROOT_CAP] (every alpha, beta >= 0), the bisection predicate is
 monotone in z in floating point, so the bisected root of a row minimum is
 bit for bit the row maximum of the entries' roots.  The two-level
-estimator intersects per-entry sets [a, b] by a max and a min reduction,
-and rejects sets with a gap, whose intersections take no such form.
+estimator writes each set as [a, inf) less one gap (b, d), the empty
+(+inf, -inf) on a half-line: one group's nested sets at one level meet in
+[max a, inf) less (min b, max d), and the two groups' gaps merge where
+they overlap (gaps open to +inf always do).  Both estimators sum the
+``_row_terms`` of their rows in linear space.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
+from scipy.special import erfcx, log_ndtr
 
 from ._optim import covariance_from_hessian, minimize_nll
 from .core import MarginSpec, derive_rng, label_assignments
@@ -542,47 +545,44 @@ def _log_tail(v: float) -> float:
     return float(np.log(max(1.0 - float(MarginSpec("laplace").cdf(v)), 1e-300)))
 
 
-def _log_mean_tail(level: np.ndarray, v: float, paper_literal: bool,
-                   upper: np.ndarray | None = None,
-                   rejoin: np.ndarray | None = None) -> float:
-    """log mean over rows of exp(-(level - v)) P(Y0 > v), or of exp(-level)
-    when ``paper_literal``; +inf levels add 0.  With ``upper``, a row whose
-    conditioner must fall in [level, upper] has its term times
-    1 - exp(-(upper - level)), 0 when upper <= level; with ``rejoin``, a
-    row whose conditioner may also exceed a finite rejoin adds that level's
-    term."""
-    finite = np.isfinite(level)
-    if not finite.any():
-        return -np.inf
-    log_terms = -level[finite] if paper_literal else -(level[finite] - v)
-    if upper is not None:
-        with np.errstate(divide="ignore"):
-            log_terms = log_terms + np.log(-np.expm1(
-                np.fmin(level[finite] - upper[finite], 0.0)))
-    if rejoin is not None:
-        d = rejoin[finite]
-        tail = np.isfinite(d)
-        log_terms[tail] = np.logaddexp(log_terms[tail],
-                                       -d[tail] if paper_literal else -(d[tail] - v))
-    if paper_literal:
-        return float(logsumexp(log_terms) - np.log(level.size))
-    return float(_log_tail(v) + logsumexp(log_terms) - np.log(level.size))
+def _row_terms(lo: np.ndarray, gaps, s: float) -> np.ndarray:
+    """Each row's e^-(y - s) mass on [lo, inf) less its disjoint gaps (b, d),
+    summed over the stretches between the gaps sorted by b, each as
+    e^-(start - s) (1 - e^-(end - start)) with both ends clipped to lo: a gap
+    with d <= b is empty, and a row with lo = +inf gives 0."""
+    b, d = np.broadcast_arrays(*(np.stack(ends) for ends in zip(*gaps)))
+    d = np.fmax(d, b)  # an empty gap keeps no width, (+inf, +inf) on a half-line
+    if len(b) == 2:  # the callers pass at most two gaps
+        swap = b[1] < b[0]
+        b, d = (np.where(swap, e[::-1], e) for e in (b, d))
+    start = np.fmax(np.concatenate([lo[None], d[:-1]]), lo)  # lo, then each gap's end
+    end = np.fmax(b, lo)
+    keep = end > start
+    with np.errstate(invalid="ignore"):
+        mass = np.negative(np.expm1(np.subtract(start, end, out=end), out=end), out=end)
+    mass *= np.exp(np.subtract(s, start, out=start), out=start)
+    mass[~keep] = 0.0
+    last = np.fmax(d[-1], lo)
+    return mass.sum(axis=0) + np.exp(np.subtract(s, last, out=last), out=last)
+
+
+def _log_mean(total: float, count: int, s: float, paper_literal: bool) -> float:
+    """log(total / count) plus log P(Y0 > s), or less s when ``paper_literal``."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(total / count)) + (-s if paper_literal else _log_tail(s))
 
 
 def ht_prob_analytic(params: HtParams, v: float,
                      paper_literal: bool = False) -> HtProbability:
-    """Joint upper-tail probability via root finding and log-sum-exp.
+    """Joint upper-tail probability from each residual row's level set.
 
-    For each pooled residual row the minimum component determines the level
-    the conditioner must exceed; averaging exp(-(level - v)) and scaling by
-    the Laplace conditioning margin's exact tail P(Y0 > v) gives the
-    estimate, all in log space.  Where the row minimum's level set is
-    bounded, [a, b], the row adds exp(-(a - v)) - exp(-(b - v)), and where
-    it goes on past a gap from d, also exp(-(d - v)) (``_level_sets``).
-    ``paper_literal`` instead folds the tail factor into the exponent as
-    exp(-level), the convention that treats exp(-v) P(Y0 > v)^-1 as one
-    (exact on exponential margins; on Laplace margins it differs by the
-    factor 1/2).
+    A row's conditioner must lie in its row minimum's set [a, b] u [d, inf)
+    (module docstring), where it has mass e^-(a - v) - e^-(b - v) +
+    e^-(d - v).  The mean of that mass over every row, in pool order and in
+    linear space, times the Laplace margin's tail P(Y0 > v) is the estimate.
+    ``paper_literal`` takes e^-v for that tail instead, the convention that
+    treats exp(-v) P(Y0 > v)^-1 as one (exact on exponential margins; on
+    Laplace margins it differs by the factor 1/2).
     """
     alpha, beta = _shared_dependence(params)
     if v <= params.threshold:
@@ -590,10 +590,10 @@ def ht_prob_analytic(params: HtParams, v: float,
     level, upper, rejoin = _level_sets(np.fmin.reduce(params.residual_pool, axis=1),
                                        alpha, beta, v)
     n_used = int(np.isfinite(level).sum())
-    if n_used == 0:
-        return HtProbability(-np.inf, 0, level.size, ["all-contributions-zero"])
-    return HtProbability(_log_mean_tail(level, v, paper_literal, upper, rejoin),
-                         n_used, level.size - n_used, [])
+    log_prob = _log_mean(_row_terms(level, [(upper, rejoin)], v).sum(), level.size, v,
+                         paper_literal)
+    return HtProbability(log_prob, n_used, level.size - n_used,
+                         ["all-contributions-zero"] if np.isneginf(log_prob) else [])
 
 
 def ht_prob_simulation(params: HtParams, lower, upper, v: float, N: int,
@@ -675,17 +675,13 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
 
     Cost: one ``_level_sets`` pass over the pool entries at s1 and one at
     s2, then, per block of at most BLOCK_CELLS (assignment, row) cells, d
-    column passes that take each cell's level as the largest lower end a
-    from its entries' tables, and its upper end as the smallest b only
-    when some b is finite (a set bounded by a peak or a decreasing g).
-    Every finite level lies in [s1, s1 + ROOT_CAP], so the terms
-    e^-(level - s1) are summed in linear space, one row sum per
-    assignment, with no per-assignment log-sum-exp.  Each assignment's
-    mean still divides by its own row count, which is why the
-    assignments are enumerated rather than counted.  Where every set is a
-    half-line, each row's level is exactly the one ``ht_prob_analytic``
-    bisects at the row minimum (module docstring).  A residual whose set
-    has a gap raises ValueError: its intersections are not one interval.
+    column passes that take each cell's lower end as the largest a of its
+    entries and, only where some b is finite, d more for the gaps (2 d per
+    end once some gap closes; module docstring).  The terms are summed in
+    linear space, one row sum per assignment.  Each assignment's mean
+    divides by its own row count, which is why the assignments are
+    enumerated rather than counted.  On half-line tables an empty second
+    group gives ``ht_prob_analytic``'s value bit for bit.
     """
     if s1 < s2:
         raise ValueError("s1 must be at least s2")
@@ -712,15 +708,19 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
     pool = params.residual_pool
     n = pool.shape[0]
     filled = ~np.isnan(pool)
-    # a[i] stacks column i's lower ends over the rows at s1 and at s2, so an
+    # each table stacks column i's ends over the rows at s1 and at s2, so an
     # assignment's pick (0 or 1 per column) gathers each level as one row
-    a, b, gap = sets = np.full((3, d, 2, n), np.nan)
+    a, b, c = sets = np.full((3, d, 2, n), np.nan)
     for j, s in enumerate((s1, s2)):
         sets[:, :, j][:, filled.T] = _level_sets(pool.T[filled.T], alpha, beta, s)
-    if np.isfinite(gap).any():
-        raise ValueError("two-level estimator cannot intersect residual level "
-                         "sets with a gap (alpha > 0, beta < 0)")
-    bounded = np.isfinite(b).any()
+    gapped = np.isfinite(b).any()
+    c[np.isinf(b)] = -np.inf  # a half-line's empty gap loses both reductions
+    # gaps open to +inf always overlap, so one reduction over every column
+    # is their union; once some gap closes, each group reduces apart,
+    # reading its own level's slot and the empty gap in the other's
+    apart = np.isfinite(c).any()
+    own = (np.eye(2, dtype=bool) if apart else np.ones((1, 2), dtype=bool))[:, None, :, None]
+    b, c = np.where(own, b, np.inf), np.where(own, c, -np.inf)  # (group, column, level, row)
     pick = np.zeros((len(assignments), d), dtype=np.intp)  # 1: the column is in group 2
     pick[np.arange(len(assignments))[:, None], np.asarray(assignments)] = 1
     n_rows = n - pick @ np.bincount(params.pool_cond, minlength=d)
@@ -732,26 +732,29 @@ def ht_prob_two_level(params: HtParams, groups, s1: float, s2: float,
         level = np.full((block.shape[0], n), s1)
         for i in range(d):
             np.fmax(level, a[i][block[:, i]], out=level)
-        terms = np.exp(s1 - level)
-        if bounded:
-            upper = np.full_like(level, np.inf)
-            for i in range(d):
-                np.fmin(upper, b[i][block[:, i]], out=upper)
-            # 1 - e^-(upper - level), 0 where upper <= level or both are +inf
-            with np.errstate(invalid="ignore"):
-                np.fmin(np.subtract(level, upper, out=upper), 0.0, out=upper)
-            terms *= np.negative(np.expm1(upper, out=upper), out=upper)
+        if not gapped:
+            terms = np.exp(s1 - level)
+        else:
+            lo = np.full((len(b),) + level.shape, np.inf)
+            hi = np.full_like(lo, -np.inf) if apart else [np.inf]
+            for j, i in np.ndindex(len(b), d):
+                np.fmin(lo[j], b[j, i][block[:, i]], out=lo[j])
+                if apart:
+                    np.fmax(hi[j], c[j, i][block[:, i]], out=hi[j])
+            if apart:  # the groups' gaps merge where they overlap
+                join = np.fmax(*lo) <= np.fmin(*hi)
+                np.fmin(*lo, where=join, out=lo[0])
+                np.fmax(*hi, where=join, out=hi[0])
+                lo[1][join] = np.inf
+            terms = _row_terms(level, zip(lo, hi), s1)
         terms[block[:, params.pool_cond] == 1] = 0.0
         sums[k:k + step] = terms.sum(axis=1)
     used = n_rows > 0
     n_used = int(used.sum())
-    if n_used == 0:
-        return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
-    with np.errstate(divide="ignore"):
-        log_mean = float(np.log(np.sum(sums[used] / n_rows[used]) / n_used))
-    log_prob = log_mean + (-s1 if paper_literal else _log_tail(s1))
-    flags2 = flags + (["all-contributions-zero"] if np.isneginf(log_prob) else [])
-    return HtProbability(log_prob, n_used, 0, flags2)
+    log_prob = (_log_mean(np.sum(sums[used] / n_rows[used]), n_used, s1, paper_literal)
+                if n_used else -np.inf)
+    return HtProbability(log_prob, n_used, 0,
+                         flags + (["all-contributions-zero"] if np.isneginf(log_prob) else []))
 
 
 def ht_model_chi(params: HtParams, k: int, level: float, N: int = 1_000_000,

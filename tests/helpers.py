@@ -15,8 +15,7 @@ from scipy.special import chdtrc
 from scipy.special import gamma as gammafun
 from scipy.special import logsumexp
 
-from extremis.condex import (HtProbability, _level_sets, _log_mean_tail,
-                             _shared_dependence)
+from extremis.condex import HtProbability, _level_sets, _log_tail, _shared_dependence
 from extremis.core import derive_rng, label_assignments
 from extremis.mgpd import ExtremalStudent, HuslerReiss, Logistic, NegLogistic
 from extremis.validate import (ExchTestResult, _orbit_average, _structure_matrix,
@@ -105,10 +104,13 @@ def logistic_xi_equal(d: int, beta: float, u: float) -> float:
 def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = True,
                    paper_literal: bool = False, seed: int = 0) -> HtProbability:
     """``condex.ht_prob_two_level`` for s1 > s2 and a non-empty first group,
-    one assignment at a time: each assignment's rows get the largest lower
-    end and the smallest upper end of their entries' sets, and its log
-    mean goes through the one-level estimator's ``_log_mean_tail``; the
-    assignments' log means are then averaged by log-sum-exp."""
+    one assignment at a time.  A row's conditioner must lie above s1 and in
+    each entry's set [a, b] u [d, inf) at its group's level, so the pieces
+    it must avoid are [s1, a) for every entry and each gap (b, d).  Their
+    union is built explicitly: the pieces [s1, a) share their start, and the
+    gaps are sorted by b and merged by a running maximum of d.  The masses
+    e^-(y - s1) of the stretches left over are summed by one log-sum-exp
+    per assignment, and the assignments' log means averaged by another."""
     d = params.dim
     assignments, flags = label_assignments(d, np.asarray(sorted(groups[1]), dtype=int),
                                            exchangeable, seed)
@@ -118,10 +120,13 @@ def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = Tr
     (a1, b1, d1), (a2, b2, d2) = tables = np.full((2, 3) + pool.shape, np.nan)
     for table, s in zip(tables, (s1, s2)):
         table[:, filled] = _level_sets(pool[filled], alpha, beta, s)
-    if np.isfinite(d1).any() or np.isfinite(d2).any():
-        raise ValueError("two-level estimator cannot intersect residual level "
-                         "sets with a gap (alpha > 0, beta < 0)")
-    bounded = np.isfinite(b1).any() or np.isfinite(b2).any()
+    # a gap (b, d) is a piece only where b < d: the others become
+    # (-inf, -inf), which sort first and cover nothing
+    piece1, piece2 = b1 < d1, b2 < d2
+    cols = (piece1 | piece2).any(axis=0)
+    gaps1 = [np.where(piece1, e, -np.inf)[:, cols] for e in (b1, d1)]
+    gaps2 = [np.where(piece2, e, -np.inf)[:, cols] for e in (b2, d2)]
+    tail = -s1 if paper_literal else _log_tail(s1)
     log_probs = []
     for cols2 in assignments:
         in2 = np.zeros(d, dtype=bool)
@@ -129,10 +134,19 @@ def two_level_loop(params, groups, s1: float, s2: float, exchangeable: bool = Tr
         rows = ~in2[params.pool_cond]
         if not rows.any():
             continue
-        level = np.maximum(np.fmax.reduce(np.where(in2, a2[rows], a1[rows]), axis=1), s1)
-        upper = (np.fmin.reduce(np.where(in2, b2[rows], b1[rows]), axis=1)
-                 if bounded else None)
-        log_probs.append(_log_mean_tail(level, s1, paper_literal, upper))
+        start = np.fmax(np.fmax.reduce(np.where(in2, a2[rows], a1[rows]), axis=1), s1)
+        b, end = (np.where(in2[cols], e2[rows], e1[rows]) for e1, e2 in zip(gaps1, gaps2))
+        order = np.argsort(b, axis=1)
+        covered = np.maximum.accumulate(
+            np.column_stack([start, np.take_along_axis(end, order, axis=1)]), axis=1)
+        # stretch k runs from the end of the first k pieces' union to the
+        # start of piece k + 1, and the last one on to +inf
+        upto = np.column_stack([np.take_along_axis(b, order, axis=1),
+                                np.full(start.size, np.inf)])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_mass = np.where(upto > covered,
+                                s1 - covered + np.log(-np.expm1(covered - upto)), -np.inf)
+        log_probs.append(float(logsumexp(log_mass) - np.log(start.size) + tail))
     if not log_probs:
         return HtProbability(-np.inf, 0, 0, flags + ["all-contributions-zero"])
     log_prob = float(logsumexp(np.asarray(log_probs)) - np.log(len(log_probs)))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -1230,3 +1231,25 @@ def test_cli_import_graph_has_no_scipy_stats():
                                         "exch_test", False, "profile_return_level_ci", False,
                                         "mgpd fits, solve_return_level", False, False,
                                         "one-factor Xi, V", False, False, False])
+
+
+def test_src_modules_use_every_name_they_import():
+    # an import that no line of its module references is dead weight at
+    # start-up and hides which helpers a module really depends on; the
+    # package __init__ files import only to re-export
+    unused = []
+    for path in sorted(Path(extremis.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -609,18 +609,10 @@ def test_two_level_requires_order():
         ht_prob_two_level(p, ([0], [1]), 5.0, 6.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(alpha=st.one_of(st.just(-1.0), st.floats(-1.0, -1e-6)),
-       beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 1.0)),
-       s2=st.floats(2.5, 10.0), gap=st.floats(1e-3, 3.0), scale=st.floats(0.1, 30.0),
-       shift=st.floats(0.0, 5.0), n=st.integers(1, 40), d=st.integers(2, 4),
-       n1=st.integers(1, 3), seed=st.integers(0, 2**31))
-def test_two_level_negative_alpha_matches_simulation(alpha, beta, s2, gap, scale,
-                                                     shift, n, d, n1, seed):
-    # with alpha < 0 every entry's set is an interval, and a row's
-    # conditioner range is the intersection of its entries' intervals at
-    # their groups' levels, above s1: the fixed assignment must agree with
-    # forward simulation from conditioner 0 under those lower bounds
+def two_level_against_simulation(alpha, beta, s2, gap, scale, shift, n, d, n1, seed):
+    """The fixed assignment's two-level estimate from conditioner 0 against
+    forward simulation under the groups' lower bounds s1 and s2: five
+    binomial standard errors at the estimator's rate, plus three hits."""
     rng = derive_rng(seed)
     pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
     pool[:, 0] = np.nan
@@ -636,25 +628,76 @@ def test_two_level_negative_alpha_matches_simulation(alpha, beta, s2, gap, scale
                                    cond=0)
     tail = 0.5 * np.exp(-s1)
     hit = min(two.prob / tail, 1.0)
-    # five binomial standard errors at the estimator's rate, plus three hits
     assert abs(sim - two.prob) <= tail * (5.0 * np.sqrt(hit * (1.0 - hit) / N) + 3.0 / N)
     if hit > 0.0:
         event("reachable")
+    for s in (s1, s2):
+        if np.isfinite(entry_level_sets(pool, alpha, beta, s)[2]).any():
+            event("gap")
 
 
-def test_two_level_rejects_level_sets_with_a_gap():
-    # alpha y + 10 / y at alpha = 0.1 dips below 3 between 3.82 and 26.18, so
-    # each entry's set at s2 = 3 is two pieces, whose intersections are not
-    # one interval
-    pool = np.array([[np.nan, 10.0, 10.0]])
-    p = make_params(0.1, -1.0, pool)
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.just(-1.0), st.floats(-1.0, -1e-6)),
+       beta=st.one_of(st.sampled_from([-5.0, 0.0, 0.5, 1.0]), st.floats(-5.0, 1.0)),
+       s2=st.floats(2.5, 10.0), gap=st.floats(1e-3, 3.0), scale=st.floats(0.1, 30.0),
+       shift=st.floats(0.0, 5.0), n=st.integers(1, 40), d=st.integers(2, 4),
+       n1=st.integers(1, 3), seed=st.integers(0, 2**31))
+def test_two_level_negative_alpha_matches_simulation(alpha, beta, s2, gap, scale,
+                                                     shift, n, d, n1, seed):
+    # with alpha < 0 every entry's set is an interval, and a row's
+    # conditioner range is the intersection of its entries' intervals at
+    # their groups' levels, above s1
+    two_level_against_simulation(alpha, beta, s2, gap, scale, shift, n, d, n1, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+       beta=st.one_of(st.sampled_from([-5.0, -1.0]), st.floats(-5.0, -1e-6)),
+       s2=st.floats(2.5, 10.0), gap=st.floats(1e-3, 3.0), factor=st.floats(0.05, 3.0),
+       shift=st.floats(0.0, 5.0), n=st.integers(1, 40), d=st.integers(2, 4),
+       n1=st.integers(1, 3), seed=st.integers(0, 2**31))
+@example(alpha=0.1, beta=-1.0, s2=3.0, gap=0.2, factor=0.5, shift=2.0, n=20, d=4, n1=2,
+         seed=3)
+def test_two_level_gapped_sets_match_simulation(alpha, beta, s2, gap, factor, shift, n, d,
+                                                n1, seed):
+    # with alpha > 0 and beta < 0 a set has a gap where g(v) >= v > g(y*),
+    # which takes z on the scale of v^(1 - beta): the groups' gaps, at
+    # different levels, may then overlap, nest or lie apart
+    two_level_against_simulation(alpha, beta, s2, gap, factor * s2 ** (1.0 - beta), shift,
+                                 n, d, n1, seed)
+
+
+def test_two_level_gapped_sets_exact_values():
+    # alpha y + z / y at alpha = 0.1 has its trough at y = sqrt(10 z), and
+    # crosses s at 5 s -+ sqrt(25 s^2 - 10 z): at s2 = 3, z = 10 dips below 3
+    # between 15 - 5 sqrt(5) and 15 + 5 sqrt(5)
     sets = _level_sets(np.array([10.0]), 0.1, -1.0, 3.0)
     np.testing.assert_allclose(np.ravel(sets), [3.0, 15.0 - 5.0 * np.sqrt(5.0),
                                                 15.0 + 5.0 * np.sqrt(5.0)], rtol=1e-14)
-    with pytest.raises(ValueError, match="level sets with a gap"):
-        ht_prob_two_level(p, ([0, 1], [2]), 3.5, 3.0)
-    # the one-level estimator integrates both pieces
+    p = make_params(0.1, -1.0, np.array([[np.nan, 10.0, 10.0]]))
+    # at s1 = 3.5 the first entry's set is the half-line from 17.5 + 5 sqrt(8.25),
+    # which swallows the second's gap
+    assert ht_prob_two_level(p, ([0, 1], [2]), 3.5, 3.0).log_prob == pytest.approx(
+        -(17.5 + 5.0 * np.sqrt(8.25)) - np.log(2.0), rel=1e-14)
+    # at s1 = 3.2 its gap, 12.8 -+ 5 sqrt(6.24) above s1, holds the second's
+    want = np.log1p(-np.exp(-(12.8 - 5.0 * np.sqrt(6.24)))
+                    + np.exp(-(12.8 + 5.0 * np.sqrt(6.24)))) - 3.2 - np.log(2.0)
+    assert ht_prob_two_level(p, ([0, 1], [2]), 3.2, 3.0).log_prob == pytest.approx(
+        want, rel=1e-13)
+    # equal levels: the one-level estimator integrates both pieces
     assert ht_prob_two_level(p, ([0, 1], [2]), 3.0, 3.0).n_used == 1
+    # within one group (a fixed assignment) a half-line, z = 5 at 3.2 from
+    # 16 + sqrt(206), lies past the gap of the set it nests in, which then
+    # does not count
+    p = make_params(0.1, -1.0, np.array([[np.nan, 10.0, 5.0, 10.0]]))
+    assert ht_prob_two_level(p, ([0, 1, 2], [3]), 3.2, 3.0, exchangeable=False).log_prob \
+        == pytest.approx(-(16.0 + np.sqrt(206.0)) - np.log(2.0), rel=1e-14)
+    # gaps apart: (24, 36) for z = 86.4 at s1 = 6 and (12, 18) for z = 21.6 at
+    # s2 = 3 leave [6, 12] u [18, 24] u [36, inf)
+    p = make_params(0.1, -1.0, np.array([[np.nan, 86.4, 21.6]]))
+    want = np.log(1.0 - np.exp(-6.0) + np.exp(-12.0) - np.exp(-18.0) + np.exp(-30.0))
+    assert ht_prob_two_level(p, ([0, 1], [2]), 6.0, 3.0, exchangeable=False).log_prob \
+        == pytest.approx(want - 6.0 - np.log(2.0), rel=1e-12)
 
 
 def test_model_chi_limits():
@@ -724,12 +767,19 @@ def test_two_level_assignment_subsample_is_seeded(monkeypatch):
          exchangeable=True, paper_literal=True, cap=None, block=7, seed=1)
 @example(alpha=0.2, beta=0.5, s2=3.0, gap=1.0, scale=3.0, shift=1.0, n=30, d=4, support=4,
          exchangeable=True, paper_literal=False, cap=5, block=40, seed=2)
+@example(alpha=0.1, beta=-1.0, s2=3.0, gap=0.5, scale=5.0, shift=3.0, n=40, d=5, support=3,
+         exchangeable=True, paper_literal=False, cap=None, block=50, seed=4)
+@example(alpha=0.1, beta=-1.0, s2=3.0, gap=0.5, scale=5.0, shift=3.0, n=40, d=5, support=3,
+         exchangeable=True, paper_literal=True, cap=2, block=7, seed=4)
+@example(alpha=0.0625, beta=-5.0, s2=1.0, gap=1.0, scale=1.0, shift=0.0, n=2, d=2, support=1,
+         exchangeable=False, paper_literal=False, cap=None, block=1, seed=3)
 def test_two_level_sweep_matches_the_assignment_loop(alpha, beta, s2, gap, scale, shift, n,
                                                      d, support, exchangeable, paper_literal,
                                                      cap, block, seed):
-    # the column sweep sums each assignment's terms in linear space, block
-    # by block; the loop takes one log-sum-exp per assignment: the two agree
-    # to rounding on every table, split, pool and subsample
+    # the column sweep reduces each group's gaps and sums each assignment's
+    # terms in linear space, block by block; the loop unites every entry's
+    # pieces explicitly and takes one log-sum-exp per assignment: the two
+    # agree to rounding on every table, split, pool and subsample
     rng = derive_rng(seed)
     pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)) + shift)
     # rows condition on a few columns only, so an assignment can keep none
@@ -746,14 +796,7 @@ def test_two_level_sweep_matches_the_assignment_loop(alpha, beta, s2, gap, scale
             m.setattr(core, "MAX_ASSIGNMENTS", cap)
         m.setattr(condex, "BLOCK_CELLS", block)
         assignments = core.label_assignments(d, sorted(groups[1]), exchangeable, seed)[0]
-        try:
-            want = two_level_loop(*args)
-        except ValueError as err:
-            assert "gap" in str(err)
-            with pytest.raises(ValueError, match="level sets with a gap"):
-                ht_prob_two_level(*args)
-            event("gap")
-            return
+        want = two_level_loop(*args)
         got = ht_prob_two_level(*args)
     assert (got.n_used, got.n_unreachable, got.flags) == (want.n_used, want.n_unreachable,
                                                           want.flags)
@@ -762,7 +805,8 @@ def test_two_level_sweep_matches_the_assignment_loop(alpha, beta, s2, gap, scale
     else:
         assert got.log_prob == pytest.approx(want.log_prob, rel=1e-13, abs=1e-13)
     sets = entry_level_sets(pool, alpha, beta, s2)
-    for name, hit in (("bounded", np.isfinite(sets[1]).any()),
+    for name, hit in (("bounded", np.isfinite(sets[1]).any() & ~np.isfinite(sets[2]).any()),
+                      ("gap", np.isfinite(sets[2]).any()),
                       ("half-lines", np.isfinite(sets[0]).any() & ~np.isfinite(sets[1]).any()),
                       ("empty-assignment", want.n_used < len(assignments)),
                       ("subsample", "assignment-subsample" in want.flags),
@@ -905,18 +949,25 @@ def pinned_pool():
 
 
 # (log_prob, n_used, n_unreachable, flags) on pinned_pool: the root table is
-# exact, so any rewrite of the root-finding estimators reproduces these bit
+# exact, so any rewrite of the level-set estimators reproduces these bit
 # for bit, given the same summation.  The two-level values were recorded
 # when its sums moved from one log-sum-exp per assignment to linear-space
 # row sums: "two-level" -10.60494704597785 -> -10.604947045977852 and
 # "two-level-empty-g2" -10.60516331552239 -> -10.605163315522391, against
 # -10.604947045977850887 and -10.605163315522390805 by a 200-bit mpmath
-# sum of the same terms (errors 0.45 -> 0.55 and 0.64 -> 0.36 ulp).
+# sum of the same terms (errors 0.45 -> 0.55 and 0.64 -> 0.36 ulp).  The
+# one-level values were recorded when ``ht_prob_analytic`` took the same
+# linear-space row sum: "analytic" and "equal-levels" -10.60516331552239
+# -> -10.605163315522391 (oracle as above, 0.64 -> 0.36 ulp), while
+# "analytic-literal" -9.912016134962446 (oracle -9.9120161349624454957,
+# 0.31 ulp) and "empty-g1" -9.102689350516929 (oracle
+# -9.1026893505169292014, 0.08 ulp) did not move; "two-level-empty-g2-literal"
+# pins the literal form of the no-second-group case.
 # "equal-levels" and "empty-g1" reduce to the one-level estimator and count
 # as one assignment: their (n_used, n_unreachable) went from the
-# one-level row counts (380, 20) to (1, 0), with log_prob unchanged
+# one-level row counts (380, 20) to (1, 0)
 PINNED_CONDEX = {
-    "analytic": (-10.60516331552239, 380, 20, []),
+    "analytic": (-10.605163315522391, 380, 20, []),
     "analytic-literal": (-9.912016134962446, 380, 20, []),
     "two-level": (-10.604947045977852, 6, 0, []),
     "two-level-literal": (-9.911799865417905, 6, 0, []),
@@ -924,7 +975,8 @@ PINNED_CONDEX = {
     "two-level-subsample": (-10.60472871574286, 3, 0, ["assignment-subsample"]),
     "two-level-lone-g1": (-10.594099556165691, 4, 0, []),
     "two-level-empty-g2": (-10.605163315522391, 1, 0, []),
-    "equal-levels": (-10.60516331552239, 1, 0, []),
+    "two-level-empty-g2-literal": (-9.912016134962446, 1, 0, []),
+    "equal-levels": (-10.605163315522391, 1, 0, []),
     "empty-g1": (-9.102689350516929, 1, 0, []),
 }
 
@@ -944,9 +996,50 @@ def test_condex_estimators_pinned_values(monkeypatch):
         "two-level-subsample": subsample,
         "two-level-lone-g1": ht_prob_two_level(p, ([0], [1, 2, 3]), 6.0, 4.5),
         "two-level-empty-g2": ht_prob_two_level(p, ([0, 1, 2, 3], []), 6.0, 4.5),
+        "two-level-empty-g2-literal": ht_prob_two_level(p, ([0, 1, 2, 3], []), 6.0, 4.5,
+                                                        paper_literal=True),
         "equal-levels": ht_prob_two_level(p, g, 6.0, 6.0),
         "empty-g1": ht_prob_two_level(p, ([], [0, 1, 2, 3]), 6.0, 4.5),
     }
     for name, out in got.items():
         assert (out.log_prob, out.n_used, out.n_unreachable, out.flags) == \
             PINNED_CONDEX[name], name
+    # no second group: the one-level value, bit for bit
+    for one, two in (("analytic", "two-level-empty-g2"),
+                     ("analytic-literal", "two-level-empty-g2-literal")):
+        assert got[two].log_prob == got[one].log_prob
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       beta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       s2=st.floats(2.5, 10.0), gap=st.floats(1e-3, 4.0), scale=st.floats(0.1, 30.0),
+       n=st.integers(1, 200), d=st.integers(2, 6), unreachable=st.floats(0.0, 0.5),
+       paper_literal=st.booleans(), seed=st.integers(0, 2**31))
+@example(alpha=0.1, beta=0.3, s2=4.5, gap=1.5, scale=1.5, n=200, d=4, unreachable=0.3,
+         paper_literal=False, seed=0)
+@example(alpha=1.0, beta=0.0, s2=3.0, gap=1.0, scale=2.75, n=83, d=2, unreachable=0.1875,
+         paper_literal=False, seed=286)
+def test_two_level_without_second_group_is_the_one_level_value(alpha, beta, s2, gap,
+                                                               scale, n, d, unreachable,
+                                                               paper_literal, seed):
+    # on half-line tables each row's lower end is the row minimum's root
+    # bit for bit, and both estimators add the same terms over every row in
+    # pool order, 0 on a row that cannot reach the event (an entry of -1e3
+    # needs y > v + 1000 at every alpha, beta in [0, 1]): a cluster with no
+    # second-group variable reports its one-level value exactly
+    rng = derive_rng(seed)
+    pool = scale * (rng.standard_normal((n, d)) + rng.standard_normal((n, 1)))
+    pool[rng.random(n) < unreachable, rng.integers(0, d)] = -1e3
+    conds = rng.integers(0, d, n)
+    pool[np.arange(n), conds] = np.nan
+    p = HtParams(alpha, beta, GaussianDiag(np.zeros(1), np.ones(1)), 2.0, pool, conds,
+                 None, True)
+    s1 = s2 + gap
+    one = ht_prob_analytic(p, s1, paper_literal)
+    two = ht_prob_two_level(p, (list(range(d)), []), s1, s2, paper_literal=paper_literal)
+    assert two.log_prob == one.log_prob or np.isneginf(one.log_prob) and np.isneginf(
+        two.log_prob)
+    if one.n_unreachable:
+        event("unreachable")
+
