@@ -1,6 +1,6 @@
 """The one optimizer of every fit, a projected trust-region Newton on analytic
-derivatives, the mode finder of the 1-D quadratures, and the covariance from an
-observed information; the tests' ``numeric_hessian`` has no library caller."""
+derivatives, the safeguarded Newton of every 1-D root and mode, and the covariance
+from an observed information; only the tests call ``numeric_hessian``."""
 from __future__ import annotations
 
 import numpy as np
@@ -104,21 +104,27 @@ def _trust_step(a, w, radius):
     return -a / (w + hi)
 
 
-def concave_mode(derivs, lo, hi, t):
-    """The mode t of a strictly concave function whose slope is >= 0 at
-    ``lo`` and <= 0 at ``hi``, and the curvature there, by Newton steps from
-    ``t`` on ``derivs``: t -> (slope, curvature); each narrows the bracket,
-    and one that leaves it is replaced by a bisection."""
-    for _ in range(100):  # Newton takes about a dozen steps; bisection, 60
-        slope, curvature = derivs(t)
-        lo, hi = (t, hi) if slope > 0.0 else (lo, t)
-        step = t - slope / curvature
-        if not lo <= step <= hi:
+def newton_root(fun, lo, hi, x, xtol):
+    """The root in [lo, hi] of ``fun``: x -> (value, slope, *rest), value > 0
+    or NaN below it and < 0 above (a mode, from a concave function's slope
+    and curvature), by Newton steps from ``x`` (Press et al., *Numerical
+    Recipes*, ``rtsafe``).  Each narrows the bracket, and is replaced by a
+    bisection if it leaves the bracket, if its slope is not negative, or if
+    it crosses more than half a bracket whose ends are the last two x: Newton
+    can cycle around an inflection, as on x + 5 atan x.  Returns the first
+    step of at most xtol (1 + |x|), and ``slope`` and ``rest`` at the x it
+    starts from; raises RuntimeError after NEWTON_ITER evaluations."""
+    prev = np.nan
+    for _ in range(NEWTON_ITER):
+        value, slope, *rest = fun(x)
+        lo, hi = (lo, x) if value < 0.0 else (x, hi)
+        step = x - value / slope if slope < 0.0 else np.nan
+        if not lo <= step <= hi or (prev in (lo, hi) and abs(step - x) > 0.5 * (hi - lo)):
             step = 0.5 * (lo + hi)
-        if abs(step - t) <= 1e-14 * (1.0 + abs(t)):
-            break
-        t = step
-    return t, curvature
+        if abs(step - x) <= xtol * (1.0 + abs(x)):
+            return step, slope, *rest
+        prev, x = x, step
+    raise RuntimeError("safeguarded Newton did not converge")
 
 
 def numeric_hessian(f, x, rel_step: float = 1e-5) -> np.ndarray:

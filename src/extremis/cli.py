@@ -296,8 +296,7 @@ def cmd_taildep(args) -> dict:
     ds = _load(args)
     clamp = ClampCounter()
     U = ds.to_uniform(clamp)
-    levels = [float(v) for v in args.levels.split(",")]
-    rows = taildep.taildep_profile(U, levels)
+    rows = taildep.taildep_profile(U, args.levels)
     table = {
         "level": [r.level for r in rows],
         "chi": [r.chi for r in rows],
@@ -351,26 +350,16 @@ def cmd_condex_prob(args) -> dict:
 def cmd_condex_prob2(args) -> dict:
     ds = _load(args)
     fit = _fit_condex(args, ds)
-    groups = _parse_groups(args.groups)
     lap = MarginSpec("laplace")
     s1 = float(lap.quantile(args.s1)) if args.level_is_quantile else args.s1
     s2 = float(lap.quantile(args.s2)) if args.level_is_quantile else args.s2
-    out = condex.ht_prob_two_level(fit, groups, s1, s2,
+    out = condex.ht_prob_two_level(fit, args.groups, s1, s2,
                                    exchangeable=not args.no_permute,
                                    paper_literal=args.paper_literal,
                                    seed=args.seed)
     return {"fit": _condex_fit_payload(fit), "s1": s1, "s2": s2,
             "log_prob": out.log_prob, "prob": out.prob,
             "n_assignments": out.n_used, "flags": out.flags}
-
-
-def _parse_groups(spec: str):
-    parts = spec.split("|")
-    if len(parts) != 2:
-        raise ValueError("groups must be 'i,j,...|k,l,...'")
-    g1 = [int(v) for v in parts[0].split(",") if v.strip() != ""]
-    g2 = [int(v) for v in parts[1].split(",") if v.strip() != ""]
-    return g1, g2
 
 
 def cmd_mgpd_fit(args) -> dict:
@@ -407,44 +396,31 @@ def cmd_mgpd_prob(args) -> dict:
 
 
 def cmd_mvn_tail(args) -> dict:
-    lower = np.array([float(v) for v in args.lower.split(",")])
-    upper = np.array([float(v) for v in args.upper.split(",")])
-    rows = [r for r in args.sigma.split(";") if r.strip()]
-    sigma = np.array([[float(v) for v in r.split(",")] for r in rows])
-    mu = np.zeros(lower.size) if args.mu is None else np.array(
-        [float(v) for v in args.mu.split(",")])
-    q = OrthantQuery(lower, upper, mu, sigma, df=args.df)
+    mu = np.zeros(len(args.lower)) if args.mu is None else args.mu
+    q = OrthantQuery(args.lower, args.upper, mu, args.sigma, df=args.df)
     p, se = (mvt_rect if args.df else mvn_rect)(q, args.n_points, args.seed)
-    return {"prob": p, "se": se, "dim": int(lower.size), "df": args.df}
+    return {"prob": p, "se": se, "dim": len(args.lower), "df": args.df}
 
 
 def cmd_simulate(args) -> dict:
     model = _dependence_model(args.family, args)
-    u = np.array([float(v) for v in args.u.split(",")]) if args.u else np.ones(args.dim)
+    u = np.array(args.u) if args.u else np.ones(args.dim)
     fn = simulate.RiskFunctional(args.functional, mgpd._check_u(u, args.dim))
     out = simulate.composition_sample(model, fn, args.n, args.seed)
     if args.out_samples:
-        header = ",".join(f"y{j+1}" for j in range(u.size))
-        body = "\n".join(",".join(repr(float(v)) for v in row)
-                         for row in out.samples)
-        _atomic_write(args.out_samples, header + "\n" + body + "\n")
+        _atomic_write(args.out_samples,
+                      _to_csv({f"y{j+1}": out.samples[:, j] for j in range(u.size)}))
     freq = np.bincount(out.pivot, minlength=u.size) / args.n
     return {"n": args.n, "functional": args.functional,
             "pivot_frequencies": freq, "samples_file": args.out_samples}
 
 
 def cmd_mixture_experiment(args) -> dict:
-    if ":" in args.alpha_grid:
-        lo, hi, cnt = args.alpha_grid.split(":")
-        grid = np.linspace(float(lo), float(hi), int(cnt))
-    else:
-        grid = np.array([float(v) for v in args.alpha_grid.split(",")])
-    levels = [float(v) for v in args.levels.split(",")]
-    table = simulate.mixture_threshold_experiment(grid, args.n_per, levels,
+    table = simulate.mixture_threshold_experiment(args.alpha_grid, args.n_per, args.levels,
                                                   args.seed, d=args.dim)
     return {"table": {
-        "alpha": list(np.repeat(table.alpha_grid, len(levels))),
-        "level": list(np.tile(table.levels, len(grid))),
+        "alpha": list(np.repeat(table.alpha_grid, table.levels.size)),
+        "level": list(np.tile(table.levels, table.alpha_grid.size)),
         "share": list(table.shares.ravel()),
         "count": [int(c) for c in table.counts.ravel()],
     }}
@@ -460,8 +436,7 @@ def cmd_cluster(args) -> dict:
 
 def cmd_exch_test(args) -> dict:
     ds = _load(args)
-    blocks = tuple(tuple(int(v) for v in b.split(",")) for b in args.blocks.split("|"))
-    res = validate.exch_test(ds.values, validate.ClusterSpec(blocks),
+    res = validate.exch_test(ds.values, validate.ClusterSpec(args.blocks),
                              n_mc=args.n_mc, seed=args.seed)
     return {"E_n": res.e_n, "M_n": res.m_n, "p_E": res.p_e, "p_M": res.p_m,
             "p_E_chi2": res.p_e_chi2, "L": res.L, "df": res.df,
@@ -471,12 +446,11 @@ def cmd_exch_test(args) -> dict:
 def cmd_model_select(args) -> dict:
     ds = _load(args)
     rows = []
-    for fitter in args.fitters.split(","):
-        score = validate.subset_chi_cv(ds.values, args.k, args.level,
-                                       fitter.strip(),
+    for fitter in args.fitters:
+        score = validate.subset_chi_cv(ds.values, args.k, args.level, fitter,
                                        fit_quantile=args.fit_quantile,
                                        seed=args.seed)
-        rows.append({"fitter": fitter.strip(), "score": score.score,
+        rows.append({"fitter": fitter, "score": score.score,
                      "n_subsets": score.n_subsets, "n_failed": score.n_failed})
     return {"scores": rows, "k": args.k, "level": args.level}
 
@@ -572,8 +546,7 @@ def cmd_task4(args) -> dict:
     phi1, phi2 = args.phi1, args.phi2
     s1 = float(lap.quantile(1.0 - phi1))
     s2 = float(lap.quantile(1.0 - phi2))
-    u1_set = set(range(ds.dim // 2)) if args.u1 is None else {
-        int(v) for v in args.u1.split(",")}
+    u1_set = set(range(ds.dim // 2) if args.u1 is None else args.u1)
     out_clusters = []
     log_p1 = 0.0
     log_p2 = 0.0
@@ -633,6 +606,45 @@ def cmd_task1(args) -> dict:
 def _opt(*flags, **kwargs):
     """One ``add_argument`` call's flags and keywords."""
     return flags, kwargs
+
+
+# List grammars, applied by argparse: a malformed list is a usage error naming
+# its flag.  A blank entry is malformed; a blank group or row is not.
+def float_list(spec: str) -> tuple:
+    return tuple(map(float, spec.split(",")))
+
+
+def int_list(spec: str) -> tuple:
+    return tuple(map(int, spec.split(",")))
+
+
+def name_list(spec: str) -> tuple:
+    names = tuple(v.strip() for v in spec.split(","))
+    if "" in names:
+        raise ValueError(spec)
+    return names
+
+
+def float_rows(spec: str) -> np.ndarray:  # 'a,b;c,d'; ragged rows raise
+    return np.array([float_list(r) for r in spec.split(";") if r.strip()])
+
+
+def alpha_grid(spec: str) -> tuple:  # 'lo:hi:count', evenly spaced, or 'a,b,c'
+    if ":" not in spec:
+        return float_list(spec)
+    lo, hi, count = spec.split(":")
+    return tuple(np.linspace(float(lo), float(hi), int(count)).tolist())
+
+
+def index_groups(spec: str) -> tuple:  # 'i,j|k,l'
+    return tuple(int_list(g) if g.strip() else () for g in spec.split("|"))
+
+
+def index_pair(spec: str) -> tuple:
+    groups = index_groups(spec)
+    if len(groups) != 2:
+        raise ValueError(spec)
+    return groups
 
 
 def _threshold(default):
@@ -698,7 +710,7 @@ COMMANDS = (
     Command("loss-min", "expected-loss return-level point estimate", cmd_loss_min,
             (INPUT, _opt("--column"), BOOTSTRAP), margins=False),
     Command("taildep", "chi/eta tail dependence table", cmd_taildep,
-            (INPUT, _opt("--levels", default="0.9,0.95,0.98,0.99"))),
+            (INPUT, _opt("--levels", type=float_list, default="0.9,0.95,0.98,0.99"))),
     Command("condex", "conditional extremes", None, (
         Command("fit", None, cmd_condex_fit, (INPUT, _threshold(0.95), GAUSSIAN)),
         Command("prob", None, cmd_condex_prob,
@@ -708,7 +720,8 @@ COMMANDS = (
                 (INPUT, _threshold(0.95), GAUSSIAN, PAPER_LITERAL,
                  _opt("--s1", type=float, required=True),
                  _opt("--s2", type=float, required=True), LEVEL_IS_QUANTILE,
-                 _opt("--groups", required=True, help="column indices 'i,j|k,l'"),
+                 _opt("--groups", type=index_pair, required=True,
+                      help="column indices 'i,j|k,l'"),
                  _opt("--no-permute", action="store_true"))))),
     Command("mgpd", "multivariate generalized Pareto", None, (
         Command("fit", None, cmd_mgpd_fit,
@@ -719,8 +732,10 @@ COMMANDS = (
                  _opt("--level", type=float, help="common Frechet-scale target level"),
                  _opt("--level-quantile", type=float))))),
     Command("mvn-tail", "normal/Student rectangle probability", cmd_mvn_tail,
-            (_opt("--lower", required=True), _opt("--upper", required=True),
-             _opt("--sigma", required=True, help="rows 'a,b;c,d'"), _opt("--mu"),
+            (_opt("--lower", type=float_list, required=True),
+             _opt("--upper", type=float_list, required=True),
+             _opt("--sigma", type=float_rows, required=True, help="rows 'a,b;c,d'"),
+             _opt("--mu", type=float_list),
              _opt("--df", type=float), _opt("--n-points", type=int, default=100_000)),
             margins=False),
     Command("simulate", "composition sampling", cmd_simulate,
@@ -728,24 +743,27 @@ COMMANDS = (
              _opt("--theta", type=float, default=1.0),
              _opt("--gamma", type=float, default=1.0), _opt("--dim", type=int, default=3),
              _opt("--functional", choices=("min", "max", "sum"), default="min"),
-             _opt("--u", help="thresholds 'a,b,c'"), _opt("--n", type=int, required=True),
-             _opt("--out-samples")),
+             _opt("--u", type=float_list, help="thresholds 'a,b,c'"),
+             _opt("--n", type=int, required=True), _opt("--out-samples")),
             margins=False),
     Command("mixture-experiment", "exceedance shares across a dependence mixture",
             cmd_mixture_experiment,
-            (_opt("--alpha-grid", default="0.4:0.9:100", help="'lo:hi:count' or comma list"),
+            (_opt("--alpha-grid", type=alpha_grid, default="0.4:0.9:100",
+                  help="'lo:hi:count' or comma list"),
              _opt("--n-per", type=int, default=10_000),
-             _opt("--levels", default="0.8,0.9,0.95"), _opt("--dim", type=int, default=8)),
+             _opt("--levels", type=float_list, default="0.8,0.9,0.95"),
+             _opt("--dim", type=int, default=8)),
             margins=False),
     Command("cluster", "Kendall tau matrix and Ward blocks", cmd_cluster,
             (INPUT, _opt("--k", type=int, required=True))),
     Command("exch-test", "partial exchangeability test", cmd_exch_test,
-            (INPUT, _opt("--blocks", required=True, help="'0,1,2|3,4,5'"), N_MC)),
+            (INPUT, _opt("--blocks", type=index_groups, required=True, help="'0,1,2|3,4,5'"),
+             N_MC)),
     Command("model-select", "leave-subset-out chi scores", cmd_model_select,
             (INPUT, _opt("--k", type=int, default=2),
              _opt("--level", type=float, default=0.99),
              _opt("--fit-quantile", type=float, default=0.95),
-             _opt("--fitters", default="logistic,hr"))),
+             _opt("--fitters", type=name_list, default="logistic,hr"))),
     Command("task1", "conditional quantile intervals preset", cmd_task1,
             (INPUT, RESPONSE,
              _opt("--predict", help="CSV of covariate rows to predict (default: input rows)"),
@@ -765,7 +783,7 @@ COMMANDS = (
             (INPUT, _opt("--k", type=int, default=5),
              _opt("--phi1", type=float, default=1.0 / 300.0),
              _opt("--phi2", type=float, default=12.0 / 300.0),
-             _opt("--u1", help="comma list of U1 column indices"),
+             _opt("--u1", type=int_list, help="comma list of U1 column indices"),
              _threshold(0.98), N_MC)),
 )
 

@@ -44,10 +44,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import log_ndtr
 
 from ._optim import covariance_from_hessian, minimize_nll
 from .core import MarginSpec, derive_rng, label_assignments
+from .mvnt import _mills
 
 ROOT_CAP = 500.0  # contributions beyond exp(-500) vanish in double precision
 KAPPA_CAP = 50.0
@@ -157,13 +158,13 @@ def skewnorm_logpdf_derivs(z, nu, omega, kappa):
 
     With w = (z - nu)/omega the log density is -log omega - w^2/2 +
     log Phi(kappa w) + const.  The ratio r = phi/Phi at s = kappa w, whose
-    derivative is -r (s + r), is taken as sqrt(2/pi) / erfcx(-s/sqrt(2)):
-    it keeps full precision far in the lower tail, where phi and Phi both
-    underflow and exp(log phi - log_ndtr) loses about s^2/2 ulps.
+    derivative is -r (s + r), is ``mvnt._mills``: it keeps full precision far
+    in the lower tail, where phi and Phi both underflow and exp(log phi -
+    log_ndtr) loses about s^2/2 ulps.
     """
     w = (np.asarray(z, dtype=float) - nu) / omega
     s = kappa * w
-    r = np.sqrt(2.0 / np.pi) / erfcx(-s / np.sqrt(2.0))
+    r = _mills(s)
     dr = -r * (s + r)
     # h(w, kappa) = -w^2/2 + log Phi(kappa w), and w's derivatives in
     # (z, nu, omega); the second ones are (0, 0, -1; 0, 0, 1; -1, 1, 2w)/omega^2

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, gammaln, log_ndtr, ndtr
+from scipy.special import gammaln, log_ndtr, ndtr
 
-from ._optim import concave_mode, covariance_from_hessian, minimize_nll
-from .mvnt import mvn_cdf, mvt_cdf
+from ._optim import covariance_from_hessian, minimize_nll, newton_root
+from .mvnt import _mills, mvn_cdf, mvt_cdf
 
 SQUEEZE_MARGIN = 1e-9  # how far the head pivots' squeeze sits below its chords
 
@@ -134,10 +134,10 @@ class _IidFamily(MgpdModel):
 def _head_law(q, log_a):
     """(g, s -> (g', g''), mode, g'' there) of the head mass, from log a: in
     s = log t, Gamma(q) E prod_i (1 - e^(-a_i T)) over T ~ Gamma(q), q > 0,
-    integrates e^g(s), g = q s - e^s + sum_i log(1 - e^(-x_i)), x_i = a_i
-    e^s.  With f(x) = x / (e^x - 1) in [1 - x/2, 1], g' = q - e^s + sum_i
-    f(x_i) and g'' = -e^s + sum_i [f (1 - f) - f x_i] < 0, so the mode of m
-    companions lies in [log((q + m) / (1 + sum a_i / 2)), log(q + m)]."""
+    integrates e^g(s), g = q s - e^s + sum_i log(1 - e^(-x_i)), x_i = a_i e^s.
+    With f(x) = x / (e^x - 1) in [1 - x/2, 1], g' = q - e^s + sum_i f(x_i) and
+    g'' = -e^s + sum_i [f (1 - f) - f x_i] < 0, so ``newton_root`` finds the
+    mode of m companions in [log((q + m) / (1 + sum a_i / 2)), log(q + m)]."""
 
     def derivs(s):
         x = np.exp(np.clip(s + log_a, -700.0, 700.0))
@@ -153,7 +153,7 @@ def _head_law(q, log_a):
 
     hi = np.log(q + log_a.size)
     lo = hi - np.logaddexp.reduce(log_a, initial=np.log(2.0)) + np.log(2.0)
-    return g, derivs, *concave_mode(derivs, lo, hi, hi)
+    return g, derivs, *newton_root(derivs, lo, hi, hi, 1e-14)
 
 
 def _head_log_mass(q, log_a):
@@ -174,17 +174,17 @@ def _head_log_mass(q, log_a):
 
 
 def _head_envelope(p, log_a):
-    """(g, the knots s_l < mode < s_r, g there, and g' at s_l and s_r) of
+    """(g, the knots s_l < mode < s_r, g there, -g' at s_l and g' at s_r) of
     the head pivots' log-density in s = log t, from log a.  g = max g - 1 at
-    s_l and s_r.  They lie in [low, mode] and [mode, log(q + m) + 2], as
-    g' >= 1/4 where every x_i <= 1 and e^s <= 1/4, and g' <= (q + m)(1 - e)
-    above log(q + m) + 1.  g holds (size, m) arrays."""
+    s_l and s_r, which ``newton_root`` finds in [low, mode] and [mode, log(q +
+    m) + 2], as g' >= 1/4 where every x_i <= 1 and e^s <= 1/4, and g' <= (q +
+    m)(1 - e) above log(q + m) + 1.  g holds (size, m) arrays."""
     g, derivs, mode, _ = _head_law(1.0 + p, log_a)
     top = g(mode)
     low, high = min(-log_a.max(), np.log(0.25)) - 4.0, np.log(1.0 + p + log_a.size) + 2.0
-    # each knot is the mode of a concave function of slope +-(g - top + 1)
-    s_l, slope_l = concave_mode(lambda s: (top - 1.0 - g(s), -derivs(s)[0]), low, mode, low)
-    s_r, slope_r = concave_mode(lambda s: (g(s) - top + 1.0, derivs(s)[0]), mode, high, high)
+    # each knot is where g = top - 1, a root of -+(g - top + 1), which falls in s
+    s_l, slope_l = newton_root(lambda s: (top - 1.0 - g(s), -derivs(s)[0]), low, mode, low, 1e-14)
+    s_r, slope_r = newton_root(lambda s: (g(s) - top + 1.0, derivs(s)[0]), mode, high, high, 1e-14)
     return g, np.array([s_l, mode, s_r]), np.array([g(s_l), top, g(s_r)]), slope_l, slope_r
 
 
@@ -582,8 +582,8 @@ def _hr_pair_terms(x, y, cx, cy, ux, uy):
     Every argument is A = a/2 + L/a in a = sqrt(2 gamma), so da/dtheta =
     a/2, d2a/dtheta2 = a/4, dA/da = 1/2 - L/a^2 and d2A/da2 = 2L/a^3.  A
     censored term log Phi(A) has derivative r = phi(A)/Phi(A), whose own
-    derivative is -r (A + r); r is taken as sqrt(2/pi) / erfcx(-A/sqrt(2)),
-    as in ``condex.skewnorm_logpdf_derivs``.
+    derivative is -r (A + r); r is ``mvnt._mills``, full precision far in
+    the lower tail.
     """
     rows = (x / ux > 1.0) | (y / uy > 1.0)
     x, y = x[rows], y[rows]
@@ -606,7 +606,7 @@ def _hr_pair_terms(x, y, cx, cy, ux, uy):
         ll = np.array([fixed - 0.5 * A @ A - n_both * np.log(a),
                        -A @ A1 - n_both / a, -(A1 @ A1 + A @ A2) + n_both / a ** 2])
         A, A1, A2 = arg(l_cens)  # censored: log Phi(A)
-        r = np.sqrt(2.0 / np.pi) / erfcx(-A / np.sqrt(2.0))
+        r = _mills(A)
         ll += [np.sum(log_ndtr(A)), r @ A1, -(r * (A + r)) @ A1 ** 2 + r @ A2]
         A, A1, A2 = arg(l_u)  # the normalizer -log V(u) on every row
         phi = w_u * np.exp(-0.5 * A * A) / np.sqrt(2.0 * np.pi)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, gammaincinv, log_ndtr, logsumexp, ndtr, ndtri, stdtr
 
-from ._optim import concave_mode
+from ._optim import newton_root
 from .core import derive_rng
 
 _JITTER = 1e-10
@@ -273,7 +273,7 @@ def _one_factor_log_cdf(a, s, rule=_RULE):
 
     h(t) = -t^2/2 + sum_i log Phi(a_i - s_i t) is strictly concave, and its
     slope h'(t) = -t - sum_i s_i r(a_i - s_i t), r = phi/Phi, falls from
-    above 0 at -sum_i s_i r(a_i) to at most 0 at t = 0; ``concave_mode``
+    above 0 at -sum_i s_i r(a_i) to at most 0 at t = 0; ``newton_root``
     finds the mode t* in that bracket.  With sigma = (-h''(t*))^(-1/2) the
     integral is sigma times the normal expectation of exp(h(t* + sigma z) +
     z^2/2), which ``rule`` takes in log space; centring on the mode keeps
@@ -291,7 +291,7 @@ def _one_factor_log_cdf(a, s, rule=_RULE):
         r = _mills(x)
         return -t - s @ r, -1.0 - (s * s) @ (r * (x + r))
 
-    t, curvature = concave_mode(derivs, -s @ _mills(a), 0.0, 0.0)
+    t, curvature = newton_root(derivs, -s @ _mills(a), 0.0, 0.0, 1e-14)
     sd = 1.0 / np.sqrt(-curvature)
     z, log_w = rule
     tk = t + sd * z

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv
 
+from .._optim import newton_root
 from .gpd import XI_HI, XI_LO, XI_ZERO, GpdParams, fit_gpd_mle, gpd_nll_derivs
 
 
@@ -153,23 +154,6 @@ def _profile_terms(x: np.ndarray, q: float, log_lam: float, xi: float):
             nll, fe / q)
 
 
-def _newton_in_bracket(fun, a: float, b: float, x: float, xtol: float):
-    """Root of ``fun`` in (a, b), where fun < 0 left of it (or NaN) and > 0
-    right of it, by Newton steps from ``x`` that bisect the shrinking bracket
-    when they would leave it.  ``fun`` returns (value, slope, *rest); gives
-    the root once a step is within ``xtol``, and ``rest`` at the last x."""
-    for _ in range(200):
-        g, dg, *rest = fun(x)
-        a, b = (a, x) if g > 0.0 else (x, b)
-        nxt = x - g / dg if dg > 0.0 else math.nan
-        if not a <= nxt <= b:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - x) <= xtol:
-            return nxt, rest
-        x = nxt
-    raise RuntimeError("profile likelihood root search did not converge")
-
-
 def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
                             level: float = 0.95, u: float = 0.0) -> ProfileInterval:
     """Profile-likelihood confidence interval for the T-year return level.
@@ -177,11 +161,12 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
     Its exact ends are the roots of dev(q) = chi2_1(level) / 2, dev the drop
     of the profile log likelihood in the return-level excess q from the MLE
     (Venzon & Moolgavkar 1988; Coles 2001, 4.3.3).  A profile point is a
-    bracketed Newton over xi in the MLE's box (XI_LO, XI_HI), cut below by
-    the support; each end is bracketed by steps doubling from the
-    delta-method SE, then solved by bracketed Newton on the envelope slope
-    dF/dq.  Cost per end: about ten profile points of a few O(n) passes
-    each, for n exceedances.  An end not bracketed within 2^17 steps above,
+    safeguarded Newton (``_optim.newton_root``) over xi, to 1e-10 (1 + |xi|),
+    in the MLE's box (XI_LO, XI_HI), cut below by the support; each end is
+    bracketed by steps doubling from the delta-method SE, then solved by
+    ``newton_root`` on the envelope slope dF/dq, to 1e-12 (1 + q).  Cost per
+    end: about ten profile points of a few O(n) passes each, for n
+    exceedances.  An end not bracketed within 2^17 steps above,
     or above q_hat / 2^18 below, is flagged ``profile-flat`` and
     ``upper-unbounded`` (the end is +inf) or ``lower-unbounded`` (the end
     is the threshold ``u``).
@@ -200,11 +185,13 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
     warm = [xi_hat]  # the shape maximizing the last profile point
 
     def over_cutoff(q: float) -> tuple[float, float]:  # dev(q) - cutoff, slope
-        # a shape whose endpoint falls below max(x) gives NaN, left of the
-        # optimum, so the first one met cuts the bracket at the support
-        warm[0], (nll, slope) = _newton_in_bracket(
-            lambda xi: _profile_terms(x, q, log_lam, xi), XI_LO, XI_HI, warm[0], 1e-10)
-        return fit.loglik + nll - cutoff, slope
+        # the root of the log likelihood's slope in xi; a shape whose endpoint
+        # falls below max(x) gives NaN, left of the optimum, so the first one
+        # met cuts the bracket at the support
+        warm[0], _, loglik, score = newton_root(
+            lambda xi: [-v for v in _profile_terms(x, q, log_lam, xi)],
+            XI_LO, XI_HI, warm[0], 1e-10)
+        return fit.loglik - loglik - cutoff, -score
 
     flags: list[str] = []
 
@@ -215,8 +202,8 @@ def profile_return_level_ci(exceedances, zeta_u: float, T: float, Ny: float,
             if side < 0:
                 q = max(q, q_hat * 2.0 ** -(k + 1))  # halve toward the threshold
             if over_cutoff(q)[0] > 0.0:  # rising away from the MLE on either side
-                return _newton_in_bracket(lambda s: [side * v for v in over_cutoff(s)],
-                                          *sorted((inside, q)), q, 1e-12 * q_hat)[0]
+                return newton_root(lambda s: [-side * v for v in over_cutoff(s)],
+                                   *sorted((inside, q)), q, 1e-12)[0]
             inside = q
         flags.append("upper-unbounded" if side > 0 else "lower-unbounded")
         return np.inf if side > 0 else 0.0

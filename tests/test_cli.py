@@ -1,5 +1,7 @@
 import argparse
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -200,6 +202,29 @@ def test_model_select_names_an_unknown_fitter(gumbel3_csv, capsys):
     assert "extremis model-select: error: unknown fitter 'nope'" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("taildep --input in.csv --levels 0.9,x", "--levels"),
+    ("condex prob2 --input in.csv --s1 3 --s2 2 --groups 0,1", "--groups"),
+    ("condex prob2 --input in.csv --s1 3 --s2 2 --groups 0,x|1", "--groups"),
+    ("mvn-tail --lower 0,x --upper 1,2 --sigma 1,0;0,1", "--lower"),
+    ("mvn-tail --lower 0,0 --upper 1, --sigma 1,0;0,1", "--upper"),
+    ("mvn-tail --lower 0,0 --upper 1,2 --sigma 1,0;0", "--sigma"),
+    ("mvn-tail --lower 0,0 --upper 1,2 --sigma 1,0;0,1 --mu 0;0", "--mu"),
+    ("simulate --family hr --dim 3 --u 1,,2 --n 5", "--u"),
+    ("mixture-experiment --alpha-grid 0.4:0.9", "--alpha-grid"),
+    ("mixture-experiment --levels 0.8,,0.9", "--levels"),
+    ("exch-test --input in.csv --blocks 0,1|2,x", "--blocks"),
+    ("task4 --input in.csv --u1 0,1.5", "--u1"),
+    ("model-select --input in.csv --fitters logistic,", "--fitters"),
+])
+def test_a_malformed_list_flag_is_a_usage_error(argv, flag, capsys):
+    code = run(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid" in captured.err
+
+
 def test_taildep_csv_output(gumbel3_csv, capsys, tmp_path):
     out = tmp_path / "td.csv"
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "gumbel",
@@ -248,7 +273,7 @@ if code == 0:
     args = build_parser().parse_args(argv)
     family = FAMILIES[args.family]
     model = family.model(getattr(args, family.parameter), args.dim)
-    u = [float(v) for v in args.u.split(",")] if args.u else [1.0] * args.dim
+    u = list(args.u) if args.u else [1.0] * args.dim
     print(json.dumps(pivot_weights(model, u, args.functional).tolist()))
 sys.exit(code)
 """
@@ -841,7 +866,7 @@ PARSER_PIN = {
         (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
          'show this help message and exit', None, '_HelpAction'),
         (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
-        (['--levels'], 'levels', '0.9,0.95,0.98,0.99', None, False, None, None, None,
+        (['--levels'], 'levels', '0.9,0.95,0.98,0.99', 'float_list', False, None, None, None,
          '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
         (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
@@ -917,8 +942,8 @@ PARSER_PIN = {
         (['--s2'], 's2', None, 'float', True, None, None, None, '_StoreAction'),
         (['--level-is-quantile'], 'level_is_quantile', False, None, False, None, None, True,
          '_StoreTrueAction'),
-        (['--groups'], 'groups', None, None, True, None, "column indices 'i,j|k,l'", None,
-         '_StoreAction'),
+        (['--groups'], 'groups', None, 'index_pair', True, None, "column indices 'i,j|k,l'",
+         None, '_StoreAction'),
         (['--no-permute'], 'no_permute', False, None, False, None, None, True,
          '_StoreTrueAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
@@ -983,10 +1008,11 @@ PARSER_PIN = {
     'extremis mvn-tail': [
         (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
          'show this help message and exit', None, '_HelpAction'),
-        (['--lower'], 'lower', None, None, True, None, None, None, '_StoreAction'),
-        (['--upper'], 'upper', None, None, True, None, None, None, '_StoreAction'),
-        (['--sigma'], 'sigma', None, None, True, None, "rows 'a,b;c,d'", None, '_StoreAction'),
-        (['--mu'], 'mu', None, None, False, None, None, None, '_StoreAction'),
+        (['--lower'], 'lower', None, 'float_list', True, None, None, None, '_StoreAction'),
+        (['--upper'], 'upper', None, 'float_list', True, None, None, None, '_StoreAction'),
+        (['--sigma'], 'sigma', None, 'float_rows', True, None, "rows 'a,b;c,d'", None,
+         '_StoreAction'),
+        (['--mu'], 'mu', None, 'float_list', False, None, None, None, '_StoreAction'),
         (['--df'], 'df', None, 'float', False, None, None, None, '_StoreAction'),
         (['--n-points'], 'n_points', 100000, 'int', False, None, None, None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
@@ -1007,7 +1033,8 @@ PARSER_PIN = {
         (['--dim'], 'dim', 3, 'int', False, None, None, None, '_StoreAction'),
         (['--functional'], 'functional', 'min', None, False, ['min', 'max', 'sum'], None, None,
          '_StoreAction'),
-        (['--u'], 'u', None, None, False, None, "thresholds 'a,b,c'", None, '_StoreAction'),
+        (['--u'], 'u', None, 'float_list', False, None, "thresholds 'a,b,c'", None,
+         '_StoreAction'),
         (['--n'], 'n', None, 'int', True, None, None, None, '_StoreAction'),
         (['--out-samples'], 'out_samples', None, None, False, None, None, None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
@@ -1020,10 +1047,11 @@ PARSER_PIN = {
     'extremis mixture-experiment': [
         (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
          'show this help message and exit', None, '_HelpAction'),
-        (['--alpha-grid'], 'alpha_grid', '0.4:0.9:100', None, False, None,
+        (['--alpha-grid'], 'alpha_grid', '0.4:0.9:100', 'alpha_grid', False, None,
          "'lo:hi:count' or comma list", None, '_StoreAction'),
         (['--n-per'], 'n_per', 10000, 'int', False, None, None, None, '_StoreAction'),
-        (['--levels'], 'levels', '0.8,0.9,0.95', None, False, None, None, None, '_StoreAction'),
+        (['--levels'], 'levels', '0.8,0.9,0.95', 'float_list', False, None, None, None,
+         '_StoreAction'),
         (['--dim'], 'dim', 8, 'int', False, None, None, None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
         (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
@@ -1051,7 +1079,8 @@ PARSER_PIN = {
         (['-h', '--help'], 'help', '==SUPPRESS==', None, False, None,
          'show this help message and exit', None, '_HelpAction'),
         (['--input'], 'input', None, None, True, None, None, None, '_StoreAction'),
-        (['--blocks'], 'blocks', None, None, True, None, "'0,1,2|3,4,5'", None, '_StoreAction'),
+        (['--blocks'], 'blocks', None, 'index_groups', True, None, "'0,1,2|3,4,5'", None,
+         '_StoreAction'),
         (['--n-mc'], 'n_mc', 2000, 'int', False, None, None, None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
         (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
@@ -1071,7 +1100,7 @@ PARSER_PIN = {
         (['--level'], 'level', 0.99, 'float', False, None, None, None, '_StoreAction'),
         (['--fit-quantile'], 'fit_quantile', 0.95, 'float', False, None, None, None,
          '_StoreAction'),
-        (['--fitters'], 'fitters', 'logistic,hr', None, False, None, None, None,
+        (['--fitters'], 'fitters', 'logistic,hr', 'name_list', False, None, None, None,
          '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
         (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
@@ -1160,7 +1189,7 @@ PARSER_PIN = {
         (['--phi1'], 'phi1', 0.0033333333333333335, 'float', False, None, None, None,
          '_StoreAction'),
         (['--phi2'], 'phi2', 0.04, 'float', False, None, None, None, '_StoreAction'),
-        (['--u1'], 'u1', None, None, False, None, 'comma list of U1 column indices', None,
+        (['--u1'], 'u1', None, 'int_list', False, None, 'comma list of U1 column indices', None,
          '_StoreAction'),
         (['--threshold-quantile'], 'threshold_quantile', 0.98, 'float', False, None, None, None,
          '_StoreAction'),
@@ -1253,3 +1282,24 @@ def test_src_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer patches extremis by module attribute name, so a
+    # renamed or deleted target breaks its traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    missing = []
+    for module_name, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert len(tracer.TARGETS) > 0 and missing == []
