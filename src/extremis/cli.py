@@ -536,6 +536,10 @@ def cmd_task3(args) -> dict:
 
 def cmd_task4(args) -> dict:
     ds = _load(args)
+    u1_set = set(range(ds.dim // 2) if args.u1 is None else args.u1)
+    if not u1_set <= set(range(ds.dim)):
+        raise ValueError(f"--u1 names columns outside 0..{ds.dim - 1}: "
+                         f"{sorted(u1_set - set(range(ds.dim)))}")
     lap = MarginSpec("laplace")
     L = ds.to_margin(lap)
     jackknife = validate.tau_jackknife(ds.values)
@@ -546,7 +550,6 @@ def cmd_task4(args) -> dict:
     phi1, phi2 = args.phi1, args.phi2
     s1 = float(lap.quantile(1.0 - phi1))
     s2 = float(lap.quantile(1.0 - phi2))
-    u1_set = set(range(ds.dim // 2) if args.u1 is None else args.u1)
     out_clusters = []
     log_p1 = 0.0
     log_p2 = 0.0
@@ -608,8 +611,8 @@ def _opt(*flags, **kwargs):
     return flags, kwargs
 
 
-# List grammars, applied by argparse: a malformed list is a usage error naming
-# its flag.  A blank entry is malformed; a blank group or row is not.
+# Grammars, applied by argparse: a malformed value is a usage error naming its
+# flag.  In a list, a blank entry is malformed; a blank group or row is not.
 def float_list(spec: str) -> tuple:
     return tuple(map(float, spec.split(",")))
 
@@ -636,6 +639,20 @@ def alpha_grid(spec: str) -> tuple:  # 'lo:hi:count', evenly spaced, or 'a,b,c'
     return tuple(np.linspace(float(lo), float(hi), int(count)).tolist())
 
 
+def positive_int(spec: str) -> int:
+    value = int(spec)
+    if value < 1:
+        raise ValueError(spec)
+    return value
+
+
+def open_unit(spec: str) -> float:  # a level in (0, 1)
+    value = float(spec)
+    if not 0.0 < value < 1.0:
+        raise ValueError(spec)
+    return value
+
+
 def index_groups(spec: str) -> tuple:  # 'i,j|k,l'
     return tuple(int_list(g) if g.strip() else () for g in spec.split("|"))
 
@@ -652,7 +669,7 @@ def _threshold(default):
 
 
 def _n_draws(default):
-    return _opt("--n-draws", type=int, default=default)
+    return _opt("--n-draws", type=positive_int, default=default)
 
 
 def _family(choices):
@@ -662,7 +679,7 @@ def _family(choices):
 INPUT = _opt("--input", required=True)
 RESPONSE = _opt("--response", required=True)
 TAU = _opt("--tau", type=float, default=0.95)
-ALPHA = _opt("--alpha", type=float, default=0.5)
+ALPHA = _opt("--alpha", type=open_unit, default=0.5)
 BOOTSTRAP = _opt("--bootstrap", choices=("nonparametric", "bayesian"))
 SIGMA_COVARIATES = _opt("--sigma-covariates", default="")
 XI_COVARIATES = _opt("--xi-covariates", default="")

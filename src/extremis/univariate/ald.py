@@ -21,6 +21,8 @@ PIVOT_CAP = 5000  # simplex pivots before the fit stops, flagged ald-pivot-cap
 ZERO_TOL = 1e-11
 # a directional derivative below -DESCENT_TOL times its scale is a descent
 DESCENT_TOL = 1e-12
+# kinks the ratio test sorts first; it quadruples them until the slope crosses
+RATIO_HEAD = 64
 
 
 def check_loss(r, tau: float):
@@ -77,7 +79,9 @@ class AldParams:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         coef = np.asarray(coef, dtype=float)
         slopes = np.ascontiguousarray(coef[:, 1:].T)
-        return _linear_predictors(np.ascontiguousarray(X.T), slopes) + coef[:, 0]
+        eta = _linear_predictors(np.ascontiguousarray(X.T), slopes)
+        eta += coef[:, 0]
+        return eta
 
 
 def _design(X) -> np.ndarray:
@@ -187,10 +191,33 @@ def _simplex(D, y, tau: float, h: np.ndarray):
             # only rounding can leave a descent edge without a kink
             return h, True
         t = np.maximum(r[cand] / a[cand], 0.0)
-        order = np.argsort(t, kind="stable")
-        slope = g[e] + np.cumsum(np.abs(a[cand[order]]))
+        order, slope = _kinks_to_crossing(t, np.abs(a[cand]), g[e])
         m = min(int(np.searchsorted(slope >= 0.0, True)), cand.size - 1)
         side[cand[order[:m]]] *= -1.0
         side[h[j]] = -sign
         h[j] = cand[order[m]]
     return h, False
+
+
+def _kinks_to_crossing(t, w, g0: float):
+    """The ratio test's walk along an edge: (order, slope), where ``order``
+    is ``np.argsort(t, kind="stable")`` and ``slope`` is
+    ``g0 + np.cumsum(w[order])``, or equal heads of both that reach a
+    slope >= 0.
+
+    The kinks up to the RATIO_HEAD-th smallest t, with every tie of it, are
+    taken in candidate order and sorted stably: that is exactly the head of
+    the full stable order, and the cumulative sum runs left to right, so
+    the head's slopes are the full walk's.  A head whose slope stays
+    negative is quadrupled until it covers every kink, then sorted whole.
+    """
+    head = RATIO_HEAD
+    while head < t.size:
+        idx = np.flatnonzero(t <= np.partition(t, head - 1)[head - 1])
+        order = idx[np.argsort(t[idx], kind="stable")]
+        slope = g0 + np.cumsum(w[order])
+        if slope.size and slope[-1] >= 0.0:
+            return order, slope
+        head *= 4
+    order = np.argsort(t, kind="stable")
+    return order, g0 + np.cumsum(w[order])

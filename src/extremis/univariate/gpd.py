@@ -67,16 +67,31 @@ def gpd_cdf(x, p):
 
 
 def gpd_quantile(q, p):
-    """Exact inverse of :func:`gpd_cdf` for q in (0, 1)."""
+    """Exact inverse of :func:`gpd_cdf` for q in (0, 1).
+
+    sigma expm1(xi ell) / xi, with ell = -log1p(-q), is built in place:
+    expm1(xi ell) at the broadcast shape of q and xi alone, so that a
+    shape and level shared by many scales take one expm1, then times
+    sigma and over xi in one buffer of the shape of all three.  Only the
+    shapes inside the seam |xi| < XI_ZERO take the exponential limit
+    sigma ell instead.
+    """
     sigma, xi = _as_params(p)
     q = np.asarray(q, dtype=float)
     if ((q <= 0.0) | (q >= 1.0)).any():
         raise ValueError("quantile level outside (0, 1)")
     ell = -np.log1p(-q)
     small = np.abs(xi) < XI_ZERO
-    out = np.where(small, sigma * ell,
-                   sigma * np.expm1(np.where(small, 0.0, xi) * ell)
-                   / np.where(small, 1.0, xi))
+    growth = np.empty(np.broadcast_shapes(xi.shape, ell.shape))
+    np.multiply(xi, ell, out=growth)
+    np.expm1(growth, out=growth)
+    shape = np.broadcast_shapes(growth.shape, sigma.shape)
+    out = growth if growth.shape == shape else np.empty(shape)
+    np.multiply(sigma, growth, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # xi = 0 in the seam
+        np.divide(out, xi, out=out)
+    if small.any():
+        np.multiply(sigma, ell, out=out, where=small)
     return float(out) if np.ndim(out) == 0 else out
 
 

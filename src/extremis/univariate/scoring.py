@@ -21,9 +21,10 @@ from .gpd import (RegressionSpec, _design, _linear_predictors,
 # bounds for (sigma, xi) drawn from a fit's Gaussian approximation
 SIGMA_MIN = 1e-8
 XI_MIN, XI_MAX = -0.99, 4.99
-# draws held at once by predictive_quantiles: 512 kB of float64 per array,
-# so that a block and gpd_quantile's temporaries stay in L2 (2^16 measured
-# faster than 2^18 and 2^20)
+# draws held at once by predictive_quantiles: 512 kB of float64 per array.
+# At most four such arrays are live (scale, shape, quantiles and the previous
+# block's sorted draws), 2 MB, which stays in L2 (2^16 measured as fast as
+# 2^17 and faster than 2^14 and 2^18)
 BLOCK_FLOATS = 2**16
 
 
@@ -85,9 +86,11 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
     ``u[rows, None]`` for one threshold per row, or one per row and draw.
     The rows are evaluated in blocks of about BLOCK_FLOATS draws in all,
     every draw of a block at once, so the (n_rows, n_draws) draw matrix is
-    never held.  Each linear predictor is summed left to right over the
-    design columns (:func:`_linear_predictors`), so the output does not
-    depend on the block size or draw count.  Returns ``(lower, upper)``: the
+    never held; an intercept-only scale or shape is evaluated once, as one
+    row for every block (:func:`_clipped_predictor`).  Each linear
+    predictor is summed left to right over the design columns
+    (:func:`_linear_predictors`), so the output does not depend on the
+    block size or draw count.  Returns ``(lower, upper)``: the
     alpha/2 and 1 - alpha/2 quantiles over draws, each (n_rows,), by
     numpy's default ``linear`` rule, with its limits where a draw is
     infinite (``_sorted_quantiles``).
@@ -96,21 +99,40 @@ def predictive_quantiles(fit, coef, X, p, alpha: float, thresholds):
     Xx = np.ascontiguousarray(_design(X, fit.spec.xi_columns).T)
     k, n = Xs.shape
     coef = np.asarray(coef, dtype=float)
+    if len(coef) == 0:
+        raise ValueError("no coefficient draws")
     Cs, Cx = np.ascontiguousarray(coef[:, :k].T), np.ascontiguousarray(coef[:, k:].T)
+    sigma_at = _clipped_predictor(Xs, Cs, SIGMA_MIN, None, np.exp)
+    xi_at = _clipped_predictor(Xx, Cx, XI_MIN, XI_MAX)
     p = np.asarray(p, dtype=float)
     levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
     step = max(1, BLOCK_FLOATS // len(coef))
     out = np.empty((2, n))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        sigma = np.exp(_linear_predictors(Xs[:, rows], Cs))
-        xi = _linear_predictors(Xx[:, rows], Cx)
         q = p if p.ndim == 0 else p[rows, None]
-        b = gpd_quantile(q, (np.clip(sigma, SIGMA_MIN, None, out=sigma),
-                             np.clip(xi, XI_MIN, XI_MAX, out=xi)))
+        b = gpd_quantile(q, (sigma_at(rows), xi_at(rows)))
+        if len(b) < rows.stop - start:  # one row for all: q, sigma, xi constant
+            b = b.repeat(rows.stop - start, axis=0)
         b += thresholds(rows)
         out[:, rows] = _sorted_quantiles(b, levels)
     return out[0], out[1]
+
+
+def _clipped_predictor(design_t, coef_t, lo, hi, link=None):
+    """rows -> the clipped predictor of the draws ``coef_t`` at ``rows`` of
+    ``design_t``, (rows, draws), with ``link`` (in place) before the clip.
+    An intercept-only predictor is 1.0 c = c at every row, exactly, so it is
+    one (1, draws) row, built once and returned for every block."""
+    def at(rows):
+        eta = _linear_predictors(design_t[:, rows], coef_t)
+        if link is not None:
+            link(eta, out=eta)
+        return np.clip(eta, lo, hi, out=eta)
+    if len(design_t) > 1:
+        return at
+    row = at(slice(0, 1))
+    return lambda rows: row
 
 
 def _sorted_quantiles(b, levels) -> np.ndarray:

@@ -2,8 +2,9 @@
 the power-set sums of the logistic families' pivot weights, the two-level
 estimator's per-assignment loop, an energy two-sample statistic, a
 derivative-free minimizer and a finite-difference gradient, the dense
-form of the partial-exchangeability test, and small simulation
-utilities."""
+form of the partial-exchangeability test, the two-branch GPD quantile, the
+check-loss simplex with a full sort in its ratio test, and small
+simulation utilities."""
 from __future__ import annotations
 
 import math
@@ -18,6 +19,8 @@ from scipy.special import logsumexp
 from extremis.condex import HtProbability, _level_sets, _log_tail, _shared_dependence
 from extremis.core import derive_rng, label_assignments
 from extremis.mgpd import ExtremalStudent, HuslerReiss, Logistic, NegLogistic
+from extremis.univariate import ald
+from extremis.univariate.gpd import XI_ZERO
 from extremis.validate import (ExchTestResult, _orbit_average, _structure_matrix,
                                stack_pairs, tau_jackknife)
 
@@ -267,3 +270,56 @@ def numeric_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
         ei[i] = h[i]
         g[i] = (f(x + ei) - f(x - ei)) / (2.0 * h[i])
     return g
+
+
+def gpd_quantile_where(q, sigma, xi):
+    """The GPD quantile as two whole branches joined by ``np.where``: the
+    exponential limit sigma ell and sigma expm1(xi ell) / xi, with
+    ell = -log1p(-q), the limit taken where |xi| < XI_ZERO."""
+    sigma, xi, q = (np.asarray(v, dtype=float) for v in (sigma, xi, q))
+    ell = -np.log1p(-q)
+    small = np.abs(xi) < XI_ZERO
+    return np.where(small, sigma * ell,
+                    sigma * np.expm1(np.where(small, 0.0, xi) * ell)
+                    / np.where(small, 1.0, xi))
+
+
+def simplex_full_sort(D, y, tau: float, h: np.ndarray):
+    """``ald._simplex`` with a full stable sort of every candidate kink in
+    its ratio test."""
+    k = D.shape[1]
+    absD = np.abs(D)
+    colsum, rowsum = absD.sum(axis=0), absD.sum(axis=1)
+    h = np.array(h)
+    side = None
+    for _ in range(ald.PIVOT_CAP):
+        Dh = D[h]
+        Z = np.linalg.inv(Dh)
+        beta = np.linalg.solve(Dh, y[h])
+        r = y - D @ beta
+        r[np.abs(r) <= ald.ZERO_TOL * (np.abs(y) + rowsum * np.abs(beta).max())] = 0.0
+        if side is None:
+            side = np.where(r >= 0.0, 1.0, -1.0)
+        psi = np.where(side > 0.0, tau, tau - 1.0)
+        psi[h] = 0.0
+        s = (psi @ D) @ Z
+        g = np.concatenate([1.0 - tau - s, tau + s])
+        descent = g < -ald.DESCENT_TOL * np.tile(colsum @ np.abs(Z) + 1.0, 2)
+        if not descent.any():
+            return h, True
+        e = int(np.argmin(g))
+        j, sign = e % k, (1.0 if e < k else -1.0)
+        a = sign * (D @ Z[:, j])
+        a[np.abs(a) <= ald.ZERO_TOL * rowsum * np.abs(Z[:, j]).max()] = 0.0
+        a[h] = 0.0
+        cand = np.flatnonzero(side * a > 0.0)
+        if cand.size == 0:
+            return h, True
+        t = np.maximum(r[cand] / a[cand], 0.0)
+        order = np.argsort(t, kind="stable")
+        slope = g[e] + np.cumsum(np.abs(a[cand[order]]))
+        m = min(int(np.searchsorted(slope >= 0.0, True)), cand.size - 1)
+        side[cand[order[:m]]] *= -1.0
+        side[h[j]] = -sign
+        h[j] = cand[order[m]]
+    return h, False

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import simplex_full_sort
 from extremis.core import derive_rng
-from extremis.univariate import check_loss, fit_ald
+from extremis.univariate import ald, check_loss, fit_ald
 
 
 def test_check_loss_definition():
@@ -118,6 +119,38 @@ def test_exact_fit_matches_the_lp_oracle(seed, n, k, kind, tau):
     want = _oracle_loss(D, y, tau)
     # the loss scale: a perfect fit has loss 0 up to rounding of y
     assert abs(loss - want) <= 1e-9 * max(want, 1e-4 * np.abs(y).sum())
+
+
+def _assert_ratio_test_matches_the_full_sort(X, y, tau, head):
+    """fit_ald with the partial ratio test at ``head`` kinks gives the full
+    sort's basis and coefficients, bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ald, "RATIO_HEAD", head)
+        got = fit_ald(X, y, tau)
+        mp.setattr(ald, "_simplex", simplex_full_sort)
+        want = fit_ald(X, y, tau)
+    assert got.converged == want.converged
+    np.testing.assert_array_equal(got.basis, want.basis)
+    np.testing.assert_array_equal(got.beta_eta.view(np.int64), want.beta_eta.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(3, 200), k=st.integers(1, 4),
+       kind=st.sampled_from(["integer", "repeated"]), head=st.sampled_from([1, 2]),
+       tau=st.one_of(st.sampled_from([0.02, 0.5, 0.95]), st.floats(0.001, 0.999)))
+def test_partial_ratio_test_walks_the_full_sort(seed, n, k, kind, head, tau):
+    # heads of one or two kinks: ties in t at the head's last kink, and
+    # heads quadrupled until they cover every candidate
+    X, y = _qr_problem(seed, n, k, kind)
+    assume(n > k and np.linalg.matrix_rank(np.column_stack([np.ones(n), X])) == k)
+    _assert_ratio_test_matches_the_full_sort(X, y, tau, head)
+
+
+def test_partial_ratio_test_on_a_large_fit():
+    rng = derive_rng(36)
+    X = rng.normal(size=(20_000, 5))
+    y = X.sum(axis=1) + rng.standard_t(3, size=20_000)
+    _assert_ratio_test_matches_the_full_sort(X, y, 0.95, ald.RATIO_HEAD)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])

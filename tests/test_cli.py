@@ -225,6 +225,37 @@ def test_a_malformed_list_flag_is_a_usage_error(argv, flag, capsys):
     assert f"error: argument {flag}: invalid" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("task1 --input in.csv --response y --n-draws 0", "--n-draws"),
+    ("cv-score --input in.csv --response y --models sigma:&xi: --n-draws 0", "--n-draws"),
+    ("cv-score --input in.csv --response y --models sigma:&xi: --n-draws -3", "--n-draws"),
+    ("task2 --input in.csv --response y --n-draws 2.5", "--n-draws"),
+    ("task1 --input in.csv --response y --alpha 1.5", "--alpha"),
+    ("task1 --input in.csv --response y --alpha 0", "--alpha"),
+    ("cv-score --input in.csv --response y --models sigma:&xi: --alpha 1", "--alpha"),
+])
+def test_a_draw_count_or_alpha_out_of_range_is_a_usage_error(argv, flag, capsys):
+    code = run(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid" in captured.err
+
+
+@pytest.mark.parametrize("u1", ["4,5", "99,100", "=-1"])
+def test_task4_names_u1_columns_outside_the_table(u1, capsys, tmp_path):
+    path = tmp_path / "t4.csv"
+    rows = ["a,b,c,d"] + [",".join(repr(float(v)) for v in row)
+                          for row in derive_rng(7).gumbel(size=(50, 4))]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    flag = f"--u1{u1}" if u1.startswith("=") else f"--u1 {u1}"
+    code = run(shlex.split(f"task4 --input {path} --margins gumbel --k 2 {flag}"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("extremis task4: error: --u1 names columns outside 0..3")
+
+
 def test_taildep_csv_output(gumbel3_csv, capsys, tmp_path):
     out = tmp_path / "td.csv"
     code = run(["taildep", "--input", gumbel3_csv, "--margins", "gumbel",
@@ -835,9 +866,9 @@ PARSER_PIN = {
          '_StoreAction'),
         (['--models'], 'models', None, None, True, None,
          "semicolon-separated: 'sigma:a,b&xi:c;sigma:&xi:'", None, '_StoreAction'),
-        (['--alpha'], 'alpha', 0.5, 'float', False, None, None, None, '_StoreAction'),
+        (['--alpha'], 'alpha', 0.5, 'open_unit', False, None, None, None, '_StoreAction'),
         (['--repeats'], 'repeats', 10, 'int', False, None, None, None, '_StoreAction'),
-        (['--n-draws'], 'n_draws', 1000, 'int', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 1000, 'positive_int', False, None, None, None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),
         (['--out'], 'out', None, None, False, None, 'output path (default stdout)', None,
          '_StoreAction'),
@@ -1121,8 +1152,8 @@ PARSER_PIN = {
          'CSV of covariate rows to predict (default: input rows)', None, '_StoreAction'),
         (['--tau'], 'tau', 0.95, 'float', False, None, None, None, '_StoreAction'),
         (['--level'], 'level', 0.9999, 'float', False, None, None, None, '_StoreAction'),
-        (['--alpha'], 'alpha', 0.5, 'float', False, None, None, None, '_StoreAction'),
-        (['--n-draws'], 'n_draws', 1000, 'int', False, None, None, None, '_StoreAction'),
+        (['--alpha'], 'alpha', 0.5, 'open_unit', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 1000, 'positive_int', False, None, None, None, '_StoreAction'),
         (['--sigma-covariates'], 'sigma_covariates', '', None, False, None, None, None,
          '_StoreAction'),
         (['--xi-covariates'], 'xi_covariates', '', None, False, None, None, None,
@@ -1149,7 +1180,7 @@ PARSER_PIN = {
          None, '_StoreAction'),
         (['--T'], 'T', 200.0, 'float', False, None, None, None, '_StoreAction'),
         (['--ny'], 'ny', 300.0, 'float', False, None, None, None, '_StoreAction'),
-        (['--n-draws'], 'n_draws', 10000, 'int', False, None, None, None, '_StoreAction'),
+        (['--n-draws'], 'n_draws', 10000, 'positive_int', False, None, None, None, '_StoreAction'),
         (['--bootstrap'], 'bootstrap', None, None, False, ['nonparametric', 'bayesian'], None,
          None, '_StoreAction'),
         (['--seed'], 'seed', 0, 'int', False, None, None, None, '_StoreAction'),

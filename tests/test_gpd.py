@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import derivative_free_minimum, numeric_gradient
+from helpers import derivative_free_minimum, gpd_quantile_where, numeric_gradient
 from extremis import _optim
 from extremis.cli import run
 from extremis._optim import minimize_nll, numeric_hessian
@@ -220,6 +221,41 @@ def test_cdf_inverts_quantile_across_seam(q, sigma, xi):
     # the seam too, so the round trip holds to a relative bound throughout
     c = gpd_cdf(gpd_quantile(q, (sigma, xi)), (sigma, xi))
     assert c == pytest.approx(q, rel=1e-12, abs=0.0)
+
+
+quantile_shapes = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-9, -5e-9, XI_ZERO, -XI_ZERO, -0.99, 4.99]),
+    st.floats(-1e-6, 1e-6), st.floats(-0.99, 4.99))
+quantile_levels = st.one_of(st.sampled_from([1e-300, 1.0 - 2.0**-53]),
+                            st.floats(1e-300, 1.0 - 2.0**-53))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=quantile_levels, sigma=st.floats(1e-8, 1e4), xi=quantile_shapes)
+def test_quantile_is_the_two_branch_form_bit_for_bit(q, sigma, xi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning at xi = 0 either
+        got = gpd_quantile(q, (sigma, xi))
+    assert isinstance(got, float)
+    _same_bits([got], [gpd_quantile_where(q, sigma, xi)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31), rows=st.integers(1, 9), draws=st.integers(1, 30),
+       sigma_rows=st.booleans(), xi_rows=st.booleans(), q_rows=st.booleans())
+def test_quantile_broadcasts_bit_for_bit(seed, rows, draws, sigma_rows, xi_rows, q_rows):
+    # a (1, draws) scale or shape against (rows, draws), levels per row or
+    # one for all, the seam's and the ends' values mixed in
+    rng = derive_rng(seed)
+    sigma = np.exp(rng.normal(0.0, 2.0, (rows if sigma_rows else 1, draws)))
+    xi = rng.uniform(-0.99, 4.99, (rows if xi_rows else 1, draws))
+    pick = rng.uniform(size=xi.shape) < 0.3
+    xi[pick] = rng.choice([0.0, -0.0, 5e-9, -5e-9, XI_ZERO, -XI_ZERO, -0.99, 4.99],
+                          pick.sum())
+    q = rng.choice([1e-300, 0.5, 0.99, 1.0 - 2.0**-53], (rows, 1)) if q_rows else 0.999
+    got = gpd_quantile(q, (sigma, xi))
+    assert got.shape == np.broadcast_shapes(np.shape(q), sigma.shape, xi.shape)
+    _same_bits([got], [gpd_quantile_where(q, sigma, xi)])
 
 
 # ---------------------------------------------------------- derivatives

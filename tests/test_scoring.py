@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gpd_quantile_where
 from extremis.core import derive_rng
 from extremis.univariate import (GpdParams, IntervalForecast, RegressionSpec,
                                  cv_interval_score, gpd_quantile,
@@ -164,15 +165,17 @@ def _left_to_right(design, coef):
     return out
 
 
-def _reference_draws(coef, X, p, u):
-    """The (n_rows, n_draws) draw matrix of the one-column-in-the-scale,
-    one-column-in-the-shape regression, by explicit column sums."""
+def _reference_draws(coef, X, p, u, sigma_columns=(0,), xi_columns=(0,)):
+    """The (n_rows, n_draws) draw matrix of the regression on the given
+    columns (by default one in the scale and one in the shape), by explicit
+    column sums and the two-branch GPD quantile."""
     from extremis.univariate.gpd import _design
-    Xd = _design(X, (0,))
-    sigma = np.clip(np.exp(_left_to_right(Xd, coef[:, :2])), 1e-8, None)
-    xi = np.clip(_left_to_right(Xd, coef[:, 2:]), -0.99, 4.99)
-    return np.asarray(u, float)[:, None] + gpd_quantile(np.asarray(p)[..., None],
-                                                         (sigma, xi))
+    Xs, Xx = _design(X, sigma_columns), _design(X, xi_columns)
+    k = Xs.shape[1]
+    sigma = np.clip(np.exp(_left_to_right(Xs, coef[:, :k])), 1e-8, None)
+    xi = np.clip(_left_to_right(Xx, coef[:, k:]), -0.99, 4.99)
+    return np.asarray(u, float)[:, None] + gpd_quantile_where(np.asarray(p)[..., None],
+                                                               sigma, xi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,6 +303,39 @@ def test_predictive_quantiles_blocks_match_the_draw_matrix(monkeypatch):
     np.testing.assert_array_equal(upper, default[1])
 
 
+@pytest.mark.parametrize("sigma_columns", [(), (0,)])
+@pytest.mark.parametrize("per_row_p", [False, True])
+def test_predictive_quantiles_hoist_intercept_only_predictors(monkeypatch, sigma_columns,
+                                                              per_row_p):
+    # the shape, and with () the scale too, is one row of draws for every
+    # block; the draws take the seam's and the clips' values
+    from extremis.univariate import GpdRegression, predictive_quantiles, scoring
+    rng = derive_rng(13)
+    k = 1 + len(sigma_columns)
+    fit = GpdRegression(np.r_[0.2, [0.5] * (k - 1)], np.array([0.1]),
+                        RegressionSpec(sigma_columns, ()), None, 0.0, 0, True)
+    n_rows, n_draws = 103, 40
+    X = rng.uniform(-1.0, 1.0, size=(n_rows, 1))
+    coef = fit.coefficients + 0.1 * rng.standard_normal((n_draws, k + 1))
+    coef[:8, -1] = [0.0, -0.0, 5e-9, -5e-9, 9.0, -3.0, 4.99, -0.99]
+    coef[8, 0] = -40.0  # sigma below the floor
+    u = rng.uniform(0.0, 5.0, size=n_rows)
+    p = rng.uniform(0.5, 0.999, size=n_rows) if per_row_p else 0.99
+    draws = _reference_draws(coef, X, p, u, sigma_columns, ())
+    want = np.quantile(draws, [0.1, 0.9], axis=1)
+    zero = np.quantile(_reference_draws(coef, X, p, np.zeros(n_rows), sigma_columns, ()),
+                       [0.1, 0.9], axis=1)
+    for block in (scoring.BLOCK_FLOATS, 7 * n_draws + 3):
+        monkeypatch.setattr(scoring, "BLOCK_FLOATS", block)
+        got = predictive_quantiles(fit, coef, X, p, 0.2, lambda rows: u[rows, None])
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+        # a scalar threshold still gives every row its own quantiles
+        got = predictive_quantiles(fit, coef, X, p, 0.2, lambda rows: 0.0)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), zero.view(np.int64))
+    with pytest.raises(ValueError, match="no coefficient draws"):
+        predictive_quantiles(fit, coef[:0], X, p, 0.2, lambda rows: u[rows, None])
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 6),
        n_draws=st.integers(1, 60),
@@ -371,9 +407,9 @@ def test_predictive_quantiles_memory_stays_in_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole draw matrix alone would be 160 MB.  Measured: 4.19 MB, of
+    # the whole draw matrix alone would be 160 MB.  Measured: 3.15 MB, of
     # which 0.96 MB are per-row arrays (both transposed designs and the
-    # output) and the rest one block of 2^16 draws with gpd_quantile's
-    # temporaries, six 512 kB arrays; the margin is 1.8 MB, under four
-    # more block arrays
+    # output) and the rest four 512 kB arrays of 2^16 draws (the scale, the
+    # shape, gpd_quantile's output and the previous block's sorted draws);
+    # the margin is 2.85 MB, under six more block arrays
     assert peak < 6e6
